@@ -1,5 +1,9 @@
 """Per-step cost and the deterministic parallel map.
 
+Within a step the points are split into chunks mapped over ``parallel``
+threads (``parallel=1`` runs fully in-process). The output is bit-identical
+for every degree.
+
 Run:  python demos/05_parallel_scaling.py
 """
 import os
@@ -33,6 +37,6 @@ identical = all(
     for name in ("s_hist", "fused_hist", "t_hist", "st_hist")
 ) and seq.events == par.events
 print(f"outputs bit-identical across parallelism degrees: {identical}")
-print("\nper-point work is mapped over worker processes in fixed chunks and")
-print("gathered in submission order; all reductions are row-wise, so the")
-print("schedule cannot perturb a single bit of the result.")
+print("\nper-point work is mapped over threads in fixed chunks and gathered")
+print("in submission order; all reductions are row-wise, so the schedule")
+print("cannot perturb a single bit of the result.")

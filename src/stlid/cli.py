@@ -445,7 +445,8 @@ def _add_common(p):
     p.add_argument("--truth", help="ground-truth CSV (label,xmin,ymin,xmax,ymax,tof)")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-    p.add_argument("--parallel", type=int, help="worker processes (default 1)")
+    p.add_argument("--parallel", type=int,
+                   help="threads per step (default 1, in-process; output is identical for any value)")
     p.add_argument("--print-config", action="store_true", help="dump effective config")
 
 

@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .data import MonitoringDataset
 from .errors import ConfigError
-from .lid import LidConfig, LidField, _fill_sentinel, knn_kinematic_distances, s_lid_all
+from .lid import LidConfig, LidField, _fill_sentinel, _log_sums, knn_kinematic_distances, s_lid_all
 
 DEFAULT_K = 8
 
@@ -165,6 +165,38 @@ def spatial_neighbors(coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return idx[:, 1:], dist[:, 1:]
 
 
+def _kernel_weights(dist: np.ndarray, bandwidth) -> np.ndarray:
+    """Weights over rows of neighbor distances; a "median" bandwidth is each
+    row's median distance (floored so coincident neighbors stay defined)."""
+    if bandwidth == "median":
+        bw = np.maximum(np.median(dist, axis=1), 1e-12)[:, None]
+    else:
+        bw = float(bandwidth)
+    return _weights_from_sq_distances(dist**2, bw)
+
+
+def neighbor_weights(coords: np.ndarray, config: FusionConfig):
+    """Each point's k spatial neighbors and the rule for their kernel weights.
+
+    Returns ``(nbr_idx, weights_at)``; ``weights_at(samples, rows)`` gives the
+    weights of the points in the slice ``rows`` given the step's (n, 2)
+    kinematic samples. Physical-space weights do not depend on the step, so
+    they are computed once here; kinematic-space weights are computed from
+    the samples on each call. Either way every row is computed on its own,
+    so any split of the rows gives the same bits.
+    """
+    nbr_idx, nbr_dist = spatial_neighbors(coords, config.k)
+    if config.weight_space == "physical":
+        fixed = _kernel_weights(nbr_dist, config.bandwidth)
+        return nbr_idx, lambda samples, rows: fixed[rows]
+
+    def kinematic(samples, rows):
+        diff = samples[nbr_idx[rows]] - samples[rows, None, :]
+        return _kernel_weights(np.sqrt((diff**2).sum(axis=2)), config.bandwidth)
+
+    return nbr_idx, kinematic
+
+
 def fuse_rows(
     prev_neighbor_slids: np.ndarray,
     weights: np.ndarray,
@@ -186,12 +218,7 @@ def fuse_rows(
     alpha_p = mu * mu / var
     beta_p = mu / var
 
-    d = np.ascontiguousarray(obs_distances, dtype=np.float64)
-    pos = d > 0.0
-    count = pos.sum(axis=1)
-    dmax = d.max(axis=1)
-    logs = np.log(d, out=np.zeros_like(d), where=pos)
-    beta_o = count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs.sum(axis=1)
+    count, beta_o = _log_sums(np.ascontiguousarray(obs_distances, dtype=np.float64))
     beta_o = np.maximum(beta_o, 0.0)
 
     valid = (mu > 0) & (count >= 1)
@@ -229,19 +256,9 @@ def fuse_all(
     if np.any(prev <= 0) or not np.all(np.isfinite(prev)):
         raise ValueError("prev_slids must be finite and strictly positive")
 
-    nbr_idx, nbr_dist = spatial_neighbors(dataset.coords, config.k)
+    nbr_idx, weights_at = neighbor_weights(dataset.coords, config)
     samples = dataset.samples_at(step)
     obs = knn_kinematic_distances(samples, config.effective_obs_k(lid_config))
-    if config.weight_space == "kinematic":
-        diff = samples[nbr_idx] - samples[:, None, :]
-        dist_w = np.sqrt((diff**2).sum(axis=2))
-    else:
-        dist_w = nbr_dist
-    if config.bandwidth == "median":
-        bw = np.median(dist_w, axis=1)
-        bw = np.maximum(bw, 1e-12)[:, None]
-    else:
-        bw = float(config.bandwidth)
-    weights = _weights_from_sq_distances(dist_w**2, bw)
+    weights = weights_at(samples, slice(None))
     values, valid = fuse_rows(prev[nbr_idx], weights, obs, config.variance_floor)
     return LidField(step, _fill_sentinel(values, valid), valid)

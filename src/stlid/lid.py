@@ -88,6 +88,17 @@ def kinematic_distance(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def _log_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``d``: the count of positive distances and, over them,
+    ``count * ln(d_max) - sum(ln d)`` (the MLE denominator and the fusion
+    observation rate). Zero distances are left out."""
+    pos = d > 0.0
+    count = pos.sum(axis=1)
+    dmax = d.max(axis=1)
+    logs = np.log(d, out=np.zeros_like(d), where=pos)
+    return count, count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs.sum(axis=1)
+
+
 def lid_rows(distances: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized estimator over rows of neighbor distances.
 
@@ -98,11 +109,7 @@ def lid_rows(distances: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.n
     d = np.ascontiguousarray(distances, dtype=np.float64)
     if config.zero_distance_policy == "floor":
         d = np.maximum(d, config.epsilon_floor)
-    pos = d > 0.0
-    count = pos.sum(axis=1)
-    dmax = d.max(axis=1)
-    logs = np.log(d, out=np.zeros_like(d), where=pos)
-    logsum = count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs.sum(axis=1)
+    count, logsum = _log_sums(d)
     valid = (count >= 2) & (logsum > 0.0)
     values = np.full(d.shape[0], np.nan)
     np.divide(count, logsum, out=values, where=valid)

@@ -3,9 +3,11 @@
 Time steps are strictly sequential (the alarm tracker is a single-writer
 state machine and the spatial prior consumes the previous step's s-LID
 field), but within a step every per-point quantity is independent. Points are
-therefore split into contiguous chunks that a process pool maps over; the
-master gathers chunks in a fixed order, fills sentinels, normalizes, and
-advances the detector.
+therefore split into contiguous chunks that a thread pool maps over; the
+kernels spend their time in numpy reductions and kd-tree queries, which
+release the interpreter lock. The caller gathers chunks in a fixed order,
+fills sentinels, normalizes, and advances the detector. With ``parallel=1``
+the single chunk runs inline and no thread is started.
 
 All per-point reductions are row-wise over C-contiguous blocks, so chunk
 boundaries cannot change a single bit of the output: running with any
@@ -19,12 +21,15 @@ historical velocities, so the first complete st-LID field is at step 3.
 from __future__ import annotations
 
 import json
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
 
-import multiprocessing
 import numpy as np
+import scipy.spatial
 
 from .data import GroundTruth, MonitoringDataset
 from .detection import (
@@ -37,7 +42,7 @@ from .detection import (
     update_detection,
 )
 from .errors import ConfigError
-from .fusion import FusionConfig, fuse_rows, spatial_neighbors, _weights_from_sq_distances
+from .fusion import FusionConfig, fuse_rows, neighbor_weights
 from .lid import LidConfig, LidField, _fill_sentinel, lid_rows, t_lid_rows
 
 
@@ -91,111 +96,42 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# per-chunk kernel (runs identically inline and in worker processes)
+# per-chunk kernel
 # ---------------------------------------------------------------------------
-
-_W: dict = {}
-
-
-def _init_worker(dataset, lid_config, fusion_config, nbr_idx, weights, bandwidth):
-    dataset.velocity_matrix()
-    _W.update(
-        dataset=dataset,
-        lid_config=lid_config,
-        fusion_config=fusion_config,
-        nbr_idx=nbr_idx,
-        weights=weights,
-        bandwidth=bandwidth,
-    )
 
 
 def _chunk_kernel(
-    dataset, lid_config, fusion_config, nbr_idx, weights, bandwidth, col, lo, hi, prev_slid
+    lid_config, fusion_config, nbr_idx, weights_at, vel, samples, tree, col, prev_slid, rows
 ):
-    from scipy.spatial import cKDTree
-
-    n = dataset.num_points
+    """s-LID, fused s-LID and t-LID of the points in the slice ``rows`` at
+    column ``col``; ``tree`` is the kd-tree over all of the step's samples."""
     s = lid_config.s
     obs_k = fusion_config.effective_obs_k(lid_config)
-    kq = max(s, obs_k)
-    step = dataset.start_step + col
-
-    samples = dataset.samples_at(step)
-    tree = cKDTree(samples)
-    dist, _ = tree.query(samples[lo:hi], k=kq + 1)
+    dist, _ = tree.query(samples[rows], k=max(s, obs_k) + 1)
     dist = dist[:, 1:]
 
     s_vals, s_valid = lid_rows(dist[:, :s], lid_config)
 
     fused_vals = fused_valid = None
     if col >= 2:
-        idx = nbr_idx[lo:hi]
-        if fusion_config.weight_space == "kinematic":
-            diff = samples[idx] - samples[lo:hi, None, :]
-            dw = np.sqrt((diff**2).sum(axis=2))
-            if fusion_config.bandwidth == "median":
-                bw = np.maximum(np.median(dw, axis=1), 1e-12)[:, None]
-            else:
-                bw = float(fusion_config.bandwidth)
-            w = _weights_from_sq_distances(dw**2, bw)
-        else:
-            w = weights[lo:hi]
         fused_vals, fused_valid = fuse_rows(
-            prev_slid[idx], w, dist[:, :obs_k], fusion_config.variance_floor
+            prev_slid[nbr_idx[rows]],
+            weights_at(samples, rows),
+            dist[:, :obs_k],
+            fusion_config.variance_floor,
         )
 
     t_vals = t_valid = None
     if col >= 3:
-        vel = dataset.velocity_matrix()
-        t_vals, t_valid = t_lid_rows(vel[lo:hi, : col - 1], vel[lo:hi, col - 1], lid_config)
+        t_vals, t_valid = t_lid_rows(vel[rows, : col - 1], vel[rows, col - 1], lid_config)
 
     return s_vals, s_valid, fused_vals, fused_valid, t_vals, t_valid
-
-
-def _worker_chunk(col, lo, hi, prev_slid):
-    return _chunk_kernel(
-        _W["dataset"],
-        _W["lid_config"],
-        _W["fusion_config"],
-        _W["nbr_idx"],
-        _W["weights"],
-        _W["bandwidth"],
-        col,
-        lo,
-        hi,
-        prev_slid,
-    )
-
-
-def _static_weights(coords, fusion_config):
-    """Neighbor indices plus, for physical weighting, the fixed kernel weights."""
-    nbr_idx, nbr_dist = spatial_neighbors(coords, fusion_config.k)
-    if fusion_config.weight_space == "kinematic":
-        return nbr_idx, None, None
-    if fusion_config.bandwidth == "median":
-        bw = np.maximum(np.median(nbr_dist, axis=1), 1e-12)[:, None]
-    else:
-        bw = float(fusion_config.bandwidth)
-    weights = _weights_from_sq_distances(nbr_dist**2, bw)
-    return nbr_idx, weights, bw
-
-
-def _pool_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork
-        return multiprocessing.get_context()
 
 
 def _resolved_detection(dataset, config):
     cfg = DetectionConfig() if config is None else config
     if cfg.epsilon is None:
-        cfg = DetectionConfig(
-            n=cfg.n,
-            epsilon=default_epsilon(dataset.coords),
-            threshold=cfg.threshold,
-            normalization=cfg.normalization,
-        )
+        cfg = replace(cfg, epsilon=default_epsilon(dataset.coords))
     return cfg
 
 
@@ -210,19 +146,19 @@ def iter_run(
 ):
     """Yield one StepRecord per step from the first velocity step onward.
 
-    ``parallel`` is the number of worker processes (1 = fully in-process).
-    ``stop_step`` ends the run after that external step. ``state`` is updated
-    in place after every step, so saving it at any point makes the run
-    resumable from the next step; pass a loaded PipelineState to continue.
+    ``parallel`` is the number of threads the points of each step are split
+    over; 1 runs fully in-process on the calling thread. The output is
+    bit-identical for every degree. ``stop_step`` ends the run after that
+    external step. ``state`` is updated in place after every step, so saving
+    it at any point makes the run resumable from the next step; pass a
+    loaded PipelineState to continue.
     """
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
-    detection_config = detection_config or _resolved_detection(dataset, None)
+    detection_config = _resolved_detection(dataset, detection_config)
     lid_config.validate()
     fusion_config.validate()
     detection_config.validate()
-    if detection_config.epsilon is None:
-        detection_config = _resolved_detection(dataset, detection_config)
     if parallel < 1:
         raise ConfigError(f"parallelism degree must be >= 1, got {parallel}")
     n = dataset.num_points
@@ -232,8 +168,8 @@ def iter_run(
     if n <= fusion_config.k:
         raise ConfigError(f"spatial k={fusion_config.k} needs more than k points, got {n}")
 
-    nbr_idx, weights, bandwidth = _static_weights(dataset.coords, fusion_config)
-    dataset.velocity_matrix()  # materialize before forking workers
+    nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
+    vel = dataset.velocity_matrix()
 
     last_col = dataset.num_steps - 1
     if stop_step is not None:
@@ -255,34 +191,21 @@ def iter_run(
     prev_slid = state.prev_slid
     det_state = state.det_state
 
-    bounds = np.linspace(0, n, max(parallel, 1) + 1).astype(int)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    bounds = np.linspace(0, n, parallel + 1).astype(int)
+    chunks = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
-    pool = None
-    try:
-        if parallel > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=parallel,
-                mp_context=_pool_context(),
-                initializer=_init_worker,
-                initargs=(dataset, lid_config, fusion_config, nbr_idx, weights, bandwidth),
-            )
+    with ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
+        map_chunks = map if pool is None else pool.map
         for col in range(first_col, last_col + 1):
             t0 = time.perf_counter()
             step = dataset.start_step + col
-            if pool is not None:
-                futures = [
-                    pool.submit(_worker_chunk, col, lo, hi, prev_slid) for lo, hi in chunks
-                ]
-                parts = [f.result() for f in futures]
-            else:
-                parts = [
-                    _chunk_kernel(
-                        dataset, lid_config, fusion_config, nbr_idx, weights, bandwidth,
-                        col, lo, hi, prev_slid,
-                    )
-                    for lo, hi in chunks
-                ]
+            samples = dataset.samples_at(step)
+            tree = scipy.spatial.cKDTree(samples)
+            kernel = partial(
+                _chunk_kernel, lid_config, fusion_config, nbr_idx, weights_at, vel,
+                samples, tree, col, prev_slid,
+            )
+            parts = list(map_chunks(kernel, chunks))
 
             s_raw = np.concatenate([p[0] for p in parts])
             s_val = np.concatenate([p[1] for p in parts])
@@ -342,9 +265,6 @@ def iter_run(
                 event=event,
                 seconds=time.perf_counter() - t0,
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def event_lead_times(events, truth: GroundTruth | None, step_interval_minutes: float):
@@ -474,7 +394,19 @@ def save_checkpoint(path, state: PipelineState) -> None:
         arrays["t_count"] = state.t_count
         arrays["t_mean"] = state.t_mean
         arrays["t_m2"] = state.t_m2
-    np.savez(path, **arrays)
+    # np.savez given a name appends ".npz" when it lacks one, so write through
+    # an open file; replacing the target with a finished file keeps the last
+    # good checkpoint if the write is interrupted
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> PipelineState:

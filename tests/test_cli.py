@@ -175,7 +175,7 @@ def test_config_file_plus_override(generated, tmp_path, capsys):
 
 
 def test_monitor_streams_and_checkpoints(generated, tmp_path, capsys):
-    ck = tmp_path / "state.npz"
+    ck = tmp_path / "state.ckpt"  # no .npz suffix: resumed from exactly this name
     ev = tmp_path / "events.csv"
     args = [
         "monitor",

@@ -23,18 +23,32 @@ from stlid.pipeline import (
 from conftest import make_dataset
 
 SMALL = dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4))
+# SMALL plus the fusion-weight and log-sum variants: kinematic-space weights,
+# fixed bandwidths, an observation neighborhood other than s, floored zeros
+CONFIGS = [
+    SMALL,
+    dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4, weight_space="kinematic")),
+    dict(
+        lid_config=LidConfig(s=6),
+        fusion_config=FusionConfig(k=4, weight_space="kinematic", bandwidth=0.3),
+    ),
+    dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4, bandwidth=1.5, obs_k=9)),
+    dict(
+        lid_config=LidConfig(s=6, zero_distance_policy="floor"),
+        fusion_config=FusionConfig(k=4, obs_k=3),
+    ),
+]
 
 
 def test_parallel_degrees_bit_identical(grid_noise_dataset):
-    runs = [
-        run_detection(grid_noise_dataset, parallel=p, **SMALL) for p in (1, 2, 3)
-    ]
-    for other in runs[1:]:
-        assert np.array_equal(runs[0].s_hist, other.s_hist)
-        assert np.array_equal(runs[0].fused_hist, other.fused_hist)
-        assert np.array_equal(runs[0].t_hist, other.t_hist)
-        assert np.array_equal(runs[0].st_hist, other.st_hist)
-        assert runs[0].events == other.events
+    for cfg in CONFIGS:
+        runs = [run_detection(grid_noise_dataset, parallel=p, **cfg) for p in (1, 2, 3)]
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].s_hist, other.s_hist), cfg
+            assert np.array_equal(runs[0].fused_hist, other.fused_hist), cfg
+            assert np.array_equal(runs[0].t_hist, other.t_hist), cfg
+            assert np.array_equal(runs[0].st_hist, other.st_hist), cfg
+            assert runs[0].events == other.events, cfg
 
 
 def test_step_layout(grid_noise_dataset):
@@ -48,14 +62,15 @@ def test_step_layout(grid_noise_dataset):
 
 def test_fields_match_standalone_functions(grid_noise_dataset):
     ds = grid_noise_dataset
-    recs = {r.step: r for r in iter_run(ds, **SMALL, stop_step=5)}
-    lid_cfg, fus_cfg = SMALL["lid_config"], SMALL["fusion_config"]
-    s4 = s_lid_all(ds, 4, lid_cfg)
-    assert np.allclose(recs[4].s.values, s4.values, rtol=1e-12)
-    t4 = t_lid_field(ds, 4, lid_cfg)
-    assert np.allclose(recs[4].t.values, t4.values, rtol=1e-12)
-    fused4 = fuse_all(ds, recs[3].s.values, 4, fus_cfg, lid_cfg)
-    assert np.allclose(recs[4].fused.values, fused4.values, rtol=1e-12)
+    for cfg in CONFIGS:
+        recs = {r.step: r for r in iter_run(ds, **cfg, stop_step=5)}
+        lid_cfg, fus_cfg = cfg["lid_config"], cfg["fusion_config"]
+        s4 = s_lid_all(ds, 4, lid_cfg)
+        assert np.allclose(recs[4].s.values, s4.values, rtol=1e-12), cfg
+        t4 = t_lid_field(ds, 4, lid_cfg)
+        assert np.allclose(recs[4].t.values, t4.values, rtol=1e-12), cfg
+        fused4 = fuse_all(ds, recs[3].s.values, 4, fus_cfg, lid_cfg)
+        assert np.allclose(recs[4].fused.values, fused4.values, rtol=1e-12), cfg
 
 
 def test_store_modes(grid_noise_dataset):
@@ -103,8 +118,10 @@ def test_checkpoint_roundtrip_detection_state(grid_noise_dataset, tmp_path):
     state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
     for _ in iter_run(ds, **SMALL, stop_step=12, state=state):
         pass
-    save_checkpoint(tmp_path / "ck.npz", state)
-    back = load_checkpoint(tmp_path / "ck.npz")
+    # a name without the .npz suffix is written and read as given
+    save_checkpoint(tmp_path / "state.ckpt", state)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
+    back = load_checkpoint(tmp_path / "state.ckpt")
     assert back.next_col == state.next_col
     assert back.det_state.hits == state.det_state.hits
     assert back.det_state.candidate_coord == state.det_state.candidate_coord
