@@ -273,12 +273,10 @@ def write_baseline_scores_csv(path, results, dataset: MonitoringDataset) -> None
                 )
 
 
-def raw_slid_baseline(
-    dataset: MonitoringDataset, step: int, config: LidConfig | None = None
-) -> BaselineResult:
-    """Min-max rescaled s-LID field; high risk = rescaled score >= 0.5."""
-    fld = s_lid_all(dataset, step, config)
-    v = fld.values
+def slid_result(values, step: int) -> BaselineResult:
+    """Raw s-LID baseline from one step's s-LID field: min-max rescaled
+    scores, high risk = rescaled score >= 0.5."""
+    v = np.asarray(values, dtype=np.float64)
     span = v.max() - v.min()
     if span == 0:
         raise DegenerateInputError("all s-LID values equal; min-max rescale undefined")
@@ -292,3 +290,10 @@ def raw_slid_baseline(
         high_risk=high,
         ranking=_ranked(idx, -norm[idx]),
     )
+
+
+def raw_slid_baseline(
+    dataset: MonitoringDataset, step: int, config: LidConfig | None = None
+) -> BaselineResult:
+    """Raw s-LID baseline over the s-LID field at ``step``."""
+    return slid_result(s_lid_all(dataset, step, config).values, step)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import pipeline
+from .baselines import write_baseline_scores_csv
 from .data import (
     load_dataset,
     load_ground_truth,
@@ -28,8 +29,10 @@ from .fusion import FusionConfig
 from .lid import LidConfig
 from .metrics import (
     METHOD_NAMES,
+    RUN_ROWS,
     BaselineConfig,
     benchmark,
+    method_result,
     report_csv,
     report_table,
 )
@@ -321,15 +324,24 @@ def cmd_benchmark(args) -> int:
     dataset, truth = _load_inputs(args, settings)
     if truth is None:
         raise ConfigError("benchmark needs --truth")
+    run = None
+    if any(m in RUN_ROWS for m in methods):
+        run = pipeline.run_detection(
+            dataset,
+            truth=truth,
+            lid_config=settings.lid,
+            fusion_config=settings.fusion,
+            detection_config=settings.detection,
+            parallel=settings.parallel,
+            store="all",
+        )
     reports = benchmark(
         dataset,
         truth,
         methods=methods,
-        lid_config=settings.lid,
-        fusion_config=settings.fusion,
         detection_config=settings.detection,
         baseline_config=settings.baseline,
-        parallel=settings.parallel,
+        run=run,
         max_backscan=args.max_backscan,
     )
     table = report_table(reports)
@@ -341,41 +353,15 @@ def cmd_benchmark(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(report_csv(reports))
     if args.method_scores:
-        _dump_method_scores(args.method_scores, dataset, truth, methods, settings)
+        # per-point scores of the comparison methods at the failure step
+        tof = truth.regions[0].tof
+        results = [
+            method_result(name, dataset, tof, settings.baseline, run)
+            for name in methods
+            if name != "stlid"
+        ]
+        write_baseline_scores_csv(args.method_scores, results, dataset)
     return EXIT_OK
-
-
-def _dump_method_scores(path, dataset, truth, methods, settings):
-    """Per-point likelihoods of the comparison methods at the failure step."""
-    from .baselines import (
-        dbscan as _dbscan,
-        edq_select,
-        kmeans2,
-        lof as _lof,
-        raw_slid_baseline,
-        write_baseline_scores_csv,
-    )
-    from .metrics import _kinematic_eps
-
-    tof = truth.regions[0].tof
-    results = []
-    for name in methods:
-        if name == "kmeans":
-            results.append(kmeans2(dataset.displacement[:, dataset.column(tof)], step=tof))
-        elif name == "dbscan":
-            samples = dataset.samples_at(tof)
-            eps = settings.baseline.dbscan_eps or _kinematic_eps(samples)
-            results.append(_dbscan(samples, eps, settings.baseline.dbscan_min_pts, step=tof))
-        elif name == "lof":
-            results.append(
-                _lof(dataset.samples_at(tof), settings.baseline.lof_k,
-                     settings.baseline.lof_cutoff, step=tof)
-            )
-        elif name == "edq":
-            results.append(edq_select(dataset, settings.baseline.edq_levels, end_step=tof))
-        elif name == "slid":
-            results.append(raw_slid_baseline(dataset, tof, settings.lid))
-    write_baseline_scores_csv(path, results, dataset)
 
 
 def _validate_scores(path):

@@ -157,20 +157,15 @@ def _fill_sentinel(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-def knn_kinematic_distances(
-    samples: np.ndarray, k: int, query_rows: slice | None = None
-) -> np.ndarray:
+def knn_kinematic_distances(samples: np.ndarray, k: int) -> np.ndarray:
     """Sorted distances to the k nearest other samples, self excluded.
 
-    ``samples`` is the full (n, 2) kinematic array for one step; the tree is
-    always built over all of it so chunked queries match full queries exactly.
+    ``samples`` is the full (n, 2) kinematic array for one step.
     """
     n = samples.shape[0]
     if n <= k:
         raise ConfigError(f"need more than k={k} points, got {n}")
-    tree = cKDTree(samples)
-    q = samples if query_rows is None else samples[query_rows]
-    dist, _ = tree.query(q, k=k + 1)
+    dist, _ = cKDTree(samples).query(samples, k=k + 1)
     return dist[:, 1:]  # column 0 is the zero self-distance
 
 

@@ -22,10 +22,12 @@ import numpy as np
 
 from .baselines import (
     DEFAULT_EDQ_LEVELS,
+    BaselineResult,
     dbscan,
     edq_select,
     kmeans2,
     lof,
+    slid_result,
 )
 from .data import FailureRegion, GroundTruth, MonitoringDataset
 from .detection import DetectionConfig
@@ -145,94 +147,60 @@ def _kinematic_eps(samples: np.ndarray) -> float:
     return max(2.0 * float(np.median(dist[:, 1])), 1e-9)
 
 
-class _MethodAdapter:
-    """Per-method detection sets and top sets with one shared memo."""
+# the RunResult arrays (steps, values, valid) each detector-based method reads
+RUN_ROWS = {
+    "slid": ("s_steps", "s_hist", "s_valid_hist"),
+    "stlid": ("st_steps", "st_hist", "st_valid_hist"),
+}
+# first evaluable column per method: two-means needs only displacement, the
+# detector a full st-LID field, the rest a velocity
+_FIRST_COL = {"kmeans": 0, "stlid": 3}
 
-    def __init__(self, name, dataset, run, blc, threshold=0.5):
-        self.name = name
-        self.ds = dataset
-        self.run = run
-        self.blc = blc
-        self.threshold = threshold
-        self._memo = {}
 
-    def _compute(self, step):
-        ds = self.ds
-        name = self.name
-        try:
-            if name == "kmeans":
-                return kmeans2(ds.displacement[:, ds.column(step)])
-            if name == "dbscan":
-                samples = ds.samples_at(step)
-                eps = self.blc.dbscan_eps or _kinematic_eps(samples)
-                return dbscan(samples, eps, self.blc.dbscan_min_pts)
-            if name == "lof":
-                return lof(ds.samples_at(step), self.blc.lof_k, self.blc.lof_cutoff)
-            if name == "edq":
-                return edq_select(ds, self.blc.edq_levels, end_step=step)
-            if name == "slid":
-                return self._slid_sets(step)
-            if name == "stlid":
-                return self._stlid_sets(step)
-        except StlidError:
-            return None
+def _run_rows(run: RunResult | None, name: str):
+    """(steps, values, valid) arrays ``name`` reads from ``run``."""
+    names = RUN_ROWS[name]
+    rows = [None if run is None else getattr(run, attr) for attr in names]
+    if rows[1] is None:
+        raise ConfigError(f"method {name!r} needs a run that kept {names[1]}")
+    return rows
+
+
+def method_result(
+    name: str,
+    dataset: MonitoringDataset,
+    step: int,
+    baseline_config: BaselineConfig | None = None,
+    run: RunResult | None = None,
+    threshold: float = 0.5,
+) -> BaselineResult:
+    """One evaluated method's result at ``step``.
+
+    ``slid`` and ``stlid`` read the rows of a pipeline ``run``; the st-LID
+    detector's high-risk set is its valid points at or above ``threshold``,
+    in index order. Raises StlidError where the method is undefined.
+    """
+    blc = baseline_config or BaselineConfig()
+    if name == "kmeans":
+        return kmeans2(dataset.displacement[:, dataset.column(step)], step=step)
+    if name == "dbscan":
+        samples = dataset.samples_at(step)
+        eps = blc.dbscan_eps or _kinematic_eps(samples)
+        return dbscan(samples, eps, blc.dbscan_min_pts, step=step)
+    if name == "lof":
+        return lof(dataset.samples_at(step), blc.lof_k, blc.lof_cutoff, step=step)
+    if name == "edq":
+        return edq_select(dataset, blc.edq_levels, end_step=step)
+    if name not in RUN_ROWS:
         raise ConfigError(f"unknown method {name!r}; valid: {', '.join(METHOD_NAMES)}")
-
-    def _slid_sets(self, step):
-        run = self.run
-        pos = np.flatnonzero(run.s_steps == step)
-        if len(pos) == 0:
-            return None
-        v = run.s_hist[pos[0]]
-        span = v.max() - v.min()
-        if span == 0:
-            return None
-        norm = (v - v.min()) / span
-        high = np.flatnonzero(norm >= 0.5)
-        order = np.lexsort((high, -norm[high]))
-        return {"detections": high, "top": high[order][:TOP_SET_SIZE]}
-
-    def _stlid_sets(self, step):
-        run = self.run
-        pos = np.flatnonzero(run.st_steps == step)
-        if len(pos) == 0:
-            return None
-        mask = run.st_valid_hist[pos[0]] & (run.st_hist[pos[0]] >= self.threshold)
-        det = np.flatnonzero(mask)
-        return {"detections": det, "top": det}
-
-    def _result(self, step):
-        if step not in self._memo:
-            self._memo[step] = self._compute(step)
-        return self._memo[step]
-
-    def detections_at(self, step):
-        r = self._result(step)
-        if r is None:
-            return None
-        if isinstance(r, dict):
-            return r["detections"]
-        return np.flatnonzero(r.high_risk)
-
-    def top_set_at(self, step):
-        r = self._result(step)
-        if r is None:
-            return None
-        if isinstance(r, dict):
-            return r["top"]
-        return r.ranking[:TOP_SET_SIZE]
-
-    def first_step(self):
-        if self.name == "kmeans":
-            return self.ds.start_step
-        if self.name == "stlid":
-            return self.ds.start_step + 3
-        return self.ds.start_step + 1
-
-    def time_once(self, step) -> float:
-        t0 = time.perf_counter()
-        self._compute(step)
-        return time.perf_counter() - t0
+    steps, values, valid = _run_rows(run, name)
+    pos = np.flatnonzero(steps == step)
+    if len(pos) == 0:
+        raise ConfigError(f"the run holds no {name} field at step {step}")
+    if name == "slid":
+        return slid_result(values[pos[0]], step)
+    high = valid[pos[0]] & (values[pos[0]] >= threshold)
+    return BaselineResult("stlid", step, values[pos[0]], high, np.flatnonzero(high))
 
 
 def benchmark(
@@ -246,19 +214,18 @@ def benchmark(
     parallel: int = 1,
     run: RunResult | None = None,
     max_backscan: int | None = None,
-    slack: int = 0,
 ) -> list[EvaluationReport]:
     """Evaluate each method's precision and lead time on every truth region.
 
-    A prior pipeline RunResult (store="all") can be passed to avoid rerunning
-    st-LID; otherwise one run is executed with the given configs.
+    A prior pipeline RunResult can be passed to avoid rerunning st-LID; it
+    must keep the fields the methods read (store="all" for slid, "all" or
+    "st" for stlid). Otherwise one run is executed with the given configs.
     """
     truth.validate_against(dataset)
     for m in methods:
         if m not in METHOD_NAMES:
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHOD_NAMES)}")
-    blc = baseline_config or BaselineConfig()
-    needs_run = any(m in ("slid", "stlid") for m in methods)
+    needs_run = [m for m in methods if m in RUN_ROWS]
     if needs_run and run is None:
         run = run_detection(
             dataset,
@@ -269,34 +236,54 @@ def benchmark(
             parallel=parallel,
             store="all",
         )
-    if run is not None and run.s_hist is None and "slid" in methods:
-        raise ConfigError("benchmark needs a run stored with store='all'")
+    for m in needs_run:  # fail before evaluating when the run lacks a method's rows
+        _run_rows(run, m)
 
     det_threshold = (detection_config or DetectionConfig()).threshold
     reports = []
     for name in methods:
-        adapter = _MethodAdapter(name, dataset, run, blc, threshold=det_threshold)
+        memo = {}
+
+        def result_at(step):
+            # None where the method is undefined at the step
+            if step not in memo:
+                try:
+                    memo[step] = method_result(
+                        name, dataset, step, baseline_config, run, det_threshold
+                    )
+                except StlidError:
+                    memo[step] = None
+            return memo[step]
+
+        # the detector keeps its full detection set; baselines their top 10
+        top_size = None if name == "stlid" else TOP_SET_SIZE
+
+        def top_set_at(step):
+            res = result_at(step)
+            return None if res is None else res.ranking[:top_size]
+
         report = EvaluationReport(method=name)
-        if name == "stlid" and run is not None and run.per_step_seconds is not None:
+        if name == "stlid" and run.per_step_seconds is not None:
             report.per_step_seconds = (
                 float(np.median(run.per_step_seconds)),
                 float(run.per_step_seconds.max()),
             )
-        report.timing_seconds = adapter.time_once(truth.regions[0].tof)
+        t0 = time.perf_counter()
+        result_at(truth.regions[0].tof)
+        report.timing_seconds = time.perf_counter() - t0
         for region in truth.regions:
-            det = adapter.detections_at(region.tof)
-            coords_det = dataset.coords[det] if det is not None else np.empty((0, 2))
-            prec, correct, total = precision(coords_det, truth)
-            first = adapter.first_step()
+            res = result_at(region.tof)
+            det = np.empty(0, dtype=int) if res is None else np.flatnonzero(res.high_risk)
+            prec, correct, total = precision(dataset.coords[det], truth)
+            first = dataset.start_step + _FIRST_COL.get(name, 1)
             if max_backscan is not None:
                 first = max(first, region.tof - max_backscan)
             steps, minutes = lead_time(
-                adapter.top_set_at,
+                top_set_at,
                 region,
                 dataset.coords,
                 dataset.step_interval_minutes,
                 first_step=first,
-                slack=slack,
             )
             report.regions.append(
                 RegionEval(region.label, prec, correct, total, steps, minutes)

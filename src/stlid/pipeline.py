@@ -100,32 +100,39 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
+# first column (steps after the dataset's first) at which each per-point
+# family is computable: velocity, then the spatial prior, then two historical
+# velocities
+_FIRST_COL = {"s": 1, "fused": 2, "t": 3}
+
+
 def _chunk_kernel(
-    lid_config, fusion_config, nbr_idx, weights_at, vel, samples, tree, col, prev_slid, rows
+    lid_config, fusion_config, nbr_idx, weights_at, vel, samples, tree, col, prev_slid, out, rows
 ):
-    """s-LID, fused s-LID and t-LID of the points in the slice ``rows`` at
-    column ``col``; ``tree`` is the kd-tree over all of the step's samples."""
+    """Write s-LID, fused s-LID and t-LID of the points in the slice ``rows``
+    at column ``col`` into the ``rows`` of ``out``'s (values, valid) buffers,
+    one pair per family computable at ``col``; ``tree`` is the kd-tree over
+    all of the step's samples."""
     s = lid_config.s
     obs_k = fusion_config.effective_obs_k(lid_config)
     dist, _ = tree.query(samples[rows], k=max(s, obs_k) + 1)
     dist = dist[:, 1:]
 
-    s_vals, s_valid = lid_rows(dist[:, :s], lid_config)
-
-    fused_vals = fused_valid = None
-    if col >= 2:
-        fused_vals, fused_valid = fuse_rows(
+    values, valid = out["s"]
+    values[rows], valid[rows] = lid_rows(dist[:, :s], lid_config)
+    if "fused" in out:
+        values, valid = out["fused"]
+        values[rows], valid[rows] = fuse_rows(
             prev_slid[nbr_idx[rows]],
             weights_at(samples, rows),
             dist[:, :obs_k],
             fusion_config.variance_floor,
         )
-
-    t_vals = t_valid = None
-    if col >= 3:
-        t_vals, t_valid = t_lid_rows(vel[rows, : col - 1], vel[rows, col - 1], lid_config)
-
-    return s_vals, s_valid, fused_vals, fused_valid, t_vals, t_valid
+    if "t" in out:
+        values, valid = out["t"]
+        values[rows], valid[rows] = t_lid_rows(
+            vel[rows, : col - 1], vel[rows, col - 1], lid_config
+        )
 
 
 def _resolved_detection(dataset, config):
@@ -201,32 +208,30 @@ def iter_run(
             step = dataset.start_step + col
             samples = dataset.samples_at(step)
             tree = scipy.spatial.cKDTree(samples)
+            out = {
+                fam: (np.empty(n), np.empty(n, dtype=bool))
+                for fam, first in _FIRST_COL.items()
+                if col >= first
+            }
             kernel = partial(
                 _chunk_kernel, lid_config, fusion_config, nbr_idx, weights_at, vel,
-                samples, tree, col, prev_slid,
+                samples, tree, col, prev_slid, out,
             )
-            parts = list(map_chunks(kernel, chunks))
+            list(map_chunks(kernel, chunks))  # chunks write into out; this raises their errors
+            fields = {
+                fam: LidField(step, _fill_sentinel(values, valid), valid)
+                for fam, (values, valid) in out.items()
+            }
+            s_field = fields["s"]
+            # bootstrap: without a prior the fused field is the raw field
+            fused_field = fields.get("fused") or LidField(
+                step, s_field.values.copy(), s_field.valid.copy()
+            )
+            t_field = fields.get("t")
 
-            s_raw = np.concatenate([p[0] for p in parts])
-            s_val = np.concatenate([p[1] for p in parts])
-            s_filled = _fill_sentinel(s_raw, s_val)
-            s_field = LidField(step, s_filled, s_val)
-
-            if col == 1:
-                fused_field = LidField(step, s_filled.copy(), s_val.copy())
-            else:
-                f_raw = np.concatenate([p[2] for p in parts])
-                f_val = np.concatenate([p[3] for p in parts])
-                fused_field = LidField(step, _fill_sentinel(f_raw, f_val), f_val)
-
-            t_field = None
             st = None
             event = None
-            if col >= 3:
-                t_raw = np.concatenate([p[4] for p in parts])
-                t_val = np.concatenate([p[5] for p in parts])
-                t_field = LidField(step, _fill_sentinel(t_raw, t_val), t_val)
-
+            if t_field is not None:
                 t_stats = None
                 if detection_config.normalization == "zscore-history":
                     state.t_count += 1.0
@@ -249,8 +254,8 @@ def iter_run(
                     det_state, st, dataset.coords, detection_config, dataset.ids
                 )
 
-            prev_slid = s_filled
-            state.prev_slid = s_filled
+            prev_slid = s_field.values
+            state.prev_slid = prev_slid
             state.det_state = det_state
             state.next_col = col + 1
             if event is not None:
@@ -285,6 +290,10 @@ def event_lead_times(events, truth: GroundTruth | None, step_interval_minutes: f
     return leads
 
 
+# score families each ``store`` mode of run_detection keeps
+_STORED = {"all": ("s", "fused", "t", "st"), "st": ("st",), "none": ()}
+
+
 def run_detection(
     dataset: MonitoringDataset,
     truth: GroundTruth | None = None,
@@ -300,20 +309,16 @@ def run_detection(
     ``store`` controls memory: "all" keeps every score family, "st" keeps only
     the st-LID fields, "none" keeps just events and timings.
     """
-    if store not in ("all", "st", "none"):
+    if store not in _STORED:
         raise ConfigError(f"store must be 'all', 'st' or 'none', got {store!r}")
     if truth is not None:
         truth.validate_against(dataset)
+    detection_config = _resolved_detection(dataset, detection_config)
+    # family -> (steps, values rows, valid rows) of the families kept
+    kept = {fam: ([], [], []) for fam in _STORED[store]}
     events = []
-    s_steps, s_rows, s_valid_rows = [], [], []
-    fused_rows, fused_valid_rows = [], []
-    t_rows, t_valid_rows = [], []
-    st_steps, st_rows, st_valid_rows = [], [], []
     seconds = []
     last_state = None
-    epsilon = None
-    detection_config = _resolved_detection(dataset, detection_config)
-    epsilon = detection_config.epsilon
 
     for rec in iter_run(
         dataset,
@@ -327,39 +332,25 @@ def run_detection(
         last_state = rec.state
         if rec.event is not None:
             events.append(rec.event)
-        if store == "all":
-            s_steps.append(rec.step)
-            s_rows.append(rec.s.values)
-            s_valid_rows.append(rec.s.valid)
-            fused_rows.append(rec.fused.values)
-            fused_valid_rows.append(rec.fused.valid)
-            if rec.t is not None:
-                t_rows.append(rec.t.values)
-                t_valid_rows.append(rec.t.valid)
-        if store in ("all", "st") and rec.st is not None:
-            st_steps.append(rec.step)
-            st_rows.append(rec.st.values)
-            st_valid_rows.append(rec.st.valid)
+        for fam, (steps, values, valid) in kept.items():
+            fld = getattr(rec, fam)
+            if fld is not None:
+                steps.append(rec.step)
+                values.append(fld.values)
+                valid.append(fld.valid)
 
     result = RunResult(
         events=events,
         lead_times=event_lead_times(events, truth, dataset.step_interval_minutes),
         per_step_seconds=np.asarray(seconds),
         final_state=last_state,
-        epsilon=epsilon,
+        epsilon=detection_config.epsilon,
     )
-    if store == "all":
-        result.s_steps = np.asarray(s_steps)
-        result.s_hist = np.vstack(s_rows) if s_rows else None
-        result.s_valid_hist = np.vstack(s_valid_rows) if s_valid_rows else None
-        result.fused_hist = np.vstack(fused_rows) if fused_rows else None
-        result.fused_valid_hist = np.vstack(fused_valid_rows) if fused_valid_rows else None
-        result.t_hist = np.vstack(t_rows) if t_rows else None
-        result.t_valid_hist = np.vstack(t_valid_rows) if t_valid_rows else None
-    if store in ("all", "st"):
-        result.st_steps = np.asarray(st_steps)
-        result.st_hist = np.vstack(st_rows) if st_rows else None
-        result.st_valid_hist = np.vstack(st_valid_rows) if st_valid_rows else None
+    for fam, (steps, values, valid) in kept.items():
+        if fam in ("s", "st"):  # the families whose steps RunResult records
+            setattr(result, f"{fam}_steps", np.asarray(steps))
+        setattr(result, f"{fam}_hist", np.vstack(values) if values else None)
+        setattr(result, f"{fam}_valid_hist", np.vstack(valid) if valid else None)
     return result
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stlid import load_dataset, load_ground_truth
+from stlid import LidConfig, load_dataset, load_ground_truth, raw_slid_baseline
 from stlid.cli import main
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -235,6 +235,15 @@ def test_benchmark_cli(generated, tmp_path, capsys):
     lines = methods_csv.read_text().splitlines()
     assert lines[0] == "t,point_id,method,score,high_risk"
     assert {row.split(",")[2] for row in lines[1:]} == {"kmeans", "dbscan", "lof", "edq", "slid"}
+    # the dump reads the detector run's s-LID row; it must equal the standalone baseline
+    ds = load_dataset(generated["points"], generated["series"])
+    tof = load_ground_truth(generated["truth"]).regions[0].tof
+    ref = raw_slid_baseline(ds, tof, LidConfig(s=8))
+    slid = [row.split(",") for row in lines[1:] if row.split(",")[2] == "slid"]
+    assert [int(r[0]) for r in slid] == [tof] * ds.num_points
+    assert [int(r[1]) for r in slid] == list(ds.ids)
+    assert np.array_equal([float(r[3]) for r in slid], ref.likelihood)
+    assert np.array_equal([r[4] == "1" for r in slid], ref.high_risk)
 
 
 def test_benchmark_unknown_method(generated, capsys):

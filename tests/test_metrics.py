@@ -1,14 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import stlid.metrics
 from stlid import (
     EvaluationReport,
     FailureRegion,
     GroundTruth,
+    LidConfig,
     benchmark,
     format_lead,
     lead_time,
     precision,
+    run_detection,
 )
 from stlid.errors import ConfigError
 from stlid.metrics import METHOD_NAMES, report_csv, report_table
@@ -169,6 +174,37 @@ def test_benchmark_rejects_unknown_method(small_scenario):
     ds, truth = small_scenario
     with pytest.raises(ConfigError, match="unknown method"):
         benchmark(ds, truth, methods=("kmeans", "svm"))
+
+
+def test_benchmark_rejects_run_without_method_rows(grid_noise_dataset):
+    ds = grid_noise_dataset
+    truth = GroundTruth([FailureRegion("r", 0.0, 0.0, 4.0, 4.0, 30)])
+    lid = LidConfig(s=6)
+    lean = run_detection(ds, lid_config=lid, store="none")
+    st_only = run_detection(ds, lid_config=lid, store="st")
+    with pytest.raises(ConfigError, match="st_hist"):
+        benchmark(ds, truth, methods=("stlid",), run=lean)
+    with pytest.raises(ConfigError, match="s_hist"):
+        benchmark(ds, truth, methods=("slid",), run=st_only)
+    (report,) = benchmark(ds, truth, methods=("stlid",), run=st_only)
+    assert report.method == "stlid"
+
+
+def test_benchmark_computes_each_step_once(small_scenario, monkeypatch):
+    ds, truth = small_scenario
+    calls = Counter()
+    real = stlid.metrics.kmeans2
+
+    def counted(values, *args, **kwargs):
+        calls[np.asarray(values).tobytes()] += 1  # one displacement column per step
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(stlid.metrics, "kmeans2", counted)
+    (report,) = benchmark(ds, truth, methods=("kmeans",), max_backscan=30)
+    tof_column = ds.displacement[:, ds.column(truth.regions[0].tof)]
+    assert report.region("failure").lead_steps > 0
+    assert calls[tof_column.tobytes()] == 1
+    assert set(calls.values()) == {1}
 
 
 def test_report_has_no_recall_field():

@@ -1,10 +1,14 @@
 """Property tests of the pipeline on small random datasets with ties."""
 
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlid import DetectionConfig, FusionConfig, LidConfig, run_detection
+from stlid import DetectionConfig, FusionConfig, LidConfig, iter_run, run_detection
+from stlid.pipeline import PipelineState, load_checkpoint, save_checkpoint
 
 from conftest import make_dataset
 
@@ -40,3 +44,38 @@ def test_run_bit_identical_across_parallel_degrees(ds, policy):
         for name in ("s_hist", "fused_hist", "t_hist", "st_hist"):
             assert np.array_equal(getattr(first, name), getattr(other, name)), name
         assert first.events == other.events
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    ds=tied_datasets(),
+    split=st.floats(0.0, 1.0),
+    normalization=st.sampled_from(["zscore", "zscore-history"]),
+)
+def test_resumed_run_equals_uninterrupted(ds, split, normalization):
+    cfg = dict(
+        lid_config=LidConfig(s=4),
+        fusion_config=FusionConfig(k=3),
+        detection_config=DetectionConfig(n=2, normalization=normalization),
+    )
+    straight = run_detection(ds, **cfg)
+    # stop after any step from the first velocity step to the second-to-last
+    stop = ds.start_step + 1 + int(split * (ds.num_steps - 3))
+    kept = {fam: [] for fam in ("s", "fused", "t", "st")}
+
+    def keep(records):
+        for rec in records:
+            for fam, rows in kept.items():
+                if getattr(rec, fam) is not None:
+                    rows.append(getattr(rec, fam).values)
+
+    state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
+    keep(iter_run(ds, **cfg, stop_step=stop, state=state))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.ckpt")
+        save_checkpoint(path, state)
+        resumed = load_checkpoint(path)
+    keep(iter_run(ds, **cfg, state=resumed))
+    for fam, rows in kept.items():
+        assert np.array_equal(np.vstack(rows), getattr(straight, f"{fam}_hist")), fam
+    assert resumed.events == straight.events
