@@ -284,7 +284,7 @@ def cmd_monitor(args) -> int:
         state=state,
     ):
         if rec.st is not None:
-            last = rec.state.history[-1]
+            last = state.det_state.history[-1]
             print(
                 f"step={rec.step} argmax={last[1]} st={last[3]:.4f} hits={last[4]}"
             )
@@ -353,12 +353,13 @@ def cmd_benchmark(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(report_csv(reports))
     if args.method_scores:
-        # per-point scores of the comparison methods at the failure step
+        # per-point scores of the comparison methods at the failure step; a
+        # method undefined there raises its error again
         tof = truth.regions[0].tof
         results = [
-            method_result(name, dataset, tof, settings.baseline, run)
-            for name in methods
-            if name != "stlid"
+            rep.result or method_result(rep.method, dataset, tof, settings.baseline, run)
+            for rep in reports
+            if rep.method != "stlid"
         ]
         write_baseline_scores_csv(args.method_scores, results, dataset)
     return EXIT_OK

@@ -153,12 +153,13 @@ class DetectionEvent:
 
 @dataclass
 class DetectionState:
-    """Persistence tracker for the consecutive-step alarm rule.
+    """Persistence tracker for the consecutive-step alarm rule, advanced in
+    place by ``update_detection``.
 
     ``hits`` counts qualifying consecutive steps, capped at n; ``fired`` marks
     that the current chain already produced its event, so an unbroken chain
-    never emits twice. ``history`` records (step, point_id, coord, value,
-    hits) per update, enough to replay any alarm decision.
+    never emits twice. ``history`` gains one (step, point_id, coord, value,
+    hits) record per update, enough to replay any alarm decision.
     """
 
     candidate_coord: tuple[float, float] | None = None
@@ -175,8 +176,9 @@ def update_detection(
     config: DetectionConfig,
     point_ids: np.ndarray | None = None,
 ) -> tuple[DetectionState, DetectionEvent | None]:
-    """Advance the persistence tracker by one step; returns the new state and
-    the alarm event if the chain just reached n qualifying steps."""
+    """Advance the persistence tracker by one step, in place: ``state`` is
+    updated and gains one history record. Returns ``state`` and the alarm
+    event if the chain just reached n qualifying steps."""
     config.validate()
     if config.epsilon is None:
         raise ConfigError("epsilon must be resolved before detection updates")
@@ -187,63 +189,40 @@ def update_detection(
     if coords.shape[0] != len(values):
         raise ValueError("coords and field must be aligned")
 
-    new = DetectionState(
-        candidate_coord=state.candidate_coord,
-        candidate_id=state.candidate_id,
-        hits=state.hits,
-        fired=state.fired,
-        history=list(state.history),
-    )
-
     usable = fld.valid & np.isfinite(values)
     if not usable.any():
         # nothing to track this step: the chain is broken
-        new.candidate_coord = None
-        new.candidate_id = None
-        new.hits = 0
-        new.fired = False
-        new.history.append((fld.step, None, None, None, 0))
-        return new, None
+        state.candidate_coord = state.candidate_id = None
+        state.hits, state.fired = 0, False
+        state.history.append((fld.step, None, None, None, 0))
+        return state, None
 
     vmax = values[usable].max()
     tied = usable & (values == vmax)
     arg = int(np.flatnonzero(tied)[np.argmin(point_ids[tied])])
+    pid = int(point_ids[arg])
     x_hat = (float(coords[arg, 0]), float(coords[arg, 1]))
     above = vmax >= config.threshold
+    center = state.candidate_coord
 
-    if new.candidate_coord is None:
-        if above:
-            new.candidate_coord = x_hat
-            new.candidate_id = int(point_ids[arg])
-            new.hits = 1
-            new.fired = False
-        else:
-            new.candidate_coord = None
-            new.candidate_id = None
-            new.hits = 0
-            new.fired = False
+    if (
+        above
+        and center is not None
+        and math.hypot(x_hat[0] - center[0], x_hat[1] - center[1]) < config.epsilon
+    ):
+        state.hits = min(state.hits + 1, config.n)
     else:
-        gap = math.hypot(
-            x_hat[0] - new.candidate_coord[0], x_hat[1] - new.candidate_coord[1]
-        )
-        if gap < config.epsilon and above:
-            new.hits = min(new.hits + 1, config.n)
-            new.candidate_coord = x_hat
-            new.candidate_id = int(point_ids[arg])
-        else:
-            new.candidate_coord = x_hat
-            new.candidate_id = int(point_ids[arg])
-            new.hits = 1 if above else 0
-            new.fired = False
+        state.hits, state.fired = int(above), False
+    # the ball center slides to the argmax; a step below the threshold
+    # starts no chain
+    if above or center is not None:
+        state.candidate_coord, state.candidate_id = x_hat, pid
 
     event = None
-    if new.hits >= config.n and not new.fired:
+    if state.hits >= config.n and not state.fired:
         event = DetectionEvent(
-            detection_step=fld.step,
-            point_id=int(point_ids[arg]),
-            location=x_hat,
-            value=float(vmax),
+            detection_step=fld.step, point_id=pid, location=x_hat, value=float(vmax)
         )
-        new.fired = True
-    new.history.append((fld.step, int(point_ids[arg]), x_hat, float(vmax), new.hits))
-    return new, event
+        state.fired = True
+    state.history.append((fld.step, pid, x_hat, float(vmax), state.hits))
+    return state, event

@@ -119,6 +119,7 @@ class RegionEval:
 class EvaluationReport:
     method: str
     regions: list[RegionEval] = field(default_factory=list)
+    result: BaselineResult | None = None  # at the first region's tof; None where undefined
     timing_seconds: float | None = None  # one detection pass at the eval step
     per_step_seconds: tuple | None = None  # (median, max) across pipeline steps
 
@@ -269,7 +270,7 @@ def benchmark(
                 float(run.per_step_seconds.max()),
             )
         t0 = time.perf_counter()
-        result_at(truth.regions[0].tof)
+        report.result = result_at(truth.regions[0].tof)
         report.timing_seconds = time.perf_counter() - t0
         for region in truth.regions:
             res = result_at(region.tof)

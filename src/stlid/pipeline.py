@@ -55,15 +55,14 @@ class StepRecord:
     fused: LidField
     t: LidField | None
     st: StLidField | None
-    state: DetectionState
     event: DetectionEvent | None
     seconds: float
 
 
 @dataclass
 class PipelineState:
-    """Resumable between-step state; everything else is derived from the
-    immutable dataset."""
+    """Resumable between-step state, advanced in place by ``iter_run``;
+    everything else is derived from the immutable dataset."""
 
     next_col: int
     prev_slid: np.ndarray | None
@@ -72,6 +71,10 @@ class PipelineState:
     t_count: np.ndarray | None = None
     t_mean: np.ndarray | None = None
     t_m2: np.ndarray | None = None
+
+
+# the per-point arrays of a PipelineState, each None until first set
+_STATE_ARRAYS = ("prev_slid", "t_count", "t_mean", "t_m2")
 
 
 @dataclass
@@ -158,7 +161,9 @@ def iter_run(
     bit-identical for every degree. ``stop_step`` ends the run after that
     external step. ``state`` is updated in place after every step, so saving
     it at any point makes the run resumable from the next step; pass a
-    loaded PipelineState to continue.
+    loaded PipelineState to continue. A passed state must fit the dataset:
+    its arrays hold one value per point and it resumes within the dataset's
+    steps, else ConfigError.
     """
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
@@ -187,23 +192,28 @@ def iter_run(
             )
 
     if state is None:
-        state = PipelineState(next_col=1, prev_slid=None, det_state=DetectionState(), events=[])
+        state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
+    if not 1 <= state.next_col <= dataset.num_steps:
+        raise ConfigError(
+            f"state resumes at column {state.next_col}; the dataset has {dataset.num_steps} steps"
+        )
+    for name in _STATE_ARRAYS:
+        arr = getattr(state, name)
+        if arr is not None and np.shape(arr) != (n,):
+            raise ConfigError(f"state {name} has shape {np.shape(arr)}; the dataset has {n} points")
     if state.det_state is None:
         state.det_state = DetectionState()
     if detection_config.normalization == "zscore-history" and state.t_count is None:
         state.t_count = np.zeros(n)
         state.t_mean = np.zeros(n)
         state.t_m2 = np.zeros(n)
-    first_col = state.next_col
-    prev_slid = state.prev_slid
-    det_state = state.det_state
 
     bounds = np.linspace(0, n, parallel + 1).astype(int)
     chunks = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     with ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
         map_chunks = map if pool is None else pool.map
-        for col in range(first_col, last_col + 1):
+        for col in range(state.next_col, last_col + 1):
             t0 = time.perf_counter()
             step = dataset.start_step + col
             samples = dataset.samples_at(step)
@@ -215,7 +225,7 @@ def iter_run(
             }
             kernel = partial(
                 _chunk_kernel, lid_config, fusion_config, nbr_idx, weights_at, vel,
-                samples, tree, col, prev_slid, out,
+                samples, tree, col, state.prev_slid, out,
             )
             list(map_chunks(kernel, chunks))  # chunks write into out; this raises their errors
             fields = {
@@ -250,13 +260,11 @@ def iter_run(
                     valid=fused_field.valid & t_field.valid,
                     t_history_stats=t_stats,
                 )
-                det_state, event = update_detection(
-                    det_state, st, dataset.coords, detection_config, dataset.ids
+                _, event = update_detection(
+                    state.det_state, st, dataset.coords, detection_config, dataset.ids
                 )
 
-            prev_slid = s_field.values
-            state.prev_slid = prev_slid
-            state.det_state = det_state
+            state.prev_slid = s_field.values
             state.next_col = col + 1
             if event is not None:
                 state.events.append(event)
@@ -266,7 +274,6 @@ def iter_run(
                 fused=fused_field,
                 t=t_field,
                 st=st,
-                state=det_state,
                 event=event,
                 seconds=time.perf_counter() - t0,
             )
@@ -316,9 +323,8 @@ def run_detection(
     detection_config = _resolved_detection(dataset, detection_config)
     # family -> (steps, values rows, valid rows) of the families kept
     kept = {fam: ([], [], []) for fam in _STORED[store]}
-    events = []
     seconds = []
-    last_state = None
+    state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
 
     for rec in iter_run(
         dataset,
@@ -327,11 +333,9 @@ def run_detection(
         detection_config=detection_config,
         parallel=parallel,
         stop_step=stop_step,
+        state=state,
     ):
         seconds.append(rec.seconds)
-        last_state = rec.state
-        if rec.event is not None:
-            events.append(rec.event)
         for fam, (steps, values, valid) in kept.items():
             fld = getattr(rec, fam)
             if fld is not None:
@@ -340,10 +344,10 @@ def run_detection(
                 valid.append(fld.valid)
 
     result = RunResult(
-        events=events,
-        lead_times=event_lead_times(events, truth, dataset.step_interval_minutes),
+        events=state.events,
+        lead_times=event_lead_times(state.events, truth, dataset.step_interval_minutes),
         per_step_seconds=np.asarray(seconds),
-        final_state=last_state,
+        final_state=state.det_state,
         epsilon=detection_config.epsilon,
     )
     for fam, (steps, values, valid) in kept.items():
@@ -360,31 +364,15 @@ def run_detection(
 
 
 def save_checkpoint(path, state: PipelineState) -> None:
-    det = state.det_state
+    """Write ``state`` to ``path``: its set arrays, plus a JSON record of
+    ``next_col``, the tracker fields and the events."""
     meta = {
         "next_col": state.next_col,
-        "candidate_coord": det.candidate_coord,
-        "candidate_id": det.candidate_id,
-        "hits": det.hits,
-        "fired": det.fired,
-        "has_prev": state.prev_slid is not None,
-        "has_tstats": state.t_count is not None,
-        "events": [
-            [e.detection_step, e.point_id, e.location[0], e.location[1], e.value]
-            for e in state.events
-        ],
-        "history": [
-            [h[0], h[1], None if h[2] is None else list(h[2]), h[3], h[4]]
-            for h in det.history
-        ],
+        **vars(state.det_state),
+        "events": [vars(e) for e in state.events],
     }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    if state.prev_slid is not None:
-        arrays["prev_slid"] = state.prev_slid
-    if state.t_count is not None:
-        arrays["t_count"] = state.t_count
-        arrays["t_mean"] = state.t_mean
-        arrays["t_m2"] = state.t_m2
+    arrays = {k: getattr(state, k) for k in _STATE_ARRAYS if getattr(state, k) is not None}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     # np.savez given a name appends ".npz" when it lacks one, so write through
     # an open file; replacing the target with a finished file keeps the last
     # good checkpoint if the write is interrupted
@@ -401,36 +389,24 @@ def save_checkpoint(path, state: PipelineState) -> None:
 
 
 def load_checkpoint(path) -> PipelineState:
+    """Read a state written by ``save_checkpoint``; ConfigError when the
+    file lacks a field of that layout or holds one in another form."""
     with np.load(path) as npz:
         meta = json.loads(bytes(npz["meta"]).decode())
-        prev = npz["prev_slid"].copy() if meta["has_prev"] else None
-        t_count = npz["t_count"].copy() if meta["has_tstats"] else None
-        t_mean = npz["t_mean"].copy() if meta["has_tstats"] else None
-        t_m2 = npz["t_m2"].copy() if meta["has_tstats"] else None
-    det = DetectionState(
-        candidate_coord=None
-        if meta["candidate_coord"] is None
-        else tuple(meta["candidate_coord"]),
-        candidate_id=meta["candidate_id"],
-        hits=meta["hits"],
-        fired=meta["fired"],
-        history=[
-            (h[0], h[1], None if h[2] is None else tuple(h[2]), h[3], h[4])
-            for h in meta["history"]
-        ],
-    )
-    events = [
-        DetectionEvent(int(e[0]), int(e[1]), (e[2], e[3]), e[4]) for e in meta["events"]
-    ]
-    return PipelineState(
-        next_col=meta["next_col"],
-        prev_slid=prev,
-        det_state=det,
-        events=events,
-        t_count=t_count,
-        t_mean=t_mean,
-        t_m2=t_m2,
-    )
+        arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
+    try:
+        det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
+        # JSON turned the state's tuples, all of them coordinates, into lists
+        xy = det.candidate_coord
+        det.candidate_coord = None if xy is None else tuple(xy)
+        det.history = [
+            (step, pid, None if xy is None else tuple(xy), value, hits)
+            for step, pid, xy, value, hits in det.history
+        ]
+        events = [DetectionEvent(**{**e, "location": tuple(e["location"])}) for e in meta["events"]]
+        return PipelineState(next_col=meta["next_col"], det_state=det, events=events, **arrays)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None
 
 
 def _fmt(v) -> str:

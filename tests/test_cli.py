@@ -1,8 +1,10 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stlid.metrics
 from stlid import LidConfig, load_dataset, load_ground_truth, raw_slid_baseline
 from stlid.cli import main
 
@@ -200,6 +202,32 @@ def test_monitor_streams_and_checkpoints(generated, tmp_path, capsys):
     assert ev2.read_bytes() == full_log
 
 
+def test_monitor_resume_against_another_dataset_exits_3(generated, tmp_path, capsys):
+    ck = tmp_path / "state.ckpt"
+    args = [
+        "monitor",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4",
+        "--checkpoint", str(ck),
+        "--checkpoint-every", "40",
+    ]
+    assert main(args) == 0
+    # the same spec on a smaller grid, then on a shorter series
+    others = {
+        "grid": {"grid_nx": 6, "region": "1,1,4,4"},
+        "short": {"num_steps": 30, "onset_step": 10, "time_of_failure": 20},
+    }
+    for name, override in others.items():
+        spec = write_spec(tmp_path / f"{name}.cfg", **override)
+        pts, ser = tmp_path / f"{name}_p.csv", tmp_path / f"{name}_s.csv"
+        assert main(["generate", str(spec), "--points", str(pts), "--series", str(ser)]) == 0
+        capsys.readouterr()
+        resume = ["monitor", "--points", str(pts), "--series", str(ser), *args[5:], "--resume"]
+        assert main(resume) == 3
+        assert "config error" in capsys.readouterr().err
+
+
 def test_monitor_event_line(tmp_path, capsys):
     # scenario small enough to run fast but guaranteed to fire: reuse the
     # bundled example spec at reduced length via the events of detect
@@ -244,6 +272,30 @@ def test_benchmark_cli(generated, tmp_path, capsys):
     assert [int(r[1]) for r in slid] == list(ds.ids)
     assert np.array_equal([float(r[3]) for r in slid], ref.likelihood)
     assert np.array_equal([r[4] == "1" for r in slid], ref.high_risk)
+
+
+def test_benchmark_method_scores_compute_each_step_once(generated, tmp_path, monkeypatch):
+    calls = Counter()
+    real = stlid.metrics.kmeans2
+
+    def counted(values, *args, **kwargs):
+        calls[np.asarray(values).tobytes()] += 1  # one displacement column per step
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(stlid.metrics, "kmeans2", counted)
+    methods_csv = tmp_path / "methods.csv"
+    rc = main([
+        "benchmark",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--truth", str(generated["truth"]),
+        "--methods", "kmeans",
+        "--max-backscan", "30",
+        "--method-scores", str(methods_csv),
+    ])
+    assert rc == 0
+    assert methods_csv.read_text().count("\n") == 1 + 120
+    assert set(calls.values()) == {1}
 
 
 def test_benchmark_unknown_method(generated, capsys):

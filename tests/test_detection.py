@@ -289,3 +289,20 @@ def test_hits_capped_at_n():
 def test_update_requires_resolved_epsilon():
     with pytest.raises(ConfigError):
         update_detection(DetectionState(), field([0.9, 0.1, 0.1, 0.1]), COORDS, DetectionConfig())
+
+
+def test_update_advances_the_given_state_in_place():
+    cfg = DetectionConfig(n=2, epsilon=0.5)
+    state = DetectionState()
+    history = state.history
+    fields = [
+        field([0.9, 0.1, 0.1, 0.1], step=0),
+        field([0.9, 0.1, 0.1, 0.1], step=1),  # fires
+        field([0.9, 0.9, 0.9, 0.9], step=2, valid=np.zeros(4, bool)),  # nothing usable
+        field([0.1, 0.1, 0.2, 0.1], step=3),  # below the threshold
+    ]
+    for fld in fields:
+        before = list(history)
+        back, _ = update_detection(state, fld, COORDS, cfg)
+        assert back is state and state.history is history
+        assert history[:-1] == before and len(history) == len(before) + 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -123,10 +125,33 @@ def test_checkpoint_roundtrip_detection_state(grid_noise_dataset, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
     back = load_checkpoint(tmp_path / "state.ckpt")
     assert back.next_col == state.next_col
-    assert back.det_state.hits == state.det_state.hits
-    assert back.det_state.candidate_coord == state.det_state.candidate_coord
-    assert back.det_state.history == state.det_state.history
+    assert back.det_state == state.det_state
+    assert back.events == state.events
     assert np.array_equal(back.prev_slid, state.prev_slid)
+
+
+def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
+    ds = grid_noise_dataset
+    state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
+    for _ in iter_run(ds, **SMALL, stop_step=20, state=state):
+        pass
+    fewer_points = make_dataset(ds.displacement[:100], coords=ds.coords[:100])
+    fewer_steps = make_dataset(ds.displacement[:, :15], coords=ds.coords)
+    for other in (fewer_points, fewer_steps):
+        with pytest.raises(ConfigError):
+            next(iter_run(other, **SMALL, state=state))
+    # the state is untouched by the rejected runs and still resumes its own dataset
+    assert state.next_col == 21
+    assert next(iter_run(ds, **SMALL, state=state)).step == 21
+
+
+def test_load_checkpoint_rejects_missing_fields(tmp_path):
+    path = tmp_path / "old.ckpt"
+    meta = np.frombuffer(json.dumps({"next_col": 5, "has_prev": False}).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=meta)
+    with pytest.raises(ConfigError, match="old.ckpt"):
+        load_checkpoint(path)
 
 
 def test_history_normalization_mode(grid_noise_dataset):

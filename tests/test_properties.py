@@ -79,3 +79,4 @@ def test_resumed_run_equals_uninterrupted(ds, split, normalization):
     for fam, rows in kept.items():
         assert np.array_equal(np.vstack(rows), getattr(straight, f"{fam}_hist")), fam
     assert resumed.events == straight.events
+    assert resumed.det_state == straight.final_state
