@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import MonitoringDataset
+from .data import MonitoringDataset, fmt_float
 from .errors import ConfigError, DegenerateInputError
 from .lid import LidConfig, s_lid_all
 
@@ -267,8 +267,7 @@ def write_baseline_scores_csv(path, results, dataset: MonitoringDataset) -> None
         for res in results:
             for j, pid in enumerate(dataset.ids):
                 fh.write(
-                    f"{res.step},{pid},{res.method},"
-                    f"{format(float(res.likelihood[j]), '.17g')},"
+                    f"{res.step},{pid},{res.method},{fmt_float(res.likelihood[j])},"
                     f"{int(res.high_risk[j])}\n"
                 )
 

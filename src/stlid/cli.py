@@ -205,6 +205,22 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _settings(args) -> RunSettings:
+    """The effective settings: defaults, then ``--config``, ``--set`` and
+    ``--parallel``."""
+    settings = build_settings(parse_kv_file(args.config) if args.config else None, args.set)
+    if args.parallel is not None:
+        settings.parallel = args.parallel
+    return settings
+
+
+def _event_line(ev) -> str:
+    return (
+        f"EVENT step={ev.detection_step} point={ev.point_id} "
+        f"x={ev.location[0]:g} y={ev.location[1]:g} st={ev.value:.4f}"
+    )
+
+
 def _load_inputs(args, settings):
     interval = settings.step_interval_minutes or 1.0
     dataset = load_dataset(args.points, args.series, step_interval_minutes=interval)
@@ -213,11 +229,7 @@ def _load_inputs(args, settings):
 
 
 def cmd_detect(args) -> int:
-    settings = build_settings(
-        parse_kv_file(args.config) if args.config else None, args.set
-    )
-    if args.parallel is not None:
-        settings.parallel = args.parallel
+    settings = _settings(args)
     if args.print_config:
         print(format_settings(settings))
     dataset, truth = _load_inputs(args, settings)
@@ -242,10 +254,7 @@ def cmd_detect(args) -> int:
     if args.events:
         pipeline.write_events_csv(args.events, result.events)
     for ev in result.events:
-        print(
-            f"EVENT step={ev.detection_step} point={ev.point_id} "
-            f"x={ev.location[0]:g} y={ev.location[1]:g} st={ev.value:.4f}"
-        )
+        print(_event_line(ev))
     for label, (steps, minutes) in result.lead_times.items():
         print(f"lead[{label}] = {steps} steps ({minutes:.1f} min)")
     if not result.events:
@@ -254,22 +263,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    settings = build_settings(
-        parse_kv_file(args.config) if args.config else None, args.set
-    )
-    if args.parallel is not None:
-        settings.parallel = args.parallel
+    settings = _settings(args)
     dataset, truth = _load_inputs(args, settings)
-    state = None
+    state = pipeline.PipelineState()
     if args.resume:
         if not args.checkpoint:
             raise ConfigError("--resume needs --checkpoint")
         state = pipeline.load_checkpoint(args.checkpoint)
         print(f"resuming at step {dataset.start_step + state.next_col}")
-    if state is None:
-        state = pipeline.PipelineState(
-            next_col=1, prev_slid=None, det_state=None, events=[]
-        )
 
     sleep_s = 0.0
     if args.realtime_factor > 0:
@@ -283,19 +284,14 @@ def cmd_monitor(args) -> int:
         parallel=settings.parallel,
         state=state,
     ):
-        if rec.st is not None:
-            last = state.det_state.history[-1]
-            print(
-                f"step={rec.step} argmax={last[1]} st={last[3]:.4f} hits={last[4]}"
-            )
-        else:
+        decision = rec.decision
+        if decision is None:
             print(f"step={rec.step} (warm-up)")
+        else:
+            st = "n.a." if decision.value is None else f"{decision.value:.4f}"
+            print(f"step={rec.step} argmax={decision.point_id} st={st} hits={decision.hits}")
         if rec.event is not None:
-            ev = rec.event
-            print(
-                f"EVENT step={ev.detection_step} point={ev.point_id} "
-                f"x={ev.location[0]:g} y={ev.location[1]:g} st={ev.value:.4f}"
-            )
+            print(_event_line(rec.event))
         if args.checkpoint:
             n_since_ckpt += 1
             if n_since_ckpt >= args.checkpoint_every:
@@ -310,11 +306,7 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    settings = build_settings(
-        parse_kv_file(args.config) if args.config else None, args.set
-    )
-    if args.parallel is not None:
-        settings.parallel = args.parallel
+    settings = _settings(args)
     methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods else METHOD_NAMES
     for m in methods:
         if m not in METHOD_NAMES:

@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import ConsistencyError, DataError, ParseError
 
-FLOAT_FMT = ".17g"  # round-trips any float64 exactly
 
-
-def _fmt(v: float) -> str:
-    return format(float(v), FLOAT_FMT)
+def fmt_float(v) -> str:
+    """The float format of every file the package writes: 17 significant
+    digits round-trip any float64 exactly."""
+    return format(float(v), ".17g")
 
 
 @dataclass(frozen=True)
@@ -321,13 +321,13 @@ def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
         w = csv.writer(fh)
         w.writerow(["id", "x", "y"])
         for p in dataset.points:
-            w.writerow([p.id, _fmt(p.coord[0]), _fmt(p.coord[1])])
+            w.writerow([p.id, fmt_float(p.coord[0]), fmt_float(p.coord[1])])
     with open(series_file, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "t", "displacement"])
         for i, p in enumerate(dataset.points):
             for c in range(dataset.num_steps):
-                w.writerow([p.id, dataset.start_step + c, _fmt(dataset.displacement[i, c])])
+                w.writerow([p.id, dataset.start_step + c, fmt_float(dataset.displacement[i, c])])
 
 
 def load_ground_truth(path) -> GroundTruth:
@@ -345,4 +345,5 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
         w = csv.writer(fh)
         w.writerow(["label", "xmin", "ymin", "xmax", "ymax", "tof"])
         for r in truth.regions:
-            w.writerow([r.label, _fmt(r.xmin), _fmt(r.ymin), _fmt(r.xmax), _fmt(r.ymax), r.tof])
+            bounds = (r.xmin, r.ymin, r.xmax, r.ymax)
+            w.writerow([r.label, *map(fmt_float, bounds), r.tof])

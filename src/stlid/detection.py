@@ -19,7 +19,8 @@ toward the lowest point id; runs are therefore reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -154,19 +155,30 @@ class DetectionEvent:
 @dataclass
 class DetectionState:
     """Persistence tracker for the consecutive-step alarm rule, advanced in
-    place by ``update_detection``.
+    place by ``update_detection``; it holds only what the rule reads, so its
+    size does not grow with the run.
 
     ``hits`` counts qualifying consecutive steps, capped at n; ``fired`` marks
     that the current chain already produced its event, so an unbroken chain
-    never emits twice. ``history`` gains one (step, point_id, coord, value,
-    hits) record per update, enough to replay any alarm decision.
+    never emits twice.
     """
 
     candidate_coord: tuple[float, float] | None = None
     candidate_id: int | None = None
     hits: int = 0
     fired: bool = False
-    history: list = field(default_factory=list)
+
+
+class AlarmDecision(NamedTuple):
+    """What the tracker saw at one step: the usable argmax (id, coordinate,
+    st-LID value) and the hit count after the update. ``point_id``,
+    ``location`` and ``value`` are None when no point was usable."""
+
+    step: int
+    point_id: int | None
+    location: tuple[float, float] | None
+    value: float | None
+    hits: int
 
 
 def update_detection(
@@ -175,10 +187,10 @@ def update_detection(
     coords: np.ndarray,
     config: DetectionConfig,
     point_ids: np.ndarray | None = None,
-) -> tuple[DetectionState, DetectionEvent | None]:
-    """Advance the persistence tracker by one step, in place: ``state`` is
-    updated and gains one history record. Returns ``state`` and the alarm
-    event if the chain just reached n qualifying steps."""
+) -> tuple[AlarmDecision, DetectionEvent | None]:
+    """Advance the persistence tracker by one step, in place. Returns the
+    step's decision and the alarm event if the chain just reached n
+    qualifying steps."""
     config.validate()
     if config.epsilon is None:
         raise ConfigError("epsilon must be resolved before detection updates")
@@ -194,8 +206,7 @@ def update_detection(
         # nothing to track this step: the chain is broken
         state.candidate_coord = state.candidate_id = None
         state.hits, state.fired = 0, False
-        state.history.append((fld.step, None, None, None, 0))
-        return state, None
+        return AlarmDecision(fld.step, None, None, None, 0), None
 
     vmax = values[usable].max()
     tied = usable & (values == vmax)
@@ -224,5 +235,4 @@ def update_detection(
             detection_step=fld.step, point_id=pid, location=x_hat, value=float(vmax)
         )
         state.fired = True
-    state.history.append((fld.step, pid, x_hat, float(vmax), state.hits))
-    return state, event
+    return AlarmDecision(fld.step, pid, x_hat, float(vmax), state.hits), event

@@ -29,7 +29,7 @@ from .baselines import (
     lof,
     slid_result,
 )
-from .data import FailureRegion, GroundTruth, MonitoringDataset
+from .data import FailureRegion, GroundTruth, MonitoringDataset, fmt_float
 from .detection import DetectionConfig
 from .errors import ConfigError, StlidError
 from .fusion import FusionConfig
@@ -324,10 +324,10 @@ def report_csv(reports: list[EvaluationReport]) -> str:
     lines = ["method,region,precision,correct,total,lead_steps,lead_minutes,timing_seconds"]
     for rep in reports:
         for r in rep.regions:
-            prec = "" if r.precision is None else format(r.precision, ".17g")
-            timing = "" if rep.timing_seconds is None else format(rep.timing_seconds, ".17g")
+            prec = "" if r.precision is None else fmt_float(r.precision)
+            timing = "" if rep.timing_seconds is None else fmt_float(rep.timing_seconds)
             lines.append(
                 f"{rep.method},{r.label},{prec},{r.correct},{r.total},"
-                f"{r.lead_steps},{format(r.lead_minutes, '.17g')},{timing}"
+                f"{r.lead_steps},{fmt_float(r.lead_minutes)},{timing}"
             )
     return "\n".join(lines) + "\n"

@@ -25,14 +25,15 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 import scipy.spatial
 
-from .data import GroundTruth, MonitoringDataset
+from .data import GroundTruth, MonitoringDataset, fmt_float
 from .detection import (
+    AlarmDecision,
     DetectionConfig,
     DetectionEvent,
     DetectionState,
@@ -48,13 +49,15 @@ from .lid import LidConfig, LidField, _fill_sentinel, lid_rows, t_lid_rows
 
 @dataclass
 class StepRecord:
-    """Everything the pipeline produced at one step."""
+    """Everything the pipeline produced at one step; ``st``, ``decision``
+    and ``event`` are None during warm-up, before the first st-LID field."""
 
     step: int
     s: LidField
     fused: LidField
     t: LidField | None
     st: StLidField | None
+    decision: AlarmDecision | None
     event: DetectionEvent | None
     seconds: float
 
@@ -64,10 +67,10 @@ class PipelineState:
     """Resumable between-step state, advanced in place by ``iter_run``;
     everything else is derived from the immutable dataset."""
 
-    next_col: int
-    prev_slid: np.ndarray | None
-    det_state: DetectionState
-    events: list
+    next_col: int = 1
+    prev_slid: np.ndarray | None = None
+    det_state: DetectionState = field(default_factory=DetectionState)
+    events: list = field(default_factory=list)
     t_count: np.ndarray | None = None
     t_mean: np.ndarray | None = None
     t_m2: np.ndarray | None = None
@@ -192,7 +195,7 @@ def iter_run(
             )
 
     if state is None:
-        state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
+        state = PipelineState()
     if not 1 <= state.next_col <= dataset.num_steps:
         raise ConfigError(
             f"state resumes at column {state.next_col}; the dataset has {dataset.num_steps} steps"
@@ -239,8 +242,7 @@ def iter_run(
             )
             t_field = fields.get("t")
 
-            st = None
-            event = None
+            st = decision = event = None
             if t_field is not None:
                 t_stats = None
                 if detection_config.normalization == "zscore-history":
@@ -260,7 +262,7 @@ def iter_run(
                     valid=fused_field.valid & t_field.valid,
                     t_history_stats=t_stats,
                 )
-                _, event = update_detection(
+                decision, event = update_detection(
                     state.det_state, st, dataset.coords, detection_config, dataset.ids
                 )
 
@@ -274,6 +276,7 @@ def iter_run(
                 fused=fused_field,
                 t=t_field,
                 st=st,
+                decision=decision,
                 event=event,
                 seconds=time.perf_counter() - t0,
             )
@@ -324,7 +327,7 @@ def run_detection(
     # family -> (steps, values rows, valid rows) of the families kept
     kept = {fam: ([], [], []) for fam in _STORED[store]}
     seconds = []
-    state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
+    state = PipelineState()
 
     for rec in iter_run(
         dataset,
@@ -390,27 +393,21 @@ def save_checkpoint(path, state: PipelineState) -> None:
 
 def load_checkpoint(path) -> PipelineState:
     """Read a state written by ``save_checkpoint``; ConfigError when the
-    file lacks a field of that layout or holds one in another form."""
+    file lacks a field of that layout or holds one in another form. Other
+    meta keys, such as the per-step tracker history that earlier versions
+    wrote, are ignored."""
     with np.load(path) as npz:
         meta = json.loads(bytes(npz["meta"]).decode())
         arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
     try:
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
-        # JSON turned the state's tuples, all of them coordinates, into lists
+        # JSON turned the coordinate tuples into lists
         xy = det.candidate_coord
         det.candidate_coord = None if xy is None else tuple(xy)
-        det.history = [
-            (step, pid, None if xy is None else tuple(xy), value, hits)
-            for step, pid, xy, value, hits in det.history
-        ]
         events = [DetectionEvent(**{**e, "location": tuple(e["location"])}) for e in meta["events"]]
         return PipelineState(next_col=meta["next_col"], det_state=det, events=events, **arrays)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 def write_scores_csv(path, result: RunResult, dataset: MonitoringDataset) -> None:
@@ -430,10 +427,10 @@ def write_scores_csv(path, result: RunResult, dataset: MonitoringDataset) -> Non
             i_t = step - t_offset
             for j, pid in enumerate(dataset.ids):
                 fh.write(
-                    f"{step},{pid},{_fmt(result.s_hist[i_s, j])},"
-                    f"{_fmt(result.fused_hist[i_s, j])},"
-                    f"{_fmt(result.t_hist[i_t, j])},"
-                    f"{_fmt(result.st_hist[i_st, j])}\n"
+                    f"{step},{pid},{fmt_float(result.s_hist[i_s, j])},"
+                    f"{fmt_float(result.fused_hist[i_s, j])},"
+                    f"{fmt_float(result.t_hist[i_t, j])},"
+                    f"{fmt_float(result.st_hist[i_st, j])}\n"
                 )
 
 
@@ -443,6 +440,6 @@ def write_events_csv(path, events) -> None:
         fh.write("detection_step,point_id,x,y,st_lid\n")
         for e in events:
             fh.write(
-                f"{e.detection_step},{e.point_id},{_fmt(e.location[0])},"
-                f"{_fmt(e.location[1])},{_fmt(e.value)}\n"
+                f"{e.detection_step},{e.point_id},{fmt_float(e.location[0])},"
+                f"{fmt_float(e.location[1])},{fmt_float(e.value)}\n"
             )

@@ -258,7 +258,7 @@ def test_criterion_7_detection_state_machine():
         for step, vals in enumerate(values_steps):
             fld = StLidField(step=step, values=np.asarray(vals, float),
                              valid=np.ones(len(vals), bool))
-            state, ev = update_detection(state, fld, coords, config, point_ids=ids)
+            _, ev = update_detection(state, fld, coords, config, point_ids=ids)
             if ev:
                 events.append(ev)
         return state, events

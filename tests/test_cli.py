@@ -240,6 +240,25 @@ def test_monitor_event_line(tmp_path, capsys):
     assert "EVENT" in out and "done: 1 event(s)" in out
 
 
+def test_monitor_step_without_usable_point(tmp_path, capsys):
+    # all-zero series: every neighborhood is degenerate, so no point is usable
+    pts, ser = tmp_path / "p.csv", tmp_path / "s.csv"
+    pts.write_text("id,x,y\n" + "".join(f"{i},{i % 6},{i // 6}\n" for i in range(36)))
+    ser.write_text("id,t,displacement\n" + "".join(
+        f"{i},{t},0\n" for i in range(36) for t in range(8)
+    ))
+    rc = main([
+        "monitor", "--points", str(pts), "--series", str(ser),
+        "--set", "lid.s=4", "--set", "fusion.k=3",
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "step=1 (warm-up)", "step=2 (warm-up)", "step=3 argmax=None st=n.a. hits=0",
+    ]
+    assert lines[-1] == "done: 0 event(s)"
+
+
 def test_benchmark_cli(generated, tmp_path, capsys):
     table = tmp_path / "table.txt"
     csv_out = tmp_path / "report.csv"

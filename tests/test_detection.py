@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlid import (
+    AlarmDecision,
     DetectionConfig,
     DetectionState,
     StLidField,
@@ -134,7 +137,7 @@ def run_steps(values_per_step, config, coords=COORDS):
     state = DetectionState()
     events = []
     for step, vals in enumerate(values_per_step):
-        state, ev = update_detection(state, field(vals, step=step), coords, config)
+        _, ev = update_detection(state, field(vals, step=step), coords, config)
         if ev is not None:
             events.append(ev)
     return state, events
@@ -185,12 +188,12 @@ def test_far_jump_resets():
 
 def test_tie_breaks_toward_lowest_id():
     cfg = DetectionConfig(n=1, epsilon=0.5)
-    state, ev = update_detection(
+    _, ev = update_detection(
         DetectionState(), field([0.7, 0.7, 0.7, 0.2]), COORDS, cfg
     )
     assert ev.point_id == 0
     ids = np.array([9, 4, 7, 1])
-    state, ev = update_detection(
+    _, ev = update_detection(
         DetectionState(), field([0.7, 0.7, 0.7, 0.2]), COORDS, cfg, point_ids=ids
     )
     assert ev.point_id == 4
@@ -217,7 +220,7 @@ def test_chain_break_then_refire():
 def test_invalid_points_excluded_from_argmax():
     cfg = DetectionConfig(n=1, epsilon=0.5)
     valid = np.array([False, True, True, True])
-    state, ev = update_detection(
+    _, ev = update_detection(
         DetectionState(), field([0.99, 0.7, 0.2, 0.2], valid=valid), COORDS, cfg
     )
     assert ev.point_id == 1
@@ -227,9 +230,9 @@ def test_all_invalid_breaks_chain():
     cfg = DetectionConfig(n=3, epsilon=0.5)
     state = DetectionState()
     for step in range(2):
-        state, _ = update_detection(state, field([0.9, 0.1, 0.1, 0.1], step=step), COORDS, cfg)
+        update_detection(state, field([0.9, 0.1, 0.1, 0.1], step=step), COORDS, cfg)
     assert state.hits == 2
-    state, ev = update_detection(
+    _, ev = update_detection(
         state, field([0.9, 0.9, 0.9, 0.9], step=2, valid=np.zeros(4, bool)), COORDS, cfg
     )
     assert ev is None and state.hits == 0 and state.candidate_coord is None
@@ -257,21 +260,22 @@ def test_event_value_at_threshold():
 
 def test_replay_invariant():
     # any event implies the argmax stayed in the ball at or above threshold
-    # for the n steps ending at the event, replayable from the history
+    # for the n steps ending at the event, replayable from the decisions
     rng = np.random.default_rng(3)
     coords = rng.uniform(0, 10, size=(30, 2))
     cfg = DetectionConfig(n=4, epsilon=2.0)
     state = DetectionState()
     events = []
+    records = {}
     for step in range(300):
         vals = rng.uniform(0, 0.45, size=30)
         if step % 17 < 8:
             vals[7] = 0.6 + 0.1 * rng.uniform()  # recurring hot spot
-        state, ev = update_detection(state, field(vals, step=step), coords, cfg)
+        decision, ev = update_detection(state, field(vals, step=step), coords, cfg)
+        records[decision.step] = decision
         if ev:
             events.append(ev)
     assert events, "the recurring hot spot must fire at least once"
-    records = {h[0]: h for h in state.history}
     for ev in events:
         window = [records[s] for s in range(ev.detection_step - cfg.n + 1, ev.detection_step + 1)]
         assert all(w[3] >= cfg.threshold for w in window)
@@ -294,15 +298,72 @@ def test_update_requires_resolved_epsilon():
 def test_update_advances_the_given_state_in_place():
     cfg = DetectionConfig(n=2, epsilon=0.5)
     state = DetectionState()
-    history = state.history
-    fields = [
-        field([0.9, 0.1, 0.1, 0.1], step=0),
-        field([0.9, 0.1, 0.1, 0.1], step=1),  # fires
-        field([0.9, 0.9, 0.9, 0.9], step=2, valid=np.zeros(4, bool)),  # nothing usable
-        field([0.1, 0.1, 0.2, 0.1], step=3),  # below the threshold
+    steps = [
+        # field, the returned decision, the tracker fields after the update
+        (field([0.9, 0.1, 0.1, 0.1], step=0),
+         (0, 0, (0.0, 0.0), 0.9, 1), ((0.0, 0.0), 0, 1, False)),
+        (field([0.9, 0.1, 0.1, 0.1], step=1),  # fires
+         (1, 0, (0.0, 0.0), 0.9, 2), ((0.0, 0.0), 0, 2, True)),
+        (field([0.9, 0.9, 0.9, 0.9], step=2, valid=np.zeros(4, bool)),  # nothing usable
+         (2, None, None, None, 0), (None, None, 0, False)),
+        (field([0.1, 0.1, 0.2, 0.1], step=3),  # below the threshold
+         (3, 2, (5.0, 5.0), 0.2, 0), (None, None, 0, False)),
     ]
-    for fld in fields:
-        before = list(history)
+    for fld, decision, tracker in steps:
         back, _ = update_detection(state, fld, COORDS, cfg)
-        assert back is state and state.history is history
-        assert history[:-1] == before and len(history) == len(before) + 1
+        assert isinstance(back, AlarmDecision) and back == decision
+        assert (state.candidate_coord, state.candidate_id, state.hits, state.fired) == tracker
+        assert set(vars(state)) == {"candidate_coord", "candidate_id", "hits", "fired"}
+
+
+@st.composite
+def successive_failures(draw):
+    """Hot windows of at least n steps, each in its own area, with optional
+    quiet steps between them. Areas lie 10 apart on a line; each holds a few
+    points within 0.3 of one another, over which the hot spot may hop."""
+    n = draw(st.integers(1, 5))
+    per_area = draw(st.integers(1, 3))
+    areas = draw(st.permutations(range(5)))[: draw(st.integers(2, 5))]
+    windows = [
+        (
+            area,
+            draw(st.integers(0, 3)),  # quiet steps before the window
+            draw(st.lists(st.integers(0, per_area - 1), min_size=n, max_size=n + 6)),
+        )
+        for area in areas
+    ]
+    return n, per_area, windows, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=successive_failures())
+def test_successive_failures_in_distinct_areas_fire_once_each(case):
+    n, per_area, windows, seed = case
+    cfg = DetectionConfig(n=n, epsilon=1.0)
+    coords = np.array([(10.0 * a + 0.15 * j, 0.1 * j) for a in range(5) for j in range(per_area)])
+    rng = np.random.default_rng(seed)
+    state = DetectionState()
+    decisions, events, expected = {}, [], []
+    step = 0
+    for area, quiet, hot_points in windows:
+        for k in [None] * quiet + list(range(len(hot_points))):
+            vals = rng.uniform(0.0, 0.45, size=len(coords))
+            if k is not None:
+                hot = area * per_area + hot_points[k]
+                vals[hot] = rng.uniform(cfg.threshold, 1.0)
+                if k == n - 1:
+                    expected.append((step, hot))
+            decision, ev = update_detection(state, field(vals, step=step), coords, cfg)
+            decisions[step] = decision
+            if ev is not None:
+                events.append(ev)
+            step += 1
+
+    assert [(ev.detection_step, ev.point_id) for ev in events] == expected
+    for ev, (_, hot) in zip(events, expected):
+        assert ev.location == tuple(coords[hot])
+        window = [decisions[s] for s in range(ev.detection_step - n + 1, ev.detection_step + 1)]
+        assert all(d.value >= cfg.threshold for d in window)
+        for a, b in zip(window, window[1:]):
+            gap = math.hypot(b.location[0] - a.location[0], b.location[1] - a.location[1])
+            assert gap < cfg.epsilon

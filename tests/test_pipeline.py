@@ -130,6 +130,18 @@ def test_checkpoint_roundtrip_detection_state(grid_noise_dataset, tmp_path):
     assert np.array_equal(back.prev_slid, state.prev_slid)
 
 
+def test_checkpoint_meta_holds_only_the_bounded_state(grid_noise_dataset, tmp_path):
+    state = PipelineState()
+    for _ in iter_run(grid_noise_dataset, **SMALL, stop_step=30, state=state):
+        pass
+    save_checkpoint(tmp_path / "ck.npz", state)
+    with np.load(tmp_path / "ck.npz") as npz:
+        meta = json.loads(bytes(npz["meta"]).decode())
+    assert set(meta) == {
+        "next_col", "candidate_coord", "candidate_id", "hits", "fired", "events",
+    }
+
+
 def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
     ds = grid_noise_dataset
     state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
