@@ -13,13 +13,14 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import pipeline
 from .baselines import write_baseline_scores_csv
 from .data import (
+    check_events,
+    check_scores,
     load_dataset,
     load_ground_truth,
+    load_points,
     save_dataset,
     save_ground_truth,
 )
@@ -357,47 +358,9 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def _validate_scores(path):
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "point_id", "s_lid", "fused_s_lid", "t_lid", "st_lid"]:
-            raise DataError(f"{path}: bad scores header: {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise DataError(f"{path}:{line_no}: expected 6 fields")
-            int(row[0]), int(row[1])
-            vals = [float(v) for v in row[2:]]
-            if not all(np.isfinite(vals)):
-                raise DataError(f"{path}:{line_no}: non-finite score")
-            if not 0.0 <= vals[3] <= 1.0:
-                raise DataError(f"{path}:{line_no}: st_lid outside [0, 1]")
-
-
-def _validate_events(path):
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != ["detection_step", "point_id", "x", "y", "st_lid"]:
-            raise DataError(f"{path}: bad events header: {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DataError(f"{path}:{line_no}: expected 5 fields")
-            int(row[0]), int(row[1])
-            x, y, v = (float(c) for c in row[2:])
-            if not (np.isfinite(x) and np.isfinite(y) and 0.0 <= v <= 1.0):
-                raise DataError(f"{path}:{line_no}: bad event row")
-
-
 def cmd_validate(args) -> int:
     kind, path = args.kind, args.path
     if kind == "points":
-        from .data import load_points
-
         load_points(path)
     elif kind == "dataset":
         if not args.series:
@@ -406,9 +369,9 @@ def cmd_validate(args) -> int:
     elif kind == "truth":
         load_ground_truth(path)
     elif kind == "scores":
-        _validate_scores(path)
+        check_scores(path)
     elif kind == "events":
-        _validate_events(path)
+        check_events(path)
     print(f"{kind} file {path}: OK")
     return EXIT_OK
 

@@ -13,6 +13,10 @@ save/load round-trips are bit-exact):
 * series CSV:       header ``id,t,displacement``, long format; steps must be
   contiguous per point and identical across points
 * ground-truth CSV: header ``label,xmin,ymin,xmax,ymax,tof``
+
+The detector's score dump and event log (written by ``stlid.pipeline``) are
+checked here too. Each header lives in one ``*_HEADER`` constant that the
+reader, the writer and the check share.
 """
 
 from __future__ import annotations
@@ -24,6 +28,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DataError, ParseError
+
+
+POINTS_HEADER = ("id", "x", "y")
+SERIES_HEADER = ("id", "t", "displacement")
+TRUTH_HEADER = ("label", "xmin", "ymin", "xmax", "ymax", "tof")
+SCORES_HEADER = (
+    "t", "point_id", "s_lid", "fused_s_lid", "t_lid", "st_lid",
+    "s_valid", "fused_valid", "t_valid", "st_valid",
+)
+EVENTS_HEADER = ("detection_step", "point_id", "x", "y", "st_lid")
 
 
 def fmt_float(v) -> str:
@@ -216,7 +230,7 @@ def _read_rows(path, expected_header):
             header = next(reader)
         except StopIteration:
             raise ParseError(path, 1, "empty file") from None
-        if [h.strip() for h in header] != expected_header:
+        if tuple(h.strip() for h in header) != expected_header:
             raise ParseError(
                 path, 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
             )
@@ -251,7 +265,7 @@ def _parse_float(path, line_no, text, what, point_id=None, step=None):
 def load_points(path) -> list[MonitoredPoint]:
     points = []
     seen = set()
-    for line_no, row in _read_rows(path, ["id", "x", "y"]):
+    for line_no, row in _read_rows(path, POINTS_HEADER):
         pid = _parse_int(path, line_no, row[0], "id")
         if pid in seen:
             raise ConsistencyError(f"{path}:{line_no}: duplicate point id {pid}")
@@ -273,7 +287,7 @@ def load_dataset(points_file, series_file, step_interval_minutes: float = 1.0) -
     points = load_points(points_file)
     index = {p.id: k for k, p in enumerate(points)}
     per_point: dict[int, dict[int, float]] = {p.id: {} for p in points}
-    for line_no, row in _read_rows(series_file, ["id", "t", "displacement"]):
+    for line_no, row in _read_rows(series_file, SERIES_HEADER):
         pid = _parse_int(series_file, line_no, row[0], "id")
         if pid not in index:
             raise ConsistencyError(
@@ -319,12 +333,12 @@ def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
     """Write a dataset to the documented CSV formats (bit-exact round-trip)."""
     with open(points_file, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "x", "y"])
+        w.writerow(POINTS_HEADER)
         for p in dataset.points:
             w.writerow([p.id, fmt_float(p.coord[0]), fmt_float(p.coord[1])])
     with open(series_file, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "t", "displacement"])
+        w.writerow(SERIES_HEADER)
         for i, p in enumerate(dataset.points):
             for c in range(dataset.num_steps):
                 w.writerow([p.id, dataset.start_step + c, fmt_float(dataset.displacement[i, c])])
@@ -332,7 +346,7 @@ def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
 
 def load_ground_truth(path) -> GroundTruth:
     regions = []
-    for line_no, row in _read_rows(path, ["label", "xmin", "ymin", "xmax", "ymax", "tof"]):
+    for line_no, row in _read_rows(path, TRUTH_HEADER):
         vals = [_parse_float(path, line_no, row[k], name)
                 for k, name in ((1, "xmin"), (2, "ymin"), (3, "xmax"), (4, "ymax"))]
         tof = _parse_int(path, line_no, row[5], "tof")
@@ -343,7 +357,32 @@ def load_ground_truth(path) -> GroundTruth:
 def save_ground_truth(truth: GroundTruth, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["label", "xmin", "ymin", "xmax", "ymax", "tof"])
+        w.writerow(TRUTH_HEADER)
         for r in truth.regions:
             bounds = (r.xmin, r.ymin, r.xmax, r.ymax)
             w.writerow([r.label, *map(fmt_float, bounds), r.tof])
+
+
+def check_scores(path) -> None:
+    """Check a score dump: integer step and point id, finite scores, st-LID
+    in [0, 1] and validity flags of 0 or 1."""
+    for line_no, row in _read_rows(path, SCORES_HEADER):
+        _parse_int(path, line_no, row[0], "t")
+        _parse_int(path, line_no, row[1], "point_id")
+        scores = [_parse_float(path, line_no, row[k], SCORES_HEADER[k]) for k in range(2, 6)]
+        if not 0.0 <= scores[3] <= 1.0:
+            raise DataError(f"{path}:{line_no}: st_lid outside [0, 1]")
+        for name, text in zip(SCORES_HEADER[6:], row[6:]):
+            if _parse_int(path, line_no, text, name) not in (0, 1):
+                raise ParseError(path, line_no, f"{name} must be 0 or 1, got {text!r}")
+
+
+def check_events(path) -> None:
+    """Check an event log: integer step and point id, finite coordinates and
+    st-LID in [0, 1]."""
+    for line_no, row in _read_rows(path, EVENTS_HEADER):
+        _parse_int(path, line_no, row[0], "detection_step")
+        _parse_int(path, line_no, row[1], "point_id")
+        _, _, st = (_parse_float(path, line_no, row[k], EVENTS_HEADER[k]) for k in range(2, 5))
+        if not 0.0 <= st <= 1.0:
+            raise DataError(f"{path}:{line_no}: st_lid outside [0, 1]")

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError
+from .lid import knn
 
 NORMALIZATION_MODES = ("raw", "zscore", "zscore-history")
 
@@ -77,11 +77,8 @@ class DetectionConfig:
 
 def default_epsilon(coords: np.ndarray) -> float:
     """Twice the median nearest-neighbor spacing of the coordinates."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[0] < 2:
-        raise ConfigError("need at least two points to derive epsilon")
-    dist, _ = cKDTree(coords).query(coords, k=2)
-    return 2.0 * float(np.median(dist[:, 1]))
+    dist, _ = knn(np.asarray(coords, dtype=np.float64), 1)
+    return 2.0 * float(np.median(dist[:, 0]))
 
 
 @dataclass

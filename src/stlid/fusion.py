@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .data import MonitoringDataset
 from .errors import ConfigError
-from .lid import LidConfig, LidField, _fill_sentinel, _log_sums, knn_kinematic_distances, s_lid_all
+from .lid import LidConfig, LidField, _fill_sentinel, _log_sums, knn, s_lid_all
 
 DEFAULT_K = 8
 
@@ -155,16 +154,6 @@ def fused_slid(prior: GammaParams, obs: GammaParams) -> float:
     return (prior.alpha + obs.alpha) / denom
 
 
-def spatial_neighbors(coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of each point's k nearest physical neighbors."""
-    n = coords.shape[0]
-    if n <= k:
-        raise ConfigError(f"spatial k={k} needs more than k points, got {n}")
-    tree = cKDTree(coords)
-    dist, idx = tree.query(coords, k=k + 1)
-    return idx[:, 1:], dist[:, 1:]
-
-
 def _kernel_weights(dist: np.ndarray, bandwidth) -> np.ndarray:
     """Weights over rows of neighbor distances; a "median" bandwidth is each
     row's median distance (floored so coincident neighbors stay defined)."""
@@ -185,7 +174,7 @@ def neighbor_weights(coords: np.ndarray, config: FusionConfig):
     the samples on each call. Either way every row is computed on its own,
     so any split of the rows gives the same bits.
     """
-    nbr_idx, nbr_dist = spatial_neighbors(coords, config.k)
+    nbr_dist, nbr_idx = knn(coords, config.k)
     if config.weight_space == "physical":
         fixed = _kernel_weights(nbr_dist, config.bandwidth)
         return nbr_idx, lambda samples, rows: fixed[rows]
@@ -258,7 +247,7 @@ def fuse_all(
 
     nbr_idx, weights_at = neighbor_weights(dataset.coords, config)
     samples = dataset.samples_at(step)
-    obs = knn_kinematic_distances(samples, config.effective_obs_k(lid_config))
+    obs, _ = knn(samples, config.effective_obs_k(lid_config))
     weights = weights_at(samples, slice(None))
     values, valid = fuse_rows(prev[nbr_idx], weights, obs, config.variance_floor)
     return LidField(step, _fill_sentinel(values, valid), valid)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+import scipy.spatial
 
 from .data import KinematicSample, MonitoringDataset
 from .errors import (
@@ -157,16 +157,24 @@ def _fill_sentinel(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-def knn_kinematic_distances(samples: np.ndarray, k: int) -> np.ndarray:
-    """Sorted distances to the k nearest other samples, self excluded.
+def knn(points: np.ndarray, k: int, rows=slice(None), tree=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distances and indices of the k nearest other points of each of
+    ``points[rows]``, shape (m, k) each.
 
-    ``samples`` is the full (n, 2) kinematic array for one step.
+    Column 0 of the kd-tree query, the point itself, is dropped. ``tree`` is
+    a kd-tree over all of ``points``; when None one is built, with
+    ``scipy.spatial.cKDTree`` looked up at call time. Every k-nearest query
+    of the detector goes through here: kinematic neighbours, physical
+    neighbours and the grid spacing behind the alarm's epsilon. Raises
+    ConfigError when there are not more than k points.
     """
-    n = samples.shape[0]
+    n = points.shape[0]
     if n <= k:
-        raise ConfigError(f"need more than k={k} points, got {n}")
-    dist, _ = cKDTree(samples).query(samples, k=k + 1)
-    return dist[:, 1:]  # column 0 is the zero self-distance
+        raise ConfigError(f"neighborhoods of k={k} need more than k points, got {n}")
+    if tree is None:
+        tree = scipy.spatial.cKDTree(points)
+    dist, idx = tree.query(points[rows], k=k + 1)
+    return dist[:, 1:], idx[:, 1:]
 
 
 def s_lid_all(
@@ -176,8 +184,7 @@ def s_lid_all(
     so step must be at least start_step + 1)."""
     config = config or LidConfig()
     config.validate()
-    samples = dataset.samples_at(step)
-    dist = knn_kinematic_distances(samples, config.s)
+    dist, _ = knn(dataset.samples_at(step), config.s)
     values, valid = lid_rows(dist, config)
     return LidField(step, _fill_sentinel(values, valid), valid)
 

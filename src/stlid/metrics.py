@@ -30,7 +30,7 @@ from .baselines import (
     slid_result,
 )
 from .data import FailureRegion, GroundTruth, MonitoringDataset, fmt_float
-from .detection import DetectionConfig
+from .detection import DetectionConfig, default_epsilon
 from .errors import ConfigError, StlidError
 from .fusion import FusionConfig
 from .lid import LidConfig
@@ -141,13 +141,6 @@ class BaselineConfig:
     edq_levels: tuple = DEFAULT_EDQ_LEVELS
 
 
-def _kinematic_eps(samples: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(samples).query(samples, k=2)
-    return max(2.0 * float(np.median(dist[:, 1])), 1e-9)
-
-
 # the RunResult arrays (steps, values, valid) each detector-based method reads
 RUN_ROWS = {
     "slid": ("s_steps", "s_hist", "s_valid_hist"),
@@ -186,7 +179,7 @@ def method_result(
         return kmeans2(dataset.displacement[:, dataset.column(step)], step=step)
     if name == "dbscan":
         samples = dataset.samples_at(step)
-        eps = blc.dbscan_eps or _kinematic_eps(samples)
+        eps = blc.dbscan_eps or max(default_epsilon(samples), 1e-9)
         return dbscan(samples, eps, blc.dbscan_min_pts, step=step)
     if name == "lof":
         return lof(dataset.samples_at(step), blc.lof_k, blc.lof_cutoff, step=step)

@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 import scipy.spatial
 
-from .data import GroundTruth, MonitoringDataset, fmt_float
+from .data import EVENTS_HEADER, SCORES_HEADER, GroundTruth, MonitoringDataset, fmt_float
 from .detection import (
     AlarmDecision,
     DetectionConfig,
@@ -44,7 +44,7 @@ from .detection import (
 )
 from .errors import ConfigError
 from .fusion import FusionConfig, fuse_rows, neighbor_weights
-from .lid import LidConfig, LidField, _fill_sentinel, lid_rows, t_lid_rows
+from .lid import LidConfig, LidField, _fill_sentinel, knn, lid_rows, t_lid_rows
 
 
 @dataclass
@@ -121,8 +121,7 @@ def _chunk_kernel(
     all of the step's samples."""
     s = lid_config.s
     obs_k = fusion_config.effective_obs_k(lid_config)
-    dist, _ = tree.query(samples[rows], k=max(s, obs_k) + 1)
-    dist = dist[:, 1:]
+    dist, _ = knn(samples, max(s, obs_k), rows, tree)
 
     values, valid = out["s"]
     values[rows], valid[rows] = lid_rows(dist[:, :s], lid_config)
@@ -177,12 +176,6 @@ def iter_run(
     if parallel < 1:
         raise ConfigError(f"parallelism degree must be >= 1, got {parallel}")
     n = dataset.num_points
-    kq = max(lid_config.s, fusion_config.effective_obs_k(lid_config))
-    if n <= kq:
-        raise ConfigError(f"dataset has {n} points but neighborhoods need more than {kq}")
-    if n <= fusion_config.k:
-        raise ConfigError(f"spatial k={fusion_config.k} needs more than k points, got {n}")
-
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
     vel = dataset.velocity_matrix()
 
@@ -411,33 +404,35 @@ def load_checkpoint(path) -> PipelineState:
 
 
 def write_scores_csv(path, result: RunResult, dataset: MonitoringDataset) -> None:
-    """Per-step score dump: ``t,point_id,s_lid,fused_s_lid,t_lid,st_lid``.
+    """Per-step score dump in the ``SCORES_HEADER`` format: step, point id,
+    s-LID, fused s-LID, t-LID and st-LID, then one 0/1 validity flag per
+    family (0: the value is the sentinel fill, not an estimate).
 
     Covers the steps where every family is defined (store="all" runs).
     """
     if result.s_hist is None or result.st_hist is None:
         raise ConfigError("score dump needs a run stored with store='all'")
-    st_index = {int(s): i for i, s in enumerate(result.st_steps)}
-    s_index = {int(s): i for i, s in enumerate(result.s_steps)}
-    t_offset = int(result.s_steps[0]) + 2  # first step with a t-LID row
+    lag = len(result.s_steps) - len(result.st_steps)  # s rows start before t and st rows
     with open(path, "w") as fh:
-        fh.write("t,point_id,s_lid,fused_s_lid,t_lid,st_lid\n")
-        for step, i_st in st_index.items():
-            i_s = s_index[step]
-            i_t = step - t_offset
+        fh.write(",".join(SCORES_HEADER) + "\n")
+        for i, step in enumerate(result.st_steps):
+            values = (
+                result.s_hist[i + lag], result.fused_hist[i + lag],
+                result.t_hist[i], result.st_hist[i],
+            )
+            valid = (
+                result.s_valid_hist[i + lag], result.fused_valid_hist[i + lag],
+                result.t_valid_hist[i], result.st_valid_hist[i],
+            )
             for j, pid in enumerate(dataset.ids):
-                fh.write(
-                    f"{step},{pid},{fmt_float(result.s_hist[i_s, j])},"
-                    f"{fmt_float(result.fused_hist[i_s, j])},"
-                    f"{fmt_float(result.t_hist[i_t, j])},"
-                    f"{fmt_float(result.st_hist[i_st, j])}\n"
-                )
+                cells = [fmt_float(v[j]) for v in values] + [str(int(m[j])) for m in valid]
+                fh.write(f"{step},{pid},{','.join(cells)}\n")
 
 
 def write_events_csv(path, events) -> None:
-    """Event log: ``detection_step,point_id,x,y,st_lid``."""
+    """Event log in the ``EVENTS_HEADER`` format: step, point id, x, y and st-LID."""
     with open(path, "w") as fh:
-        fh.write("detection_step,point_id,x,y,st_lid\n")
+        fh.write(",".join(EVENTS_HEADER) + "\n")
         for e in events:
             fh.write(
                 f"{e.detection_step},{e.point_id},{fmt_float(e.location[0])},"

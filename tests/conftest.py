@@ -29,24 +29,27 @@ def grid_noise_dataset():
     return make_dataset(rng.normal(0, 0.1, size=(n, 40)), coords=coords)
 
 
+# a 500-point scenario with a detectable failure
+SMALL_SPEC = CreepScenarioSpec(
+    grid_nx=25,
+    grid_ny=20,
+    num_steps=800,
+    noise_sd=0.08,
+    region=(12.0, 9.0, 18.0, 15.0),
+    time_of_failure=700,
+    steady_rate=0.3,
+    onset_step=500,
+    accel_exponent=1.0,
+    seed=2,
+    rate_floor=0.5,
+    bump_width=0.45,
+    rate_jitter=0.06,
+    slip_theta=0.0,
+    step_interval_minutes=2.5,
+)
+
+
 @pytest.fixture(scope="session")
 def small_scenario():
-    """A 500-point scenario with a detectable failure, shared where possible."""
-    spec = CreepScenarioSpec(
-        grid_nx=25,
-        grid_ny=20,
-        num_steps=800,
-        noise_sd=0.08,
-        region=(12.0, 9.0, 18.0, 15.0),
-        time_of_failure=700,
-        steady_rate=0.3,
-        onset_step=500,
-        accel_exponent=1.0,
-        seed=2,
-        rate_floor=0.5,
-        bump_width=0.45,
-        rate_jitter=0.06,
-        slip_theta=0.0,
-        step_interval_minutes=2.5,
-    )
-    return generate_creep_scenario(spec)
+    """The SMALL_SPEC scenario, shared where possible."""
+    return generate_creep_scenario(SMALL_SPEC)

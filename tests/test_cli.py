@@ -94,7 +94,9 @@ def test_detect_runs_and_writes_logs(generated, tmp_path, capsys):
     ])
     assert rc == 0
     assert events.exists() and scores.exists()
-    assert scores.read_text().splitlines()[0] == "t,point_id,s_lid,fused_s_lid,t_lid,st_lid"
+    assert scores.read_text().splitlines()[0] == (
+        "t,point_id,s_lid,fused_s_lid,t_lid,st_lid,s_valid,fused_valid,t_valid,st_valid"
+    )
     out = capsys.readouterr().out
     assert "lead[failure]" in out
 
@@ -259,6 +261,24 @@ def test_monitor_step_without_usable_point(tmp_path, capsys):
     assert lines[-1] == "done: 0 event(s)"
 
 
+def test_score_dump_flags_sentinel_rows(tmp_path, capsys):
+    # all-zero series: every value in the dump is a sentinel fill
+    pts, ser, scores = tmp_path / "p.csv", tmp_path / "s.csv", tmp_path / "scores.csv"
+    pts.write_text("id,x,y\n" + "".join(f"{i},{i % 6},{i // 6}\n" for i in range(36)))
+    ser.write_text("id,t,displacement\n" + "".join(
+        f"{i},{t},0\n" for i in range(36) for t in range(8)
+    ))
+    rc = main([
+        "detect", "--points", str(pts), "--series", str(ser),
+        "--set", "lid.s=4", "--set", "fusion.k=3", "--scores", str(scores),
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in scores.read_text().splitlines()[1:]]
+    assert len(rows) == 36 * 5
+    assert all(row[6:] == ["0", "0", "0", "0"] for row in rows)
+    assert main(["validate", "scores", str(scores)]) == 0
+
+
 def test_benchmark_cli(generated, tmp_path, capsys):
     table = tmp_path / "table.txt"
     csv_out = tmp_path / "report.csv"
@@ -351,6 +371,20 @@ def test_validate_kinds(generated, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,point_id,s_lid\n1,2,3\n")
     assert main(["validate", "scores", str(bad)]) == 2
+
+    # a bad cell exits 2 and names the file, the line and the column
+    header = scores.read_text().splitlines()[0]
+    cases = [
+        ("scores", header + "\n3,x,1,1,1,0.5,1,1,1,1\n", "point_id"),
+        ("scores", header + "\n3,1,1,1,1,0.5,1,2,1,1\n", "fused_valid"),
+        ("events", "detection_step,point_id,x,y,st_lid\n3,1,abc,1,0.5\n", "bad x"),
+    ]
+    for kind, text, column in cases:
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["validate", kind, str(bad)]) == 2, text
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and column in err, err
 
 
 def test_usage_error_exit_code(capsys):

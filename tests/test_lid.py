@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from stlid import LidConfig, kinematic_distance, mle_lid, s_lid_all, t_lid, t_lid_field
 from stlid.errors import (
@@ -9,7 +10,7 @@ from stlid.errors import (
     DegenerateNeighborhoodError,
     InsufficientNeighborsError,
 )
-from stlid.lid import lid_rows
+from stlid.lid import knn, lid_rows
 
 from conftest import make_dataset
 
@@ -290,3 +291,30 @@ def test_t_lid_field_needs_three_velocities():
     with pytest.raises(ConfigError):
         t_lid_field(ds, 2)
     assert t_lid_field(ds, 3).values.shape == (4,)
+
+
+# ---------------------------------------------------------------------------
+# the kNN kernel
+# ---------------------------------------------------------------------------
+
+
+def test_knn_matches_brute_force():
+    # untied random points: every sorted neighbor list is unique
+    pts = np.random.default_rng(5).uniform(0.0, 10.0, size=(40, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    k = 6
+    idx_ref = np.argsort(d, axis=1)[:, :k]
+    dist_ref = np.take_along_axis(d, idx_ref, axis=1)
+
+    dist, idx = knn(pts, k)
+    assert np.array_equal(idx, idx_ref)
+    np.testing.assert_allclose(dist, dist_ref, rtol=1e-12, atol=0.0)
+
+    rows = slice(7, 23)
+    dist, idx = knn(pts, k, rows, scipy.spatial.cKDTree(pts))
+    assert np.array_equal(idx, idx_ref[rows])
+    np.testing.assert_allclose(dist, dist_ref[rows], rtol=1e-12, atol=0.0)
+
+    with pytest.raises(ConfigError, match="more than k"):
+        knn(pts[:k], k)

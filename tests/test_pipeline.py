@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,12 @@ import pytest
 from stlid import (
     DetectionConfig,
     FusionConfig,
+    GroundTruth,
     LidConfig,
+    MonitoredPoint,
+    MonitoringDataset,
     fuse_all,
+    generate_creep_scenario,
     iter_run,
     run_detection,
     s_lid_all,
@@ -22,7 +27,7 @@ from stlid.pipeline import (
     write_scores_csv,
 )
 
-from conftest import make_dataset
+from conftest import SMALL_SPEC, make_dataset
 
 SMALL = dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4))
 # SMALL plus the fusion-weight and log-sum variants: kinematic-space weights,
@@ -211,13 +216,53 @@ def test_score_and_event_csv(grid_noise_dataset, tmp_path):
     write_scores_csv(scores, res, grid_noise_dataset)
     write_events_csv(events, res.events)
     lines = scores.read_text().splitlines()
-    assert lines[0] == "t,point_id,s_lid,fused_s_lid,t_lid,st_lid"
+    assert lines[0] == (
+        "t,point_id,s_lid,fused_s_lid,t_lid,st_lid,s_valid,fused_valid,t_valid,st_valid"
+    )
     n = grid_noise_dataset.num_points
     assert len(lines) == 1 + n * len(res.st_steps)
     first = lines[1].split(",")
     assert int(first[0]) == int(res.st_steps[0])
     assert float(first[5]) == res.st_hist[0, 0]  # 17-digit round trip
+    # the last row's flags: every family's history ends at the same step
+    last = lines[-1].split(",")
+    flags = [res.s_valid_hist[-1, -1], res.fused_valid_hist[-1, -1],
+             res.t_valid_hist[-1, -1], res.st_valid_hist[-1, -1]]
+    assert last[6:] == [str(int(f)) for f in flags]
     assert events.read_text().splitlines()[0] == "detection_step,point_id,x,y,st_lid"
     with pytest.raises(ConfigError):
         write_scores_csv(scores, run_detection(grid_noise_dataset, store="st", **SMALL),
                          grid_noise_dataset)
+
+
+def test_successive_failures_in_distinct_areas_through_the_pipeline():
+    # the paper's headline case on one slope: area A fails at step 450, then
+    # area B, 40 units east, at step 700; the areas are the single regions of
+    # two generated scenarios placed side by side
+    a_ds, a_truth = generate_creep_scenario(
+        replace(SMALL_SPEC, seed=3, time_of_failure=450, onset_step=250)
+    )
+    b_ds, b_truth = generate_creep_scenario(
+        replace(SMALL_SPEC, seed=4, time_of_failure=700, onset_step=500)
+    )
+    shift, id_shift = 40.0, 500
+    points = a_ds.points + [
+        MonitoredPoint(p.id + id_shift, (p.coord[0] + shift, p.coord[1])) for p in b_ds.points
+    ]
+    ds = MonitoringDataset(
+        points,
+        np.vstack([a_ds.displacement, b_ds.displacement]),
+        step_interval_minutes=a_ds.step_interval_minutes,
+    )
+    a, b = a_truth.regions[0], b_truth.regions[0]
+    truth = GroundTruth([
+        replace(a, label="A"),
+        replace(b, label="B", xmin=b.xmin + shift, xmax=b.xmax + shift),
+    ])
+
+    res = run_detection(ds, truth=truth, store="none")
+    assert len(res.events) == 2
+    for ev, region in zip(res.events, truth.regions):
+        assert region.contains(np.array([ev.location]))[0], (ev, region)
+        assert ev.detection_step < region.tof
+        assert res.lead_times[region.label][0] == region.tof - ev.detection_step

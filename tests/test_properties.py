@@ -1,4 +1,4 @@
-"""Property tests of the pipeline on small random datasets with ties."""
+"""Property tests of the pipeline on small random datasets."""
 
 import os
 import tempfile
@@ -80,3 +80,46 @@ def test_resumed_run_equals_uninterrupted(ds, split, normalization):
         assert np.array_equal(np.vstack(rows), getattr(straight, f"{fam}_hist")), fam
     assert resumed.events == straight.events
     assert resumed.det_state == straight.final_state
+
+
+@st.composite
+def shuffled_datasets(draw):
+    """Random walks on uniform random coordinates, which leave no ties among
+    spatial or kinematic distances, plus a permutation of the points."""
+    n = draw(st.integers(10, 30))
+    steps = draw(st.integers(5, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    disp = np.cumsum(rng.normal(0.0, 1.0, size=(n, steps)), axis=1)
+    coords = rng.uniform(0.0, 10.0, size=(n, 2))
+    perm = rng.permutation(n)
+    ds = make_dataset(disp, coords=coords)
+    shuffled = make_dataset(disp[perm], coords=coords[perm], ids=perm)
+    return ds, shuffled, perm
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=shuffled_datasets(), weight_space=st.sampled_from(["physical", "kinematic"]))
+def test_point_order_permutes_the_outputs(data, weight_space):
+    # every per-point family is computed row by row, so it only moves with its
+    # point; st-LID z-scores sum over the points, whose order changes the
+    # rounding
+    ds, shuffled, perm = data
+    cfg = dict(
+        lid_config=LidConfig(s=4),
+        fusion_config=FusionConfig(k=3, weight_space=weight_space),
+        detection_config=DetectionConfig(n=2),
+    )
+    base = run_detection(ds, **cfg)
+    moved = run_detection(shuffled, **cfg)
+    back = np.argsort(perm)
+    exact = ["s_hist", "fused_hist", "t_hist"]
+    exact += [f"{fam}_valid_hist" for fam in ("s", "fused", "t", "st")]
+    for name in exact:
+        assert np.array_equal(getattr(moved, name)[:, back], getattr(base, name)), name
+    np.testing.assert_allclose(moved.st_hist[:, back], base.st_hist, rtol=0.0, atol=1e-12)
+    assert len(moved.events) == len(base.events)
+    for got, want in zip(moved.events, base.events):
+        assert (got.detection_step, got.point_id, got.location) == (
+            want.detection_step, want.point_id, want.location,
+        )
+        assert abs(got.value - want.value) <= 1e-12
