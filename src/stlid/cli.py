@@ -61,7 +61,7 @@ class RunSettings:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
     parallel: int = 1
-    step_interval_minutes: float | None = None
+    step_interval_minutes: float = 2.5
 
     def validate(self):
         self.lid.validate()
@@ -223,8 +223,9 @@ def _event_line(ev) -> str:
 
 
 def _load_inputs(args, settings):
-    interval = settings.step_interval_minutes or 1.0
-    dataset = load_dataset(args.points, args.series, step_interval_minutes=interval)
+    dataset = load_dataset(
+        args.points, args.series, step_interval_minutes=settings.step_interval_minutes
+    )
     truth = load_ground_truth(args.truth) if getattr(args, "truth", None) else None
     return dataset, truth
 

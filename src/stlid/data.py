@@ -10,8 +10,8 @@ File formats (decimal floats, written with 17 significant digits so that
 save/load round-trips are bit-exact):
 
 * points CSV:       header ``id,x,y``, one row per monitored point
-* series CSV:       header ``id,t,displacement``, long format; steps must be
-  contiguous per point and identical across points
+* series CSV:       header ``id,t,displacement``, long format, rows in any
+  order; steps must be contiguous per point and identical across points
 * ground-truth CSV: header ``label,xmin,ymin,xmax,ymax,tof``
 
 The detector's score dump and event log (written by ``stlid.pipeline``) are
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,13 +279,59 @@ def load_points(path) -> list[MonitoredPoint]:
     return points
 
 
-def load_dataset(points_file, series_file, step_interval_minutes: float = 1.0) -> MonitoringDataset:
-    """Load a dataset from a points CSV and a long-format series CSV.
+def _load_series_fast(points: list[MonitoredPoint], series_file):
+    """One vectorized pass over a well-formed series CSV.
 
-    Rows are aligned by point id; steps must be contiguous and identical for
-    every point. Missing cells are a hard error, as is any non-finite value.
+    Returns ``(matrix, start_step)``, or ``None`` for any file it does not
+    fully accept: a header other than the exact one, a cell numpy cannot
+    parse, or rows that do not cover every (point, step) cell exactly once
+    with a finite value. Only ASCII files reach numpy: its loadtxt can crash
+    the interpreter on some non-ASCII cells (U+100000 in an int column on
+    numpy 2.4). ``comments=None`` keeps ``#`` an ordinary (invalid)
+    character, and warnings are errors so that numpy releases which parse
+    ``1.0`` as an int with only a DeprecationWarning fall back too.
     """
-    points = load_points(points_file)
+    with open(series_file, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if header != ",".join(SERIES_HEADER).encode():
+            return None
+        if not all(block.isascii() for block in iter(lambda: fh.read(1 << 20), b"")):
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                series_file, delimiter=",", skiprows=1, ndmin=1, comments=None,
+                dtype=[("id", np.int64), ("t", np.int64), ("d", np.float64)],
+            )
+        point_ids = np.array([p.id for p in points], dtype=np.int64)
+    except (ValueError, OverflowError, Warning):
+        return None
+    n = len(points)
+    if len(rows) == 0 or len(rows) % n or not np.all(np.isfinite(rows["d"])):
+        return None
+    order = np.argsort(point_ids)
+    pos = np.minimum(np.searchsorted(point_ids[order], rows["id"]), n - 1)
+    if not np.array_equal(point_ids[order][pos], rows["id"]):
+        return None
+    t = len(rows) // n
+    lo = int(rows["t"].min())
+    rel = rows["t"] - lo  # wraps negative on int64 overflow
+    if np.any(rel < 0) or np.any(rel >= t):
+        return None
+    flat = order[pos] * t + rel
+    covered = np.zeros(n * t, dtype=bool)
+    covered[flat] = True
+    if not covered.all():  # n*t rows cover n*t cells: no duplicate, no gap
+        return None
+    matrix = np.empty(n * t, dtype=np.float64)
+    matrix[flat] = rows["d"]
+    return matrix.reshape(n, t), lo
+
+
+def _load_series_rows(points: list[MonitoredPoint], series_file):
+    """The row-by-row series reader: ``(matrix, start_step)``, or the
+    documented error with its line number."""
     index = {p.id: k for k, p in enumerate(points)}
     per_point: dict[int, dict[int, float]] = {p.id: {} for p in points}
     for line_no, row in _read_rows(series_file, SERIES_HEADER):
@@ -321,27 +368,48 @@ def load_dataset(points_file, series_file, step_interval_minutes: float = 1.0) -
             )
         row = per_point[pid]
         matrix[index[pid], :] = [row[s] for s in ref_steps]
+    return matrix, lo
+
+
+def load_dataset(points_file, series_file, step_interval_minutes: float = 1.0) -> MonitoringDataset:
+    """Load a dataset from a points CSV and a long-format series CSV.
+
+    Rows are aligned by point id and may come in any order; steps must be
+    contiguous and identical for every point. Missing cells are a hard
+    error, as is any non-finite value. A file that a strict vectorized
+    parser accepts loads in one pass; any other file is read row by row,
+    with the same result or the same error and line number.
+    """
+    points = load_points(points_file)
+    loaded = _load_series_fast(points, series_file)
+    matrix, start_step = loaded or _load_series_rows(points, series_file)
     return MonitoringDataset(
         points=points,
         displacement=matrix,
         step_interval_minutes=step_interval_minutes,
-        start_step=lo,
+        start_step=start_step,
     )
 
 
 def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
-    """Write a dataset to the documented CSV formats (bit-exact round-trip)."""
+    """Write a dataset to the documented CSV formats (bit-exact round-trip).
+
+    The series file is written one point at a time as a string block, in
+    the same bytes ``csv.writer`` gives row by row.
+    """
     with open(points_file, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(POINTS_HEADER)
         for p in dataset.points:
             w.writerow([p.id, fmt_float(p.coord[0]), fmt_float(p.coord[1])])
+    steps = [str(dataset.start_step + c) for c in range(dataset.num_steps)]
     with open(series_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SERIES_HEADER)
-        for i, p in enumerate(dataset.points):
-            for c in range(dataset.num_steps):
-                w.writerow([p.id, dataset.start_step + c, fmt_float(dataset.displacement[i, c])])
+        fh.write(",".join(SERIES_HEADER) + "\r\n")
+        for p, row in zip(dataset.points, dataset.displacement):
+            fh.write("".join(
+                f"{p.id},{step},{v}\r\n"
+                for step, v in zip(steps, map(fmt_float, row.tolist()))
+            ))
 
 
 def load_ground_truth(path) -> GroundTruth:

@@ -400,3 +400,19 @@ def test_shipped_docs_specs_parse():
     big = load_scenario_spec(DOCS / "shipped_scenario.cfg")
     big.validate()
     assert big.grid_nx * big.grid_ny == 2000 and big.num_steps == 2000
+
+
+def test_default_settings_match_default_cfg():
+    from stlid.cli import build_settings, format_settings, parse_kv_file
+
+    shipped = build_settings(parse_kv_file(DOCS / "default.cfg"), None)
+    assert format_settings(build_settings(None, None)) == format_settings(shipped)
+
+
+def test_detect_reports_example_lead_in_minutes(tmp_path, capsys):
+    # the default step interval is the example scenario's 2.5 minutes
+    paths = [str(tmp_path / name) for name in ("p.csv", "s.csv", "t.csv")]
+    args = ["--points", paths[0], "--series", paths[1], "--truth", paths[2]]
+    assert main(["generate", str(DOCS / "example_scenario.cfg"), *args]) == 0
+    assert main(["detect", *args]) == 0
+    assert "lead[failure] = 60 steps (150.0 min)" in capsys.readouterr().out.splitlines()

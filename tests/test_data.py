@@ -1,12 +1,20 @@
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stlid.data
 from stlid import (
     FailureRegion,
     GroundTruth,
     KinematicSample,
+    MonitoringDataset,
     load_dataset,
     load_ground_truth,
     sample_at,
@@ -14,6 +22,7 @@ from stlid import (
     save_ground_truth,
     velocity_at,
 )
+from stlid.data import SERIES_HEADER, _load_series_rows, fmt_float, load_points
 from stlid.errors import ConsistencyError, DataError, ParseError
 
 from conftest import make_dataset
@@ -181,3 +190,130 @@ def test_serialization_precision(tmp_path):
     save_dataset(ds, tmp_path / "p.csv", tmp_path / "s.csv")
     back = load_dataset(tmp_path / "p.csv", tmp_path / "s.csv")
     assert np.array_equal(back.displacement, vals)
+
+
+def test_series_file_matches_csv_writer(tmp_path):
+    # the block writer must give the bytes csv.writer gives row by row
+    tiny = np.nextafter(0.0, 1.0)
+    disp = np.array([
+        [-0.0, 0.0, tiny, -tiny],
+        [2.2250738585072014e-308 / 3, 1 / 3, -math.pi, 1e300],
+        [np.nextafter(1.0, 2.0), -1e-17, 123456789.0, 0.1],
+    ])
+    ds = make_dataset(disp, ids=[4, -2, 17], start_step=7)
+    save_dataset(ds, tmp_path / "p.csv", tmp_path / "s.csv")
+    expected = io.StringIO(newline="")
+    w = csv.writer(expected)
+    w.writerow(SERIES_HEADER)
+    for i, p in enumerate(ds.points):
+        for c in range(ds.num_steps):
+            w.writerow([p.id, ds.start_step + c, fmt_float(ds.displacement[i, c])])
+    assert (tmp_path / "s.csv").read_bytes() == expected.getvalue().encode()
+
+
+def _load_by_rows(points_file, series_file):
+    points = load_points(points_file)
+    matrix, start_step = _load_series_rows(points, series_file)
+    return MonitoringDataset(points=points, displacement=matrix, start_step=start_step)
+
+
+def _outcome(load, points_file, series_file):
+    try:
+        ds = load(points_file, series_file)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return ds.ids.tolist(), ds.start_step, ds.displacement.shape, ds.displacement.tobytes()
+
+
+ODD_TOKENS = [
+    "1_0", "0x1p3", "1.0", "1e1", "+1", " 2 ", "nan", "-inf", "1e400", "", '"3"',
+    "١", "#", "1,2", "0 # 1",
+    "\U00100000",  # crashes numpy 2.4's loadtxt in an int column
+]
+
+
+@pytest.mark.parametrize("ids", [[1], [1, 2]])
+def test_odd_tokens_match_the_row_reader(tmp_path, ids):
+    # each odd token in turn as the last row's id, step or value, as the
+    # header, or as the whole last row
+    pts = tmp_path / "p.csv"
+    pts.write_text("id,x,y\n" + "".join(f"{pid},{pid},0\n" for pid in ids))
+    ser = tmp_path / "s.csv"
+    for token in ODD_TOKENS:
+        for place in range(5):
+            lines = ["id,t,displacement"] + [f"{pid},{t},{t}.5" for pid in ids for t in range(3)]
+            if place < 3:
+                cells = lines[-1].split(",")
+                cells[place] = token
+                lines[-1] = ",".join(cells)
+            else:
+                lines[0 if place == 3 else -1] = token
+            ser.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            got = _outcome(load_dataset, pts, ser)
+            assert got == _outcome(_load_by_rows, pts, ser), (token, place)
+
+
+@st.composite
+def series_files(draw):
+    """A small points file and a shuffled long-format series file for it, maybe
+    with one odd cell, header or line, or a dropped or duplicated row."""
+    n = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(-5, 30), min_size=n, max_size=n, unique=True))
+    start = draw(st.integers(-3, 10))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n * steps, max_size=n * steps))
+    rows = [[str(pid), str(start + c), fmt_float(values[k * steps + c])]
+            for k, pid in enumerate(ids) for c in range(steps)]
+    rows = draw(st.permutations(rows))
+    lines = [",".join(SERIES_HEADER)] + [",".join(r) for r in rows]
+    token = draw(st.sampled_from(ODD_TOKENS) | st.text(max_size=5))
+    where = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+    mutation = draw(st.sampled_from(["none", "cell", "header", "line", "drop", "duplicate"]))
+    if mutation == "cell" and where:
+        cells = lines[where].split(",")
+        cells[draw(st.integers(0, 2))] = token
+        lines[where] = ",".join(cells)
+    elif mutation == "header":
+        lines[0] = token
+    elif mutation == "line" and where:
+        lines[where] = token
+    elif mutation == "drop" and where:
+        del lines[where]
+    elif mutation == "duplicate" and where:
+        lines.insert(where, lines[where])
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    points = "id,x,y\n" + "".join(f"{pid},{k},0\n" for k, pid in enumerate(ids))
+    return points, end.join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=series_files())
+def test_load_dataset_matches_the_row_reader(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        pts, ser = Path(tmp) / "p.csv", Path(tmp) / "s.csv"
+        pts.write_text(files[0], encoding="utf-8")
+        ser.write_bytes(files[1].encode("utf-8", "surrogatepass"))
+        assert _outcome(load_dataset, pts, ser) == _outcome(_load_by_rows, pts, ser)
+
+
+def test_well_formed_files_take_the_fast_path(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fell back to the row reader")
+
+    monkeypatch.setattr(stlid.data, "_load_series_rows", refuse)
+    rng = np.random.default_rng(5)
+    ds = make_dataset(rng.normal(size=(6, 9)), ids=[9, 3, 7, 1, 12, 5], start_step=-4)
+    save_dataset(ds, tmp_path / "p.csv", tmp_path / "s.csv")
+    back = load_dataset(tmp_path / "p.csv", tmp_path / "s.csv")
+    assert back.start_step == -4
+    assert np.array_equal(back.displacement, ds.displacement)
+    # step-major order: every point's row for one step, then the next step
+    step_major = "".join(
+        f"{p.id},{ds.start_step + c},{fmt_float(ds.displacement[i, c])}\n"
+        for c in range(ds.num_steps) for i, p in enumerate(ds.points)
+    )
+    (tmp_path / "t.csv").write_text("id,t,displacement\n" + step_major)
+    back = load_dataset(tmp_path / "p.csv", tmp_path / "t.csv")
+    assert back.start_step == -4
+    assert np.array_equal(back.displacement, ds.displacement)

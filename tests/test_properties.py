@@ -4,10 +4,12 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlid import DetectionConfig, FusionConfig, LidConfig, iter_run, run_detection
+from stlid.errors import StlidError
 from stlid.pipeline import PipelineState, load_checkpoint, save_checkpoint
 
 from conftest import make_dataset
@@ -123,3 +125,73 @@ def test_point_order_permutes_the_outputs(data, weight_space):
             want.detection_step, want.point_id, want.location,
         )
         assert abs(got.value - want.value) <= 1e-12
+
+
+GRID = [(float(i % 6), float(i // 6)) for i in range(36)]
+
+
+@st.composite
+def degenerate_datasets(draw):
+    """36-point grids with degenerate series, plus masks of the points whose
+    s-LID and t-LID neighbourhoods are degenerate at every step."""
+    kind = draw(st.sampled_from([
+        "constant", "zero", "identical", "per-point-constant", "half-identical",
+        "scaled-1e300", "scaled-1e-300",
+    ]))
+    steps = draw(st.integers(6, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    walk = np.cumsum(rng.normal(0.0, 1.0, size=(36, steps)), axis=1)
+    one = walk[0]
+    s_deg = np.zeros(36, dtype=bool)
+    t_deg = np.zeros(36, dtype=bool)
+    if kind in ("constant", "zero"):
+        disp = np.full((36, steps), 0.0 if kind == "zero" else draw(st.floats(-1e6, 1e6)))
+        s_deg[:] = t_deg[:] = True
+    elif kind == "identical":  # every point holds the same series
+        disp = np.tile(one, (36, 1))
+        s_deg[:] = True
+    elif kind == "per-point-constant":  # no velocity anywhere
+        disp = np.repeat(rng.normal(0.0, 1.0, size=(36, 1)), steps, axis=1)
+        t_deg[:] = True
+    elif kind == "half-identical":
+        disp = walk.copy()
+        disp[::2] = one
+        s_deg[::2] = True
+    else:
+        # squared kinematic distances overflow to inf or underflow to 0
+        disp = walk * (1e300 if kind == "scaled-1e300" else 1e-300)
+        s_deg[:] = True
+    return kind, make_dataset(disp, coords=GRID), s_deg, t_deg
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=degenerate_datasets(), normalization=st.sampled_from(["zscore", "zscore-history"]))
+def test_degenerate_inputs_are_flagged_and_never_nan(data, normalization):
+    kind, ds, s_deg, t_deg = data
+    res = run_detection(
+        ds,
+        lid_config=LidConfig(s=4),
+        fusion_config=FusionConfig(k=3),
+        detection_config=DetectionConfig(n=2, normalization=normalization),
+    )
+    assert not np.isnan(res.st_hist).any(), kind
+    assert np.all((res.st_hist >= 0.0) & (res.st_hist <= 1.0)), kind
+    assert not res.s_valid_hist[:, s_deg].any(), kind
+    assert not res.t_valid_hist[:, t_deg].any(), kind
+    assert not res.st_valid_hist[:, s_deg | t_deg].any(), kind
+
+
+@pytest.mark.parametrize("normalization", ["zscore", "zscore-history"])
+def test_too_small_or_collapsed_grids_raise_stlid_errors(normalization):
+    cfg = dict(
+        lid_config=LidConfig(s=4),
+        fusion_config=FusionConfig(k=3),
+        detection_config=DetectionConfig(n=2, normalization=normalization),
+    )
+    rng = np.random.default_rng(11)
+    square = make_dataset(rng.normal(size=(4, 8)), coords=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(StlidError):  # n <= k: no neighbourhood of k others
+        run_detection(square, **cfg)
+    stacked = make_dataset(np.cumsum(rng.normal(size=(36, 8)), axis=1), coords=[(2.0, 3.0)] * 36)
+    with pytest.raises(StlidError):  # every point at one coordinate
+        run_detection(stacked, **cfg)
