@@ -207,7 +207,7 @@ def fuse_rows(
     alpha_p = mu * mu / var
     beta_p = mu / var
 
-    count, beta_o = _log_sums(np.ascontiguousarray(obs_distances, dtype=np.float64))
+    count, beta_o = _log_sums(np.array(obs_distances, dtype=np.float64, order="C"))
     beta_o = np.maximum(beta_o, 0.0)
 
     valid = (mu > 0) & (count >= 1)

@@ -16,7 +16,9 @@ Two neighborhoods are used:
   space.
 * t-LID: neighbors of a point's current velocity among its own past
   velocities; all history records are candidates and the largest retained
-  distance is the denominator.
+  distance is the denominator. The vectorized kernel streams the history
+  through one fixed 1 MB tile, so a call allocates O(tile), not O(n*T),
+  however long the run has grown.
 
 Zero distances (exact ties with the query) make ln undefined; the configured
 policy either drops them or floors them at a small epsilon. Fully degenerate
@@ -91,12 +93,30 @@ def kinematic_distance(a, b) -> float:
 def _log_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``d``: the count of positive distances and, over them,
     ``count * ln(d_max) - sum(ln d)`` (the MLE denominator and the fusion
-    observation rate). Zero distances are left out."""
-    pos = d > 0.0
-    count = pos.sum(axis=1)
+    observation rate). Zero distances add ``ln 1 = +0.0``; a row whose
+    distances overflowed to inf yields NaN.
+
+    Works in place on ``d``, a C-contiguous float64 scratch array the caller
+    owns.
+    """
+    count = np.count_nonzero(d, axis=1)
     dmax = d.max(axis=1)
-    logs = np.log(d, out=np.zeros_like(d), where=pos)
-    return count, count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs.sum(axis=1)
+    if count.sum() < d.size:
+        d[d == 0.0] = 1.0
+    logs = np.log(d, out=d).sum(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf on overflowed distances
+        return count, count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs
+
+
+def _lid_in_place(d: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``lid_rows`` on a scratch array it may overwrite (see ``_log_sums``)."""
+    if config.zero_distance_policy == "floor":
+        np.maximum(d, config.epsilon_floor, out=d)
+    count, logsum = _log_sums(d)
+    valid = (count >= 2) & (logsum > 0.0)
+    values = np.full(d.shape[0], np.nan)
+    np.divide(count, logsum, out=values, where=valid)
+    return values, valid
 
 
 def lid_rows(distances: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -105,15 +125,9 @@ def lid_rows(distances: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.n
     Each row is one query's distances (any order; only the maximum and the
     ratios matter). Returns (values, valid); invalid rows hold NaN. Row-wise
     reductions keep results bit-identical however the rows are chunked.
+    ``distances`` is copied, never changed.
     """
-    d = np.ascontiguousarray(distances, dtype=np.float64)
-    if config.zero_distance_policy == "floor":
-        d = np.maximum(d, config.epsilon_floor)
-    count, logsum = _log_sums(d)
-    valid = (count >= 2) & (logsum > 0.0)
-    values = np.full(d.shape[0], np.nan)
-    np.divide(count, logsum, out=values, where=valid)
-    return values, valid
+    return _lid_in_place(np.array(distances, dtype=np.float64, order="C"), config)
 
 
 def mle_lid(distances, config: LidConfig | None = None) -> float:
@@ -222,17 +236,38 @@ def t_lid(velocity_history, config: LidConfig | None = None) -> float:
     return float(values[0])
 
 
+# float64 cells of the scratch tile t_lid_rows streams the history through:
+# 1 MB, small enough that a tile stays in cache across its passes
+_TILE_CELLS = 1 << 17
+
+
 def t_lid_rows(
     history_block: np.ndarray, queries: np.ndarray, config: LidConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized t-LID for a block of points.
 
     ``history_block`` holds each point's past velocities (rows aligned with
-    ``queries``, the current velocities). Returns (values, valid) with NaN on
-    degenerate rows; callers fill sentinels at field level.
+    ``queries``, the current velocities); it may be a strided view and is
+    not changed. Returns (values, valid) with NaN on degenerate rows;
+    callers fill sentinels at field level.
+
+    The rows are streamed through one scratch tile of about ``_TILE_CELLS``
+    cells: each tile's distances are written into it, floored and reduced
+    in place, so a call allocates O(tile), not O(n*T), whatever the history
+    length. The result is bit-identical to estimating all rows at once.
     """
-    d = np.abs(np.ascontiguousarray(history_block, dtype=np.float64) - queries[:, None])
-    return lid_rows(d, config)
+    m, h = np.shape(history_block)
+    per_tile = max(1, _TILE_CELLS // max(h, 1))
+    tile = np.empty((min(per_tile, m), h))
+    values = np.empty(m)
+    valid = np.empty(m, dtype=bool)
+    for lo in range(0, m, per_tile):
+        hi = min(lo + per_tile, m)
+        d = tile[: hi - lo]
+        np.subtract(history_block[lo:hi], queries[lo:hi, None], out=d, dtype=np.float64)
+        np.abs(d, out=d)
+        values[lo:hi], valid[lo:hi] = _lid_in_place(d, config)
+    return values, valid
 
 
 def t_lid_field(

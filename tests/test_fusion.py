@@ -269,6 +269,15 @@ def test_fuse_rows_chunk_stability():
     assert np.array_equal(whole, parts)
 
 
+def test_fuse_rows_leaves_its_distances_unchanged():
+    prev = np.array([[1.0, 2.0], [3.0, 1.5]])
+    w = np.full((2, 2), 0.5)
+    obs = np.array([[0.0, 0.5, 2.0], [0.0, 0.0, 0.0]])
+    before = obs.copy()
+    fuse_rows(prev, w, obs, 1e-6)
+    assert obs.tobytes() == before.tobytes()
+
+
 def test_fusion_config_validation():
     with pytest.raises(ConfigError):
         FusionConfig(k=0).validate()

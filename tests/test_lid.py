@@ -10,7 +10,8 @@ from stlid.errors import (
     DegenerateNeighborhoodError,
     InsufficientNeighborsError,
 )
-from stlid.lid import knn, lid_rows
+from stlid import lid
+from stlid.lid import knn, lid_rows, t_lid_rows
 
 from conftest import make_dataset
 
@@ -147,6 +148,71 @@ def test_lid_rows_matches_scalar():
     assert ok.all()
     for row, v in zip(m, values):
         assert v == pytest.approx(mle_lid(row, LidConfig(s=9)), rel=1e-12)
+
+
+def test_lid_rows_leaves_its_argument_unchanged():
+    d = np.array([[0.0, 0.5, 2.0], [0.0, 0.0, 0.0], [1.0, 3.0, 0.25]])
+    before = d.copy()
+    for policy in ("drop", "floor"):
+        lid_rows(d, LidConfig(s=3, zero_distance_policy=policy))
+        assert d.tobytes() == before.tobytes(), policy
+
+
+def test_lid_rows_overflowed_distances_are_invalid_without_warning():
+    d = np.array([[1.0, np.inf, np.inf], [np.inf, np.inf, np.inf], [0.5, 1.0, 2.0]])
+    values, valid = lid_rows(d, LidConfig(s=3))  # RuntimeWarnings are errors in tier-1
+    assert valid.tolist() == [False, False, True]
+    assert np.isnan(values[:2]).all()
+
+
+# ---------------------------------------------------------------------------
+# the streamed t-LID kernel
+# ---------------------------------------------------------------------------
+
+
+def masked_t_lid_rows(history_block, queries, config):
+    """The whole-block t-LID formula with the masked log-sum written out,
+    independent of the tiled in-place kernel."""
+    d = np.abs(np.ascontiguousarray(history_block, dtype=np.float64) - queries[:, None])
+    if config.zero_distance_policy == "floor":
+        d = np.maximum(d, config.epsilon_floor)
+    pos = d > 0.0
+    count = pos.sum(axis=1)
+    dmax = d.max(axis=1)
+    logs = np.log(d, out=np.zeros_like(d), where=pos)
+    logsum = count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs.sum(axis=1)
+    valid = (count >= 2) & (logsum > 0.0)
+    values = np.full(d.shape[0], np.nan)
+    np.divide(count, logsum, out=values, where=valid)
+    return values, valid
+
+
+TILE = 24  # cells per tile in the tests below, so every call spans many tiles
+
+
+@pytest.mark.parametrize("policy", ["drop", "floor"])
+@pytest.mark.parametrize("h", [2, 3, 7, TILE - 1, TILE, TILE + 1, 3 * TILE])
+def test_t_lid_rows_tiles_match_the_whole_block_formula(monkeypatch, policy, h):
+    monkeypatch.setattr(lid, "_TILE_CELLS", TILE)
+    per_tile = max(1, TILE // h)
+    cfg = LidConfig(zero_distance_policy=policy)
+    rng = np.random.default_rng(h)
+    for m in (1, per_tile - 1, per_tile, per_tile + 1, 5 * per_tile + 1):
+        if m < 1:
+            continue
+        # a column slice of a wider matrix, with repeated velocities
+        wide = np.round(rng.normal(size=(m, h + 4)), 1)
+        wide[::3, : h // 2 + 1] = wide[::3, h + 1 : h + 2]  # ties with the query
+        wide[1::4] = 0.0  # all-zero rows
+        block, queries = wide[:, :h], wide[:, h + 1]
+        assert not block.flags.c_contiguous or m == 1
+        before = wide.copy()
+        values, valid = t_lid_rows(block, queries, cfg)
+        want_values, want_valid = masked_t_lid_rows(block, queries, cfg)
+        assert values.tobytes() == want_values.tobytes(), (m, h)
+        assert valid.tobytes() == want_valid.tobytes(), (m, h)
+        assert wide.tobytes() == before.tobytes()
+    assert not valid[1::4].any()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from stlid import (
     s_lid_all,
     t_lid_field,
 )
+from stlid import lid
 from stlid.errors import ConfigError
 from stlid.pipeline import (
     PipelineState,
@@ -56,6 +57,18 @@ def test_parallel_degrees_bit_identical(grid_noise_dataset):
             assert np.array_equal(runs[0].t_hist, other.t_hist), cfg
             assert np.array_equal(runs[0].st_hist, other.st_hist), cfg
             assert runs[0].events == other.events, cfg
+
+
+def test_tile_and_chunk_boundaries_interleave(grid_noise_dataset, monkeypatch):
+    # the default tile holds every 256-point block whole; a 100-cell tile
+    # splits each chunk into tiles that end off the chunk boundaries
+    whole = run_detection(grid_noise_dataset, **SMALL)
+    monkeypatch.setattr(lid, "_TILE_CELLS", 100)
+    for p in (1, 2, 3):
+        run = run_detection(grid_noise_dataset, parallel=p, **SMALL)
+        for name in ("s_hist", "fused_hist", "t_hist", "t_valid_hist", "st_hist"):
+            assert getattr(run, name).tobytes() == getattr(whole, name).tobytes(), (p, name)
+        assert run.events == whole.events, p
 
 
 def test_step_layout(grid_noise_dataset):
