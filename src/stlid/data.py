@@ -91,12 +91,10 @@ class MonitoringDataset:
             )
         if t < 2:
             raise DataError("dataset needs at least 2 time steps")
-        if not np.all(np.isfinite(self.displacement)):
-            r, c = np.argwhere(~np.isfinite(self.displacement))[0]
-            raise DataError(
-                f"non-finite displacement for point id {self.points[r].id} "
-                f"at step {self.start_step + int(c)}"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.displacement.max() - self.displacement.min() if n else 0.0
+        if not np.isfinite(span):  # a value is non-finite or a step difference overflows
+            self._raise_non_finite()
         ids = np.array([p.id for p in self.points], dtype=np.int64)
         if len(np.unique(ids)) != len(ids):
             raise DataError("point ids must be unique")
@@ -108,7 +106,21 @@ class MonitoringDataset:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "coords", coords)
         self._index_of = {int(i): k for k, i in enumerate(ids)}
-        self._vel = None
+
+    def _raise_non_finite(self):
+        """DataError naming the first point, and its first step, whose
+        displacement or velocity (the step's difference) is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, row in enumerate(self.displacement):
+                for what, values, lag in (
+                    ("non-finite displacement", row, 0), ("overflowing velocity", np.diff(row), 1)
+                ):
+                    bad = np.flatnonzero(~np.isfinite(values))
+                    if bad.size:
+                        raise DataError(
+                            f"{what} for point id {self.points[r].id} "
+                            f"at step {self.start_step + int(bad[0]) + lag}"
+                        )
 
     @property
     def num_points(self) -> int:
@@ -141,12 +153,11 @@ class MonitoringDataset:
         """First differences, shape (num_points, num_steps - 1).
 
         Column ``c`` is the velocity at external step ``start_step + c + 1``.
-        Cached; the dataset is treated as immutable after construction.
+        Not cached: each call allocates an n x (T-1) matrix. The detector
+        never calls it; ``samples_at`` and ``lid.t_lid_rows`` difference
+        the displacement where they use it.
         """
-        if self._vel is None:
-            self._vel = np.diff(self.displacement, axis=1)
-            self._vel.setflags(write=False)
-        return self._vel
+        return np.diff(self.displacement, axis=1)
 
     def samples_at(self, step: int) -> np.ndarray:
         """All points' (displacement, velocity) pairs at ``step``, shape (n, 2)."""
@@ -155,7 +166,7 @@ class MonitoringDataset:
             raise DataError(f"velocity undefined at the first step ({step})")
         out = np.empty((self.num_points, 2), dtype=np.float64)
         out[:, 0] = self.displacement[:, c]
-        out[:, 1] = self.velocity_matrix()[:, c - 1]
+        np.subtract(self.displacement[:, c], self.displacement[:, c - 1], out=out[:, 1])
         return out
 
 

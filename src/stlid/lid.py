@@ -16,9 +16,10 @@ Two neighborhoods are used:
   space.
 * t-LID: neighbors of a point's current velocity among its own past
   velocities; all history records are candidates and the largest retained
-  distance is the denominator. The vectorized kernel streams the history
-  through one fixed 1 MB tile, so a call allocates O(tile), not O(n*T),
-  however long the run has grown.
+  distance is the denominator. The vectorized kernel reads the points'
+  displacement rows and differences them into one fixed 1 MB tile, so a
+  call allocates O(tile) and no velocity matrix, however long the run has
+  grown.
 
 Zero distances (exact ties with the query) make ln undefined; the configured
 policy either drops them or floors them at a small epsilon. Fully degenerate
@@ -242,21 +243,28 @@ _TILE_CELLS = 1 << 17
 
 
 def t_lid_rows(
-    history_block: np.ndarray, queries: np.ndarray, config: LidConfig
+    displacement_block: np.ndarray, queries: np.ndarray, config: LidConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized t-LID for a block of points.
 
-    ``history_block`` holds each point's past velocities (rows aligned with
-    ``queries``, the current velocities); it may be a strided view and is
-    not changed. Returns (values, valid) with NaN on degenerate rows;
-    callers fill sentinels at field level.
+    ``displacement_block`` holds each point's displacements up to the step
+    before the query's, so its h + 1 columns give the h past velocities;
+    rows align with ``queries``, the current velocities. The block may be a
+    strided view and is not changed. Returns (values, valid) with NaN on
+    degenerate rows; callers fill sentinels at field level.
 
     The rows are streamed through one scratch tile of about ``_TILE_CELLS``
-    cells: each tile's distances are written into it, floored and reduced
-    in place, so a call allocates O(tile), not O(n*T), whatever the history
-    length. The result is bit-identical to estimating all rows at once.
+    cells: each tile's velocities are differenced from the displacements
+    straight into it, then turned into distances, floored and reduced in
+    place, so a call allocates O(tile) and no velocity matrix, whatever the
+    history length. The result is bit-identical to estimating all rows of
+    ``np.diff(displacement_block, axis=1)`` at once.
+
+    Pass displacements, not velocities: a velocity history has a valid
+    shape, so it raises no error, but its values come out wrong.
     """
-    m, h = np.shape(history_block)
+    m, h = np.shape(displacement_block)
+    h -= 1
     per_tile = max(1, _TILE_CELLS // max(h, 1))
     tile = np.empty((min(per_tile, m), h))
     values = np.empty(m)
@@ -264,7 +272,9 @@ def t_lid_rows(
     for lo in range(0, m, per_tile):
         hi = min(lo + per_tile, m)
         d = tile[: hi - lo]
-        np.subtract(history_block[lo:hi], queries[lo:hi, None], out=d, dtype=np.float64)
+        block = displacement_block[lo:hi]
+        np.subtract(block[:, 1:], block[:, :-1], out=d, dtype=np.float64)
+        np.subtract(d, queries[lo:hi, None], out=d)
         np.abs(d, out=d)
         values[lo:hi], valid[lo:hi] = _lid_in_place(d, config)
     return values, valid
@@ -286,6 +296,6 @@ def t_lid_field(
             f"t-LID needs two historical velocities before the query; "
             f"first valid step is {dataset.start_step + 3}, got {step}"
         )
-    vel = dataset.velocity_matrix()
-    values, valid = t_lid_rows(vel[:, : c - 1], vel[:, c - 1], config)
+    queries = dataset.samples_at(step)[:, 1]
+    values, valid = t_lid_rows(dataset.displacement[:, :c], queries, config)
     return LidField(step, _fill_sentinel(values, valid), valid)

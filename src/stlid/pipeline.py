@@ -113,7 +113,7 @@ _FIRST_COL = {"s": 1, "fused": 2, "t": 3}
 
 
 def _chunk_kernel(
-    lid_config, fusion_config, nbr_idx, weights_at, vel, samples, tree, col, prev_slid, out, rows
+    lid_config, fusion_config, nbr_idx, weights_at, disp, samples, tree, col, prev_slid, out, rows
 ):
     """Write s-LID, fused s-LID and t-LID of the points in the slice ``rows``
     at column ``col`` into the ``rows`` of ``out``'s (values, valid) buffers,
@@ -135,9 +135,7 @@ def _chunk_kernel(
         )
     if "t" in out:
         values, valid = out["t"]
-        values[rows], valid[rows] = t_lid_rows(
-            vel[rows, : col - 1], vel[rows, col - 1], lid_config
-        )
+        values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)
 
 
 def _resolved_detection(dataset, config):
@@ -177,7 +175,6 @@ def iter_run(
         raise ConfigError(f"parallelism degree must be >= 1, got {parallel}")
     n = dataset.num_points
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
-    vel = dataset.velocity_matrix()
 
     last_col = dataset.num_steps - 1
     if stop_step is not None:
@@ -220,7 +217,7 @@ def iter_run(
                 if col >= first
             }
             kernel = partial(
-                _chunk_kernel, lid_config, fusion_config, nbr_idx, weights_at, vel,
+                _chunk_kernel, lid_config, fusion_config, nbr_idx, weights_at, dataset.displacement,
                 samples, tree, col, state.prev_slid, out,
             )
             list(map_chunks(kernel, chunks))  # chunks write into out; this raises their errors

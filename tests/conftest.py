@@ -20,6 +20,15 @@ def make_dataset(displacement, coords=None, ids=None, interval=1.0, start_step=0
     )
 
 
+def overflowing_grid():
+    """Displacements and coordinates of a 6 x 6 grid of finite series whose
+    first 6 alternate +-1.5e308, so their velocities overflow float64."""
+    disp = np.random.default_rng(4).normal(size=(36, 12))
+    disp[:6] = 1.5e308 * (-1.0) ** np.arange(12)
+    coords = [(float(i % 6), float(i // 6)) for i in range(36)]
+    return disp, coords
+
+
 @pytest.fixture
 def grid_noise_dataset():
     """16x16 grid of noise series, enough steps for the full pipeline."""

@@ -7,6 +7,9 @@ import pytest
 import stlid.metrics
 from stlid import LidConfig, load_dataset, load_ground_truth, raw_slid_baseline
 from stlid.cli import main
+from stlid.data import POINTS_HEADER, SERIES_HEADER, fmt_float
+
+from conftest import overflowing_grid
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -134,6 +137,23 @@ def test_detect_missing_file_exit_code(tmp_path):
         "detect", "--points", str(tmp_path / "nope.csv"), "--series", str(tmp_path / "nope2.csv"),
     ])
     assert rc == 2
+
+
+def test_detect_overflowing_velocity_exits_2(tmp_path, capsys):
+    disp, coords = overflowing_grid()
+    pts, ser = tmp_path / "p.csv", tmp_path / "s.csv"
+    pts.write_text(
+        ",".join(POINTS_HEADER) + "\n"
+        + "".join(f"{i},{fmt_float(x)},{fmt_float(y)}\n" for i, (x, y) in enumerate(coords))
+    )
+    ser.write_text(
+        ",".join(SERIES_HEADER) + "\n"
+        + "".join(
+            f"{i},{t},{fmt_float(v)}\n" for i, row in enumerate(disp) for t, v in enumerate(row)
+        )
+    )
+    assert main(["detect", "--points", str(pts), "--series", str(ser)]) == 2
+    assert "overflowing velocity for point id 0 at step 1" in capsys.readouterr().err
 
 
 def test_print_config_and_overrides(generated, capsys):

@@ -25,7 +25,7 @@ from stlid import (
 from stlid.data import SERIES_HEADER, _load_series_rows, fmt_float, load_points
 from stlid.errors import ConsistencyError, DataError, ParseError
 
-from conftest import make_dataset
+from conftest import make_dataset, overflowing_grid
 
 
 def write_files(tmp_path, points_rows, series_rows):
@@ -136,6 +136,31 @@ def test_velocity_matches_exhaustive_differences():
             expect = ds.displacement[p, t] - ds.displacement[p, t - 1]
             assert velocity_at(ds, p, t) == expect
     assert np.array_equal(ds.velocity_matrix(), np.diff(ds.displacement, axis=1))
+
+
+def test_samples_at_velocity_column_is_the_diff_column_bitwise():
+    rng = np.random.default_rng(9)
+    disp = rng.normal(0, 1, size=(6, 9)) * np.pi * 10.0 ** rng.integers(-8, 8, size=(6, 9))
+    ds = make_dataset(disp, start_step=4)
+    vel = np.diff(ds.displacement, axis=1)
+    for c in range(1, 9):
+        samples = ds.samples_at(4 + c)
+        assert samples[:, 1].tobytes() == vel[:, c - 1].tobytes(), c
+        assert samples[:, 0].tobytes() == ds.displacement[:, c].tobytes(), c
+
+
+def test_overflowing_velocity_is_a_data_error():
+    disp, coords = overflowing_grid()
+    with pytest.raises(DataError, match="overflowing velocity for point id 100 at step 6"):
+        make_dataset(disp, coords=coords, ids=list(range(100, 136)), start_step=5)
+    disp[:6, :5] = 1.0  # finite velocities before the first bad step are fine
+    disp[:3] = 1.0
+    with pytest.raises(DataError, match="point id 3 at step 6"):
+        make_dataset(disp, coords=coords, start_step=0)
+    # the largest finite span is accepted
+    edge = np.zeros((2, 3))
+    edge[0, 1] = np.finfo(np.float64).max
+    assert make_dataset(edge).velocity_matrix()[0, 0] == np.finfo(np.float64).max
 
 
 def test_sample_at():

@@ -10,7 +10,8 @@ from stlid.errors import (
     DegenerateNeighborhoodError,
     InsufficientNeighborsError,
 )
-from stlid import lid
+from stlid import fusion, lid
+from stlid.fusion import fuse_rows
 from stlid.lid import knn, lid_rows, t_lid_rows
 
 from conftest import make_dataset
@@ -200,19 +201,62 @@ def test_t_lid_rows_tiles_match_the_whole_block_formula(monkeypatch, policy, h):
     for m in (1, per_tile - 1, per_tile, per_tile + 1, 5 * per_tile + 1):
         if m < 1:
             continue
-        # a column slice of a wider matrix, with repeated velocities
-        wide = np.round(rng.normal(size=(m, h + 4)), 1)
-        wide[::3, : h // 2 + 1] = wide[::3, h + 1 : h + 2]  # ties with the query
-        wide[1::4] = 0.0  # all-zero rows
-        block, queries = wide[:, :h], wide[:, h + 1]
+        # displacements: a column slice of a wider matrix, with repeated velocities
+        wide = np.round(rng.normal(size=(m, h + 5)), 1)
+        block = wide[:, : h + 1]  # h + 1 displacements give h past velocities
+        queries = wide[:, h + 2] - wide[:, h + 1]
+        k = h // 2 + 2
+        wide[::3, :k] = 0.5 * np.arange(k)  # velocities exactly equal to ...
+        queries[::3] = 0.5  # ... the query: ties
+        wide[1::4] = 7.25  # constant displacement: all-zero velocities
+        queries[1::4] = 0.0
         assert not block.flags.c_contiguous or m == 1
         before = wide.copy()
         values, valid = t_lid_rows(block, queries, cfg)
-        want_values, want_valid = masked_t_lid_rows(block, queries, cfg)
+        want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries, cfg)
         assert values.tobytes() == want_values.tobytes(), (m, h)
         assert valid.tobytes() == want_valid.tobytes(), (m, h)
         assert wide.tobytes() == before.tobytes()
     assert not valid[1::4].any()
+
+
+def masked_log_sums(d):
+    """``_log_sums`` written out with a masked log and ``count_nonzero`` over
+    every row."""
+    count = np.count_nonzero(d, axis=1)
+    dmax = d.max(axis=1)
+    logs = np.log(d, out=np.zeros_like(d), where=d != 0.0).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return count, count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs
+
+
+def test_log_sums_matches_the_masked_count_nonzero_formula(monkeypatch):
+    rng = np.random.default_rng(12)
+    d = rng.uniform(0.1, 4.0, size=(9, 6))  # rows 0 and 8 stay all-positive
+    d[1, 3] = 0.0  # one zero
+    d[2, [0, 2, 5]] = 0.0  # many zeros
+    d[3] = 0.0  # all zero
+    d[4, 1] = np.nan
+    d[5, 4] = np.inf
+    d[6, [0, 4]] = [0.0, np.inf]
+    d[7, [1, 2]] = [np.nan, 0.0]
+    count, logsum = lid._log_sums(d.copy())
+    want_count, want_logsum = masked_log_sums(d.copy())
+    assert count.tolist() == want_count.tolist() == [6, 5, 3, 0, 6, 6, 5, 5, 6]
+    assert logsum.tobytes() == want_logsum.tobytes()
+
+    prior = rng.uniform(0.5, 3.0, size=(9, 4))
+    weights = np.full((9, 4), 0.25)
+    got = [lid_rows(d, LidConfig(s=6, zero_distance_policy=p)) for p in ("drop", "floor")]
+    got.append(fuse_rows(prior, weights, d, 1e-6))
+    monkeypatch.setattr(lid, "_log_sums", masked_log_sums)
+    monkeypatch.setattr(fusion, "_log_sums", masked_log_sums)
+    want = [lid_rows(d, LidConfig(s=6, zero_distance_policy=p)) for p in ("drop", "floor")]
+    want.append(fuse_rows(prior, weights, d, 1e-6))
+    for (values, valid), (want_values, want_valid) in zip(got, want):
+        assert values.tobytes() == want_values.tobytes()
+        assert valid.tobytes() == want_valid.tobytes()
+    assert got[0][1].tolist() == [True, True, True, False, False, False, False, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,30 @@ def test_tile_and_chunk_boundaries_interleave(grid_noise_dataset, monkeypatch):
         for name in ("s_hist", "fused_hist", "t_hist", "t_valid_hist", "st_hist"):
             assert getattr(run, name).tobytes() == getattr(whole, name).tobytes(), (p, name)
         assert run.events == whole.events, p
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_run_holds_no_history_sized_array(parallel, monkeypatch):
+    # 32 KB tiles, full at both lengths, so only a history-sized array
+    # can make the traced peak grow with the history
+    monkeypatch.setattr(lid, "_TILE_CELLS", 4096)
+    n, steps = 100, 300
+    coords = [(float(i % 10), float(i // 10)) for i in range(n)]
+    peaks = []
+    for t in (steps, 2 * steps):
+        rng = np.random.default_rng(7)
+        ds = make_dataset(np.cumsum(rng.normal(0, 0.1, size=(n, t)), axis=1), coords=coords)
+        tracemalloc.start()
+        try:
+            run_detection(ds, parallel=parallel, store="none")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        ds.samples_at(t - 1)
+        arrays = {k for k, v in vars(ds).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"displacement", "ids", "coords"}
+    # one more n x steps float64 array would add n * steps * 8 bytes
+    assert peaks[1] - peaks[0] < n * steps * 8 / 4, peaks
 
 
 def test_step_layout(grid_noise_dataset):
