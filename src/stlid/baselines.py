@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import MonitoringDataset, fmt_float
+from .data import BASELINE_SCORES_HEADER, MonitoringDataset, fmt_float
 from .errors import ConfigError, DegenerateInputError
 from .lid import LidConfig, s_lid_all
 
@@ -260,10 +260,10 @@ def write_baseline_scores_csv(path, results, dataset: MonitoringDataset) -> None
     """Per-step score dump for comparison methods.
 
     Mirrors the detector's per-step dump layout (step and point id first) with
-    a method column: ``t,point_id,method,score,high_risk``.
+    a method column, in the ``BASELINE_SCORES_HEADER`` format.
     """
     with open(path, "w") as fh:
-        fh.write("t,point_id,method,score,high_risk\n")
+        fh.write(",".join(BASELINE_SCORES_HEADER) + "\n")
         for res in results:
             for j, pid in enumerate(dataset.ids):
                 fh.write(

@@ -2,16 +2,22 @@
 
 Configuration comes from an optional flat key=value file plus repeated
 ``--set key=value`` overrides; ``--print-config`` dumps the effective values
-so every run is self-documenting. Exit codes: 0 success, 1 usage error,
-2 data error, 3 configuration error.
+so every run is self-documenting, and the dump loads back through
+``--config``. The keys, types and defaults are the fields of the config
+dataclasses. Exit codes: 0 success, 1 usage error, 2 data error,
+3 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import reduce
 
 from . import pipeline
 from .baselines import write_baseline_scores_csv
@@ -71,27 +77,43 @@ class RunSettings:
             raise ConfigError("parallel must be >= 1")
 
 
-_SETTING_CASTS = {
-    "lid.s": int,
-    "lid.zero_distance_policy": str,
-    "lid.epsilon_floor": float,
-    "fusion.k": int,
-    "fusion.obs_k": int,
-    "fusion.bandwidth": lambda v: v if v == "median" else float(v),
-    "fusion.variance_floor": float,
-    "fusion.weight_space": str,
-    "detection.n": int,
-    "detection.epsilon": float,
-    "detection.threshold": float,
-    "detection.normalization": str,
-    "baseline.dbscan_eps": float,
-    "baseline.dbscan_min_pts": int,
-    "baseline.lof_k": int,
-    "baseline.lof_cutoff": float,
-    "baseline.edq_levels": lambda v: tuple(float(x) for x in v.split(";")),
-    "parallel": int,
-    "step_interval_minutes": float,
-}
+def _field_types(cls) -> dict:
+    """Each field of the dataclass ``cls``, in order, mapped to its annotated type."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _setting_types() -> dict:
+    """Every ``RunSettings`` key, in dump order, mapped to its type: the
+    config sections give ``section.name`` keys, the other fields their name."""
+    keys = {}
+    for name, tp in _field_types(RunSettings).items():
+        if is_dataclass(tp):
+            keys.update((f"{name}.{sub}", t) for sub, t in _field_types(tp).items())
+        else:
+            keys[name] = tp
+    return keys
+
+
+def _cast(tp, raw: str):
+    """``raw`` as the annotated type ``tp``; ValueError when it does not parse.
+
+    ``None`` reads as None where the type allows it; a union takes its first
+    member that parses; a tuple is floats split on ``,`` or ``;``.
+    """
+    kinds = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    if raw == "None" and type(None) in kinds:
+        return None
+    for kind in kinds:
+        kind = typing.get_origin(kind) or kind
+        try:
+            if kind is tuple:
+                return tuple(float(x) for x in re.split("[,;]", raw))
+            if kind in (int, float, str):
+                return kind(raw)
+        except ValueError:
+            pass
+    raise ValueError(raw)
 
 
 def parse_kv_file(path) -> dict:
@@ -110,6 +132,7 @@ def parse_kv_file(path) -> dict:
 
 def build_settings(file_values: dict | None, overrides: list[str] | None) -> RunSettings:
     settings = RunSettings()
+    setting_types = _setting_types()
     merged = dict(file_values or {})
     for item in overrides or []:
         if "=" not in item:
@@ -117,32 +140,25 @@ def build_settings(file_values: dict | None, overrides: list[str] | None) -> Run
         key, val = item.split("=", 1)
         merged[key.strip()] = val.strip()
     for key, raw in merged.items():
-        if key not in _SETTING_CASTS:
+        if key not in setting_types:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            val = _SETTING_CASTS[key](raw)
+            val = _cast(setting_types[key], raw)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-        if "." in key:
-            section, name = key.split(".", 1)
-            setattr(getattr(settings, section), name, val)
-        else:
-            setattr(settings, key, val)
+        section, _, name = key.rpartition(".")
+        setattr(getattr(settings, section) if section else settings, name, val)
     settings.validate()
     return settings
 
 
 def format_settings(settings: RunSettings) -> str:
     lines = []
-    for section in ("lid", "fusion", "detection", "baseline"):
-        obj = getattr(settings, section)
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            if f.name == "edq_levels":
-                val = ";".join(str(v) for v in val)
-            lines.append(f"{section}.{f.name}={val}")
-    lines.append(f"parallel={settings.parallel}")
-    lines.append(f"step_interval_minutes={settings.step_interval_minutes}")
+    for key in _setting_types():
+        val = reduce(getattr, key.split("."), settings)
+        if isinstance(val, tuple):
+            val = ";".join(str(v) for v in val)
+        lines.append(f"{key}={val}")
     return "\n".join(lines)
 
 
@@ -150,41 +166,22 @@ def format_settings(settings: RunSettings) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_SPEC_CASTS = {
-    "grid_nx": int,
-    "grid_ny": int,
-    "num_steps": int,
-    "noise_sd": float,
-    "region": lambda v: tuple(float(x) for x in v.split(",")),
-    "time_of_failure": int,
-    "steady_rate": float,
-    "onset_step": int,
-    "accel_exponent": float,
-    "seed": int,
-    "spacing": float,
-    "drift_max": float,
-    "transient_amp": float,
-    "transient_tau": float,
-    "rate_floor": float,
-    "bump_width": float,
-    "rate_jitter": float,
-    "slip_theta": float,
-    "slip_rho": float,
-    "step_interval_minutes": float,
-}
-
-
 def load_scenario_spec(path) -> CreepScenarioSpec:
     values = parse_kv_file(path)
+    spec_types = _field_types(CreepScenarioSpec)
     kwargs = {}
     for key, raw in values.items():
-        if key not in _SPEC_CASTS:
+        if key not in spec_types:
             raise ConfigError(f"{path}: unknown scenario field {key!r}")
         try:
-            kwargs[key] = _SPEC_CASTS[key](raw)
+            kwargs[key] = _cast(spec_types[key], raw)
         except ValueError:
             raise ConfigError(f"{path}: bad value for field {key!r}: {raw!r}") from None
-    missing = {"grid_nx", "grid_ny", "num_steps"} - set(kwargs)
+    required = {
+        f.name for f in fields(CreepScenarioSpec)
+        if f.default is MISSING and f.default_factory is MISSING
+    }
+    missing = required - set(kwargs)
     if missing:
         raise ConfigError(f"{path}: missing scenario fields: {', '.join(sorted(missing))}")
     return CreepScenarioSpec(**kwargs)

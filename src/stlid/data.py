@@ -39,6 +39,7 @@ SCORES_HEADER = (
     "s_valid", "fused_valid", "t_valid", "st_valid",
 )
 EVENTS_HEADER = ("detection_step", "point_id", "x", "y", "st_lid")
+BASELINE_SCORES_HEADER = ("t", "point_id", "method", "score", "high_risk")
 
 
 def fmt_float(v) -> str:
@@ -148,16 +149,6 @@ class MonitoringDataset:
                 f"step {step} outside [{self.start_step}, {self.last_step}]"
             )
         return c
-
-    def velocity_matrix(self) -> np.ndarray:
-        """First differences, shape (num_points, num_steps - 1).
-
-        Column ``c`` is the velocity at external step ``start_step + c + 1``.
-        Not cached: each call allocates an n x (T-1) matrix. The detector
-        never calls it; ``samples_at`` and ``lid.t_lid_rows`` difference
-        the displacement where they use it.
-        """
-        return np.diff(self.displacement, axis=1)
 
     def samples_at(self, step: int) -> np.ndarray:
         """All points' (displacement, velocity) pairs at ``step``, shape (n, 2)."""

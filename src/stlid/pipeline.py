@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -383,20 +384,20 @@ def save_checkpoint(path, state: PipelineState) -> None:
 
 def load_checkpoint(path) -> PipelineState:
     """Read a state written by ``save_checkpoint``; ConfigError when the
-    file lacks a field of that layout or holds one in another form. Other
-    meta keys, such as the per-step tracker history that earlier versions
-    wrote, are ignored."""
-    with np.load(path) as npz:
-        meta = json.loads(bytes(npz["meta"]).decode())
-        arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
+    file is no ``.npz`` archive, lacks a field of that layout or holds one in
+    another form, OSError when it cannot be opened. Other meta keys, such as
+    the per-step tracker history that earlier versions wrote, are ignored."""
     try:
+        with np.load(path) as npz:
+            meta = json.loads(bytes(npz["meta"]).decode())
+            arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
         # JSON turned the coordinate tuples into lists
         xy = det.candidate_coord
         det.candidate_coord = None if xy is None else tuple(xy)
         events = [DetectionEvent(**{**e, "location": tuple(e["location"])}) for e in meta["events"]]
         return PipelineState(next_col=meta["next_col"], det_state=det, events=events, **arrays)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None
 
 

@@ -1,12 +1,22 @@
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stlid.metrics
-from stlid import LidConfig, load_dataset, load_ground_truth, raw_slid_baseline
-from stlid.cli import main
+from stlid import (
+    BaselineConfig,
+    DetectionConfig,
+    FusionConfig,
+    LidConfig,
+    load_dataset,
+    load_ground_truth,
+    raw_slid_baseline,
+    shipped_scenario_spec,
+)
+from stlid.cli import build_settings, format_settings, main, parse_kv_file
 from stlid.data import POINTS_HEADER, SERIES_HEADER, fmt_float
 
 from conftest import overflowing_grid
@@ -250,6 +260,15 @@ def test_monitor_resume_against_another_dataset_exits_3(generated, tmp_path, cap
         assert "config error" in capsys.readouterr().err
 
 
+def test_monitor_resume_from_unreadable_checkpoint_exits_3(generated, tmp_path, capsys):
+    ck = tmp_path / "state.ckpt"
+    ck.write_text("next_col=5\n")
+    args = ["monitor", "--points", str(generated["points"]), "--series", str(generated["series"])]
+    assert main([*args, "--checkpoint", str(ck), "--resume"]) == 3
+    assert f"checkpoint {ck} is not in this layout" in capsys.readouterr().err
+    assert main([*args, "--checkpoint", str(tmp_path / "missing.ckpt"), "--resume"]) == 2
+
+
 def test_monitor_event_line(tmp_path, capsys):
     # scenario small enough to run fast but guaranteed to fire: reuse the
     # bundled example spec at reduced length via the events of detect
@@ -420,13 +439,83 @@ def test_shipped_docs_specs_parse():
     big = load_scenario_spec(DOCS / "shipped_scenario.cfg")
     big.validate()
     assert big.grid_nx * big.grid_ny == 2000 and big.num_steps == 2000
+    assert big == shipped_scenario_spec(seed=2024)
 
 
 def test_default_settings_match_default_cfg():
-    from stlid.cli import build_settings, format_settings, parse_kv_file
-
+    defaults = format_settings(build_settings(None, None))
+    text = (DOCS / "default.cfg").read_text().splitlines()
+    lines = [line.split("#", 1)[0].strip() for line in text]
+    assert [line for line in lines if line] == defaults.splitlines()
     shipped = build_settings(parse_kv_file(DOCS / "default.cfg"), None)
-    assert format_settings(build_settings(None, None)) == format_settings(shipped)
+    assert format_settings(shipped) == defaults
+
+
+# one value per config key, none of them its default, as --print-config shows it
+NON_DEFAULT = {
+    "lid.s": "7",
+    "lid.zero_distance_policy": "floor",
+    "lid.epsilon_floor": "1e-09",
+    "fusion.k": "3",
+    "fusion.obs_k": "12",
+    "fusion.bandwidth": "0.7",
+    "fusion.variance_floor": "1e-05",
+    "fusion.weight_space": "kinematic",
+    "detection.n": "4",
+    "detection.epsilon": "3.5",
+    "detection.threshold": "0.7",
+    "detection.normalization": "raw",
+    "baseline.dbscan_eps": "0.2",
+    "baseline.dbscan_min_pts": "5",
+    "baseline.lof_k": "7",
+    "baseline.lof_cutoff": "2.0",
+    "baseline.edq_levels": "0.6;0.7;0.8",
+    "parallel": "2",
+    "step_interval_minutes": "1.0",
+}
+
+
+def test_every_config_field_is_a_settable_key():
+    sections = {
+        "lid": LidConfig, "fusion": FusionConfig,
+        "detection": DetectionConfig, "baseline": BaselineConfig,
+    }
+    keys = [f"{name}.{f.name}" for name, cls in sections.items() for f in fields(cls)]
+    assert list(NON_DEFAULT) == keys + ["parallel", "step_interval_minutes"]
+    defaults = format_settings(build_settings(None, None)).splitlines()
+    assert [line.split("=", 1)[0] for line in defaults] == list(NON_DEFAULT)
+    wanted = [f"{key}={val}" for key, val in NON_DEFAULT.items()]
+    assert not set(wanted) & set(defaults)
+    assert format_settings(build_settings(None, wanted)).splitlines() == wanted
+
+
+def _print_config(generated, capsys, *args):
+    """The --print-config lines of a short ``detect`` run given ``args``."""
+    rc = main([
+        "detect",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--at-step", "3",
+        "--print-config",
+        *args,
+    ])
+    assert rc == 0
+    return capsys.readouterr().out.splitlines()[:len(NON_DEFAULT)]
+
+
+@pytest.mark.parametrize("sets", [
+    [],
+    [
+        "fusion.obs_k=12", "detection.epsilon=3.5", "baseline.dbscan_eps=0.2",
+        "fusion.bandwidth=0.7", "baseline.edq_levels=0.6;0.7;0.8",
+    ],
+], ids=["defaults", "non-default"])
+def test_print_config_reloads_through_config(generated, tmp_path, capsys, sets):
+    dump = _print_config(generated, capsys, *(a for s in sets for a in ("--set", s)))
+    cfg = tmp_path / "dump.cfg"
+    cfg.write_text("\n".join(dump) + "\n")
+    assert _print_config(generated, capsys, "--config", str(cfg)) == dump
+    assert build_settings(parse_kv_file(cfg), None) == build_settings(None, sets)
 
 
 def test_detect_reports_example_lead_in_minutes(tmp_path, capsys):

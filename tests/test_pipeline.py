@@ -201,12 +201,28 @@ def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
 
 
 def test_load_checkpoint_rejects_missing_fields(tmp_path):
-    path = tmp_path / "old.ckpt"
+    def npz(name, **arrays):
+        with open(tmp_path / name, "wb") as fh:
+            np.savez(fh, **arrays)
+        return tmp_path / name
+
     meta = np.frombuffer(json.dumps({"next_col": 5, "has_prev": False}).encode(), np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=meta)
-    with pytest.raises(ConfigError, match="old.ckpt"):
-        load_checkpoint(path)
+    text = tmp_path / "text.ckpt"
+    text.write_text("next_col=5\n")
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(npz("whole.ckpt", meta=meta).read_bytes()[:40])
+    unreadable = [
+        npz("old.ckpt", meta=meta),
+        text,
+        truncated,
+        npz("no_meta.ckpt", prev_slid=np.zeros(3)),
+        npz("bad_json.ckpt", meta=np.frombuffer(b"{next_col", np.uint8)),
+    ]
+    for path in unreadable:
+        with pytest.raises(ConfigError, match=f"{path.name} is not in this layout"):
+            load_checkpoint(path)
+    with pytest.raises(OSError):
+        load_checkpoint(tmp_path / "missing.ckpt")
 
 
 def test_history_normalization_mode(grid_noise_dataset):

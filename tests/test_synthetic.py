@@ -43,7 +43,7 @@ def test_inverse_velocity_law_ratio():
     spec = base_spec(slip_theta=0.0, rate_jitter=0.0)
     ds, truth = generate_creep_scenario(spec)
     inside = truth.regions[0].contains(ds.coords)
-    vel = ds.velocity_matrix()
+    vel = np.diff(ds.displacement, axis=1)
     v_late = vel[inside, 999 - 1].mean()   # velocity at step 999
     v_early = vel[inside, 501 - 1].mean()  # velocity at step 501
     assert v_late / v_early >= 10.0
@@ -56,7 +56,7 @@ def test_acceleration_through_failure_then_frozen():
     spec = base_spec(slip_theta=0.0, rate_jitter=0.0)
     ds, truth = generate_creep_scenario(spec)
     inside = truth.regions[0].contains(ds.coords)
-    vel = ds.velocity_matrix()
+    vel = np.diff(ds.displacement, axis=1)
     # velocity still at its peak at the failure step, zero afterwards
     assert vel[inside, 1000 - 1].min() > vel[inside, 999 - 1].max() / 3
     assert np.all(vel[inside, 1000:] == 0.0)
