@@ -65,8 +65,8 @@ class DetectionConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ConfigError(f"persistence length n must be >= 1, got {self.n}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # false for NaN too
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not 0 < self.threshold < 1:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.normalization not in NORMALIZATION_MODES:

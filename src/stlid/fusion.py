@@ -18,6 +18,7 @@ the neighborhood mean, which is what suppresses isolated noisy spikes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,12 @@ class FusionConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 raise ConfigError(f"bandwidth must be 'median' or a positive number, got {self.bandwidth!r}")
-        elif self.bandwidth <= 0:
-            raise ConfigError("fixed bandwidth must be positive")
-        if self.variance_floor <= 0:
-            raise ConfigError("variance_floor must be positive")
+        elif not 0 < self.bandwidth < math.inf:  # false for NaN too
+            raise ConfigError(f"fixed bandwidth must be finite and positive, got {self.bandwidth}")
+        if not 0 < self.variance_floor < math.inf:
+            raise ConfigError(
+                f"variance_floor must be finite and positive, got {self.variance_floor}"
+            )
         if self.weight_space not in ("physical", "kinematic"):
             raise ConfigError(f"weight_space must be 'physical' or 'kinematic', got {self.weight_space!r}")
 

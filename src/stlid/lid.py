@@ -61,8 +61,10 @@ class LidConfig:
             raise ConfigError(
                 f"zero_distance_policy must be 'drop' or 'floor', got {self.zero_distance_policy!r}"
             )
-        if self.epsilon_floor <= 0:
-            raise ConfigError("epsilon_floor must be positive")
+        if not 0 < self.epsilon_floor < math.inf:  # false for NaN too
+            raise ConfigError(
+                f"epsilon_floor must be finite and positive, got {self.epsilon_floor}"
+            )
 
 
 @dataclass

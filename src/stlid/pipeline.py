@@ -139,6 +139,19 @@ def _chunk_kernel(
         values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)
 
 
+def _last_col(dataset, stop_step):
+    """The last column a run computes: the dataset's last, or ``stop_step``'s;
+    DataError outside the dataset, ConfigError before the first velocity step."""
+    if stop_step is None:
+        return dataset.num_steps - 1
+    last_col = dataset.column(stop_step)
+    if last_col < 1:
+        raise ConfigError(
+            f"pipeline needs velocity; first computable step is {dataset.start_step + 1}"
+        )
+    return last_col
+
+
 def _resolved_detection(dataset, config):
     cfg = DetectionConfig() if config is None else config
     if cfg.epsilon is None:
@@ -177,13 +190,7 @@ def iter_run(
     n = dataset.num_points
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
 
-    last_col = dataset.num_steps - 1
-    if stop_step is not None:
-        last_col = dataset.column(stop_step)
-        if last_col < 1:
-            raise ConfigError(
-                f"pipeline needs velocity; first computable step is {dataset.start_step + 1}"
-            )
+    last_col = _last_col(dataset, stop_step)
 
     if state is None:
         state = PipelineState()
@@ -294,6 +301,10 @@ def event_lead_times(events, truth: GroundTruth | None, step_interval_minutes: f
 # score families each ``store`` mode of run_detection keeps
 _STORED = {"all": ("s", "fused", "t", "st"), "st": ("st",), "none": ()}
 
+# first column of each kept history: the bootstrap fused field starts with
+# s-LID, and st-LID with t-LID
+_HIST_FIRST_COL = {**_FIRST_COL, "fused": _FIRST_COL["s"], "st": _FIRST_COL["t"]}
+
 
 def run_detection(
     dataset: MonitoringDataset,
@@ -307,16 +318,19 @@ def run_detection(
 ) -> RunResult:
     """Run the full pipeline over the dataset and collect histories.
 
-    ``store`` controls memory: "all" keeps every score family, "st" keeps only
-    the st-LID fields, "none" keeps just events and timings.
+    ``store`` controls memory. "all" keeps the s-LID, fused s-LID, t-LID and
+    st-LID families, "st" keeps only st-LID, "none" keeps just events and
+    timings. Each kept family is one steps x points float64 array of values
+    and one bool array of validity flags, allocated once at the first step
+    and filled row by row; on the shipped 2000 x 2000 scenario "all" holds
+    about 144 MB.
     """
     if store not in _STORED:
         raise ConfigError(f"store must be 'all', 'st' or 'none', got {store!r}")
     if truth is not None:
         truth.validate_against(dataset)
     detection_config = _resolved_detection(dataset, detection_config)
-    # family -> (steps, values rows, valid rows) of the families kept
-    kept = {fam: ([], [], []) for fam in _STORED[store]}
+    kept = None  # family -> (values, valid) histories, allocated at the first record
     seconds = []
     state = PipelineState()
 
@@ -329,13 +343,21 @@ def run_detection(
         stop_step=stop_step,
         state=state,
     ):
+        if kept is None:  # iter_run has checked the configs and stop_step
+            last_col = _last_col(dataset, stop_step)
+            kept = {}
+            for fam in _STORED[store]:
+                shape = (last_col - _HIST_FIRST_COL[fam] + 1, dataset.num_points)
+                if shape[0] > 0:
+                    kept[fam] = (np.empty(shape), np.empty(shape, dtype=bool))
         seconds.append(rec.seconds)
-        for fam, (steps, values, valid) in kept.items():
-            fld = getattr(rec, fam)
-            if fld is not None:
-                steps.append(rec.step)
-                values.append(fld.values)
-                valid.append(fld.valid)
+        col = rec.step - dataset.start_step
+        for fam, (values, valid) in kept.items():
+            row = col - _HIST_FIRST_COL[fam]
+            if row >= 0:
+                fld = getattr(rec, fam)
+                values[row] = fld.values
+                valid[row] = fld.valid
 
     result = RunResult(
         events=state.events,
@@ -344,11 +366,13 @@ def run_detection(
         final_state=state.det_state,
         epsilon=detection_config.epsilon,
     )
-    for fam, (steps, values, valid) in kept.items():
+    for fam in _STORED[store]:
         if fam in ("s", "st"):  # the families whose steps RunResult records
-            setattr(result, f"{fam}_steps", np.asarray(steps))
-        setattr(result, f"{fam}_hist", np.vstack(values) if values else None)
-        setattr(result, f"{fam}_valid_hist", np.vstack(valid) if valid else None)
+            cols = np.arange(_HIST_FIRST_COL[fam], last_col + 1)
+            setattr(result, f"{fam}_steps", dataset.start_step + cols)
+        if fam in kept:
+            setattr(result, f"{fam}_hist", kept[fam][0])
+            setattr(result, f"{fam}_valid_hist", kept[fam][1])
     return result
 
 

@@ -193,7 +193,12 @@ def generate_creep_scenario(spec: CreepScenarioSpec) -> tuple[MonitoringDataset,
         )
 
     if spec.noise_sd > 0:
-        base += rng.normal(0.0, spec.noise_sd, size=(n, t))
+        # about 1 MB of noise at a time: drawn in C order, the row blocks take
+        # the same values from the generator as one (n, t) draw
+        rows = max(1, 2**17 // t)
+        for lo in range(0, n, rows):
+            block = base[lo : lo + rows]
+            block += rng.normal(0.0, spec.noise_sd, size=block.shape)
 
     displacement = base
     points = [MonitoredPoint(i, (coords[i, 0], coords[i, 1])) for i in range(n)]

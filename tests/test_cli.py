@@ -191,6 +191,22 @@ def test_bad_config_key(generated, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "detection.epsilon=nan", "detection.epsilon=inf", "lid.epsilon_floor=nan",
+    "fusion.bandwidth=nan", "fusion.variance_floor=nan",
+])
+def test_non_finite_config_value_exits_3(generated, capsys, setting):
+    # a NaN epsilon-ball holds no point, so it used to run to "no events"
+    rc = main([
+        "detect",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--set", setting,
+    ])
+    assert rc == 3
+    assert setting.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
 def test_config_file_plus_override(generated, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lid.s=9\nfusion.k=4\ndetection.n=7\n")

@@ -115,6 +115,12 @@ def test_detection_config_validation():
         DetectionConfig(threshold=1.0).validate()
     with pytest.raises(ConfigError):
         DetectionConfig(epsilon=-1.0).validate()
+    for bad in (0.0, math.nan, math.inf):  # no distance lies within a NaN ball
+        with pytest.raises(ConfigError, match="epsilon"):
+            DetectionConfig(epsilon=bad).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="threshold"):
+            DetectionConfig(threshold=bad).validate()
     with pytest.raises(ConfigError):
         DetectionConfig(normalization="minmax").validate()
 

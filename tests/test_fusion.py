@@ -287,6 +287,12 @@ def test_fusion_config_validation():
         FusionConfig(bandwidth="adaptive").validate()
     with pytest.raises(ConfigError):
         FusionConfig(weight_space="cartesian").validate()
+    # NaN passes a plain "<= 0" check
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="bandwidth"):
+            FusionConfig(bandwidth=bad).validate()
+        with pytest.raises(ConfigError, match="variance_floor"):
+            FusionConfig(variance_floor=bad).validate()
     FusionConfig(bandwidth=2.0, obs_k=3).validate()
 
 

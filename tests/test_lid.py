@@ -343,6 +343,9 @@ def test_s_lid_config_errors():
         s_lid_all(ds, 1, LidConfig(s=5))
     with pytest.raises(ConfigError):
         LidConfig(s=1).validate()
+    for bad in (0.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="epsilon_floor"):
+            LidConfig(epsilon_floor=bad).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from stlid import (
     t_lid_field,
 )
 from stlid import lid
-from stlid.errors import ConfigError
+from stlid.errors import ConfigError, DataError
 from stlid.pipeline import (
     PipelineState,
     load_checkpoint,
@@ -96,6 +96,31 @@ def test_a_run_holds_no_history_sized_array(parallel, monkeypatch):
     assert peaks[1] - peaks[0] < n * steps * 8 / 4, peaks
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_run_detection_holds_each_history_once(parallel, monkeypatch):
+    # the traced peak may exceed the returned histories by less than a
+    # quarter of them, so no history is ever held twice
+    monkeypatch.setattr(lid, "_TILE_CELLS", 4096)
+    n, steps = 100, 600
+    coords = [(float(i % 10), float(i // 10)) for i in range(n)]
+    rng = np.random.default_rng(7)
+    ds = make_dataset(np.cumsum(rng.normal(0, 0.1, size=(n, steps)), axis=1), coords=coords)
+    tracemalloc.start()
+    try:
+        res = run_detection(ds, parallel=parallel, store="all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        getattr(res, f"{fam}_{kind}").nbytes
+        for fam in ("s", "fused", "t", "st")
+        for kind in ("hist", "valid_hist")
+    )
+    # s and fused rows from step 1, t and st rows from step 3
+    assert held == (2 * (steps - 1) + 2 * (steps - 3)) * n * 9
+    assert peak - held < held / 4, (peak, held)
+
+
 def test_step_layout(grid_noise_dataset):
     recs = list(iter_run(grid_noise_dataset, **SMALL, stop_step=4))
     assert [r.step for r in recs] == [1, 2, 3, 4]
@@ -131,10 +156,48 @@ def test_store_modes(grid_noise_dataset):
 
 
 def test_stop_step(grid_noise_dataset):
-    res = run_detection(grid_noise_dataset, stop_step=10, **SMALL)
+    ds = grid_noise_dataset
+    res = run_detection(ds, stop_step=10, **SMALL)
     assert res.s_steps[-1] == 10
     with pytest.raises(ConfigError):
-        run_detection(grid_noise_dataset, stop_step=0, **SMALL)
+        run_detection(ds, stop_step=0, **SMALL)
+    # every kept history holds, byte for byte, the rows iter_run streams
+    for parallel in (1, 2):
+        for stop in (1, 2, 3, 10, None):
+            recs = list(iter_run(ds, parallel=parallel, stop_step=stop, **SMALL))
+            for store in ("all", "st", "none"):
+                res = run_detection(ds, parallel=parallel, stop_step=stop, store=store, **SMALL)
+                case = (parallel, stop, store)
+                for fam in ("s", "fused", "t", "st"):
+                    fields = [getattr(r, fam) for r in recs if getattr(r, fam) is not None]
+                    values, valid = getattr(res, f"{fam}_hist"), getattr(res, f"{fam}_valid_hist")
+                    if store == "none" or (store == "st" and fam != "st") or not fields:
+                        assert values is None and valid is None, (case, fam)
+                        continue
+                    assert values.dtype == np.float64 and valid.dtype == bool, (case, fam)
+                    assert values.shape == valid.shape == (len(fields), ds.num_points)
+                    assert values.tobytes() == np.vstack([f.values for f in fields]).tobytes()
+                    assert valid.tobytes() == np.vstack([f.valid for f in fields]).tobytes()
+                if store == "all":
+                    assert np.array_equal(res.s_steps, [r.step for r in recs]), case
+                if store != "none":
+                    st_steps = [r.step for r in recs if r.st is not None]
+                    assert np.array_equal(res.st_steps, st_steps), case
+                if stop in (1, 2):
+                    assert res.t_hist is None and res.st_hist is None, case
+
+
+def test_a_bad_config_is_reported_before_a_bad_stop_step(grid_noise_dataset):
+    ds = grid_noise_dataset
+    with pytest.raises(DataError):
+        run_detection(ds, stop_step=10_000, **SMALL)
+    bad = dict(lid_config=LidConfig(s=1), fusion_config=FusionConfig(k=4))
+    for stop in (0, 10_000):
+        for store in ("all", "none"):
+            with pytest.raises(ConfigError, match="neighborhood size s"):
+                run_detection(ds, stop_step=stop, store=store, **bad)
+        with pytest.raises(ConfigError, match="neighborhood size s"):
+            next(iter_run(ds, stop_step=stop, **bad))
 
 
 def test_checkpoint_resume_matches_uninterrupted(grid_noise_dataset, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.displacement, b.displacement)
     c, _ = generate_creep_scenario(base_spec(noise_sd=0.2, seed=6))
     assert not np.array_equal(a.displacement, c.displacement)
+
+
+def test_noise_is_one_draw_in_c_order():
+    # 600 points x 1100 steps span several noise blocks, the last one partial
+    spec = base_spec(grid_nx=30, grid_ny=20, noise_sd=0.08, region=None,
+                     time_of_failure=None, onset_step=None)
+    ds, _ = generate_creep_scenario(spec)
+    expected = np.random.default_rng(spec.seed).normal(0.0, 0.08, size=(600, 1100))
+    assert ds.displacement.tobytes() == expected.tobytes()
+
+
+def test_generation_holds_one_displacement_sized_array():
+    spec = base_spec(grid_nx=25, grid_ny=20, num_steps=2000, noise_sd=0.08)
+    tracemalloc.start()
+    try:
+        generate_creep_scenario(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 500 * 2000 * 8, peak
 
 
 def test_inside_points_dominate_final_displacement():
