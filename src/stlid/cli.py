@@ -34,15 +34,7 @@ from .detection import DetectionConfig
 from .errors import ConfigError, DataError, StlidError
 from .fusion import FusionConfig
 from .lid import LidConfig
-from .metrics import (
-    METHOD_NAMES,
-    RUN_ROWS,
-    BaselineConfig,
-    benchmark,
-    method_result,
-    report_csv,
-    report_table,
-)
+from .metrics import METHOD_NAMES, BaselineConfig, benchmark, report_csv, report_table
 from .synthetic import CreepScenarioSpec, generate_creep_scenario
 
 EXIT_OK = 0
@@ -70,11 +62,17 @@ class RunSettings:
     step_interval_minutes: float = 2.5
 
     def validate(self):
-        self.lid.validate()
-        self.fusion.validate()
-        self.detection.validate()
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if is_dataclass(section):
+                section.validate()
         if self.parallel < 1:
             raise ConfigError("parallel must be >= 1")
+
+    def run_args(self) -> dict:
+        """The keyword arguments of a detector run under these settings."""
+        return dict(lid_config=self.lid, fusion_config=self.fusion,
+                    detection_config=self.detection, parallel=self.parallel)
 
 
 def _field_types(cls) -> dict:
@@ -205,10 +203,12 @@ def cmd_generate(args) -> int:
 
 def _settings(args) -> RunSettings:
     """The effective settings: defaults, then ``--config``, ``--set`` and
-    ``--parallel``."""
+    ``--parallel``; dumped first when ``--print-config`` asks."""
     settings = build_settings(parse_kv_file(args.config) if args.config else None, args.set)
     if args.parallel is not None:
         settings.parallel = args.parallel
+    if args.print_config:
+        print(format_settings(settings))
     return settings
 
 
@@ -229,8 +229,6 @@ def _load_inputs(args, settings):
 
 def cmd_detect(args) -> int:
     settings = _settings(args)
-    if args.print_config:
-        print(format_settings(settings))
     dataset, truth = _load_inputs(args, settings)
     stop = args.at_step
     if stop is not None and stop < dataset.start_step + 3:
@@ -241,12 +239,9 @@ def cmd_detect(args) -> int:
     result = pipeline.run_detection(
         dataset,
         truth=truth,
-        lid_config=settings.lid,
-        fusion_config=settings.fusion,
-        detection_config=settings.detection,
-        parallel=settings.parallel,
         stop_step=stop,
         store="all" if args.scores else "st",
+        **settings.run_args(),
     )
     if args.scores:
         pipeline.write_scores_csv(args.scores, result, dataset)
@@ -275,14 +270,7 @@ def cmd_monitor(args) -> int:
     if args.realtime_factor > 0:
         sleep_s = dataset.step_interval_minutes * 60.0 * args.realtime_factor
     n_since_ckpt = 0
-    for rec in pipeline.iter_run(
-        dataset,
-        lid_config=settings.lid,
-        fusion_config=settings.fusion,
-        detection_config=settings.detection,
-        parallel=settings.parallel,
-        state=state,
-    ):
+    for rec in pipeline.iter_run(dataset, state=state, **settings.run_args()):
         decision = rec.decision
         if decision is None:
             print(f"step={rec.step} (warm-up)")
@@ -315,25 +303,13 @@ def cmd_benchmark(args) -> int:
     dataset, truth = _load_inputs(args, settings)
     if truth is None:
         raise ConfigError("benchmark needs --truth")
-    run = None
-    if any(m in RUN_ROWS for m in methods):
-        run = pipeline.run_detection(
-            dataset,
-            truth=truth,
-            lid_config=settings.lid,
-            fusion_config=settings.fusion,
-            detection_config=settings.detection,
-            parallel=settings.parallel,
-            store="all",
-        )
     reports = benchmark(
         dataset,
         truth,
         methods=methods,
-        detection_config=settings.detection,
         baseline_config=settings.baseline,
-        run=run,
         max_backscan=args.max_backscan,
+        **settings.run_args(),
     )
     table = report_table(reports)
     print(table)
@@ -346,13 +322,11 @@ def cmd_benchmark(args) -> int:
     if args.method_scores:
         # per-point scores of the comparison methods at the failure step; a
         # method undefined there raises its error again
-        tof = truth.regions[0].tof
-        results = [
-            rep.result or method_result(rep.method, dataset, tof, settings.baseline, run)
-            for rep in reports
-            if rep.method != "stlid"
-        ]
-        write_baseline_scores_csv(args.method_scores, results, dataset)
+        compared = [rep for rep in reports if rep.method != "stlid"]
+        for rep in compared:
+            if rep.error is not None:
+                raise rep.error
+        write_baseline_scores_csv(args.method_scores, [rep.result for rep in compared], dataset)
     return EXIT_OK
 
 

@@ -40,6 +40,10 @@ SCORES_HEADER = (
 )
 EVENTS_HEADER = ("detection_step", "point_id", "x", "y", "st_lid")
 BASELINE_SCORES_HEADER = ("t", "point_id", "method", "score", "high_risk")
+REPORT_HEADER = (
+    "method", "region", "precision", "correct", "total",
+    "lead_steps", "lead_minutes", "timing_seconds",
+)
 
 
 def fmt_float(v) -> str:

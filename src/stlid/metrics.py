@@ -15,6 +15,7 @@ st-LID detector keeps its full detection set.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .baselines import (
     lof,
     slid_result,
 )
-from .data import FailureRegion, GroundTruth, MonitoringDataset, fmt_float
+from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, fmt_float
 from .detection import DetectionConfig, default_epsilon
 from .errors import ConfigError, StlidError
 from .fusion import FusionConfig
@@ -120,6 +121,7 @@ class EvaluationReport:
     method: str
     regions: list[RegionEval] = field(default_factory=list)
     result: BaselineResult | None = None  # at the first region's tof; None where undefined
+    error: StlidError | None = None  # what the method raised there where undefined
     timing_seconds: float | None = None  # one detection pass at the eval step
     per_step_seconds: tuple | None = None  # (median, max) across pipeline steps
 
@@ -139,6 +141,18 @@ class BaselineConfig:
     lof_k: int = 20
     lof_cutoff: float = 1.5
     edq_levels: tuple = DEFAULT_EDQ_LEVELS
+
+    def validate(self) -> None:
+        if self.dbscan_eps is not None and not 0 < self.dbscan_eps < math.inf:  # false for NaN too
+            raise ConfigError(f"dbscan_eps must be None or finite and positive, got {self.dbscan_eps}")
+        if self.dbscan_min_pts < 1:
+            raise ConfigError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts}")
+        if self.lof_k < 1:
+            raise ConfigError(f"lof_k must be >= 1, got {self.lof_k}")
+        if not math.isfinite(self.lof_cutoff):
+            raise ConfigError(f"lof_cutoff must be finite, got {self.lof_cutoff}")
+        if not self.edq_levels or not all(0 <= q <= 1 for q in self.edq_levels):
+            raise ConfigError(f"edq_levels must be levels in [0, 1], got {self.edq_levels}")
 
 
 # the RunResult arrays (steps, values, valid) each detector-based method reads
@@ -179,7 +193,9 @@ def method_result(
         return kmeans2(dataset.displacement[:, dataset.column(step)], step=step)
     if name == "dbscan":
         samples = dataset.samples_at(step)
-        eps = blc.dbscan_eps or max(default_epsilon(samples), 1e-9)
+        eps = blc.dbscan_eps
+        if eps is None:
+            eps = max(default_epsilon(samples), 1e-9)
         return dbscan(samples, eps, blc.dbscan_min_pts, step=step)
     if name == "lof":
         return lof(dataset.samples_at(step), blc.lof_k, blc.lof_cutoff, step=step)
@@ -213,12 +229,18 @@ def benchmark(
 
     A prior pipeline RunResult can be passed to avoid rerunning st-LID; it
     must keep the fields the methods read (store="all" for slid, "all" or
-    "st" for stlid). Otherwise one run is executed with the given configs.
+    "st" for stlid). Otherwise one run is executed with the given configs,
+    keeping only those fields. ``max_backscan`` caps how many steps before
+    each failure the lead-time scan reaches.
     """
     truth.validate_against(dataset)
     for m in methods:
         if m not in METHOD_NAMES:
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHOD_NAMES)}")
+    baseline_config = baseline_config or BaselineConfig()
+    baseline_config.validate()
+    if max_backscan is not None and max_backscan < 0:
+        raise ConfigError(f"max_backscan must be >= 0, got {max_backscan}")
     needs_run = [m for m in methods if m in RUN_ROWS]
     if needs_run and run is None:
         run = run_detection(
@@ -228,7 +250,7 @@ def benchmark(
             fusion_config=fusion_config,
             detection_config=detection_config,
             parallel=parallel,
-            store="all",
+            store="all" if "slid" in needs_run else "st",
         )
     for m in needs_run:  # fail before evaluating when the run lacks a method's rows
         _run_rows(run, m)
@@ -239,21 +261,20 @@ def benchmark(
         memo = {}
 
         def result_at(step):
-            # None where the method is undefined at the step
+            # (result, None), or (None, the error) where the method is undefined at the step
             if step not in memo:
                 try:
-                    memo[step] = method_result(
-                        name, dataset, step, baseline_config, run, det_threshold
-                    )
-                except StlidError:
-                    memo[step] = None
+                    res = method_result(name, dataset, step, baseline_config, run, det_threshold)
+                    memo[step] = res, None
+                except StlidError as exc:
+                    memo[step] = None, exc
             return memo[step]
 
         # the detector keeps its full detection set; baselines their top 10
         top_size = None if name == "stlid" else TOP_SET_SIZE
 
         def top_set_at(step):
-            res = result_at(step)
+            res, _ = result_at(step)
             return None if res is None else res.ranking[:top_size]
 
         report = EvaluationReport(method=name)
@@ -263,10 +284,10 @@ def benchmark(
                 float(run.per_step_seconds.max()),
             )
         t0 = time.perf_counter()
-        report.result = result_at(truth.regions[0].tof)
+        report.result, report.error = result_at(truth.regions[0].tof)
         report.timing_seconds = time.perf_counter() - t0
         for region in truth.regions:
-            res = result_at(region.tof)
+            res, _ = result_at(region.tof)
             det = np.empty(0, dtype=int) if res is None else np.flatnonzero(res.high_risk)
             prec, correct, total = precision(dataset.coords[det], truth)
             first = dataset.start_step + _FIRST_COL.get(name, 1)
@@ -314,7 +335,7 @@ def report_table(reports: list[EvaluationReport]) -> str:
 
 
 def report_csv(reports: list[EvaluationReport]) -> str:
-    lines = ["method,region,precision,correct,total,lead_steps,lead_minutes,timing_seconds"]
+    lines = [",".join(REPORT_HEADER)]
     for rep in reports:
         for r in rep.regions:
             prec = "" if r.precision is None else fmt_float(r.precision)

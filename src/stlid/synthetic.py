@@ -214,9 +214,9 @@ def generate_creep_scenario(spec: CreepScenarioSpec) -> tuple[MonitoringDataset,
 def shipped_scenario_spec(seed: int = 2024) -> CreepScenarioSpec:
     """The bundled 2000-point, 2000-step single-failure scenario.
 
-    A 50x40 grid with an 8x8 failure block; acceleration starts at step 1400
-    and the collapse lands at step 1900, leaving a quiet tail for the detector
-    to disarm in.
+    A 50x40 grid with a 14x14 failure block (196 points); acceleration
+    starts at step 1400 and the collapse lands at step 1900, leaving a quiet
+    tail for the detector to disarm in.
     """
     return CreepScenarioSpec(
         grid_nx=50,

@@ -194,6 +194,11 @@ def test_bad_config_key(generated, capsys):
 @pytest.mark.parametrize("setting", [
     "detection.epsilon=nan", "detection.epsilon=inf", "lid.epsilon_floor=nan",
     "fusion.bandwidth=nan", "fusion.variance_floor=nan",
+    # bad baseline values used to report the method as n.a., or (eps nan, 0)
+    # to run another DBSCAN than the one asked for
+    "baseline.dbscan_eps=-1", "baseline.dbscan_eps=nan", "baseline.dbscan_eps=0",
+    "baseline.dbscan_min_pts=0", "baseline.lof_k=0", "baseline.lof_cutoff=nan",
+    "baseline.edq_levels=2",
 ])
 def test_non_finite_config_value_exits_3(generated, capsys, setting):
     # a NaN epsilon-ball holds no point, so it used to run to "no events"
@@ -392,6 +397,62 @@ def test_benchmark_method_scores_compute_each_step_once(generated, tmp_path, mon
     assert set(calls.values()) == {1}
 
 
+def _benchmark_args(generated, *args):
+    return [
+        "benchmark",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--truth", str(generated["truth"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4",
+        *args,
+    ]
+
+
+@pytest.mark.parametrize("methods, store", [("kmeans,stlid", "st"), ("kmeans,slid,stlid", "all")])
+def test_benchmark_makes_one_run_keeping_the_rows_it_reads(
+    generated, tmp_path, monkeypatch, methods, store
+):
+    stores = []
+    real = stlid.metrics.run_detection
+
+    def counted(*args, **kwargs):
+        stores.append(kwargs["store"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stlid.metrics, "run_detection", counted)
+    methods_csv = tmp_path / "methods.csv"
+    args = ["--methods", methods, "--max-backscan", "30", "--method-scores", str(methods_csv)]
+    assert main(_benchmark_args(generated, *args)) == 0
+    assert stores == [store]
+    dumped = {row.split(",")[2] for row in methods_csv.read_text().splitlines()[1:]}
+    assert dumped == set(methods.split(",")) - {"stlid"}
+
+
+def test_benchmark_method_scores_of_undefined_method_exits_2(tmp_path, capsys):
+    # constant displacement: two-means is undefined at the failure step
+    pts, ser, tr = (tmp_path / name for name in ("p.csv", "s.csv", "t.csv"))
+    pts.write_text("id,x,y\n" + "".join(f"{i},{i % 6},{i // 6}\n" for i in range(36)))
+    ser.write_text("id,t,displacement\n" + "".join(
+        f"{i},{t},0\n" for i in range(36) for t in range(8)
+    ))
+    tr.write_text("label,xmin,ymin,xmax,ymax,tof\nfailure,0,0,2,2,6\n")
+    rc = main([
+        "benchmark", "--points", str(pts), "--series", str(ser), "--truth", str(tr),
+        "--set", "lid.s=4", "--set", "fusion.k=3",
+        "--methods", "kmeans,slid", "--method-scores", str(tmp_path / "methods.csv"),
+    ])
+    assert rc == 2
+    assert "all displacement values identical; two-means undefined" in capsys.readouterr().err
+    assert not (tmp_path / "methods.csv").exists()
+
+
+def test_benchmark_negative_max_backscan_exits_3(generated, capsys):
+    # it used to cut every scan before it began, reporting every lead as 0
+    rc = main(_benchmark_args(generated, "--methods", "kmeans", "--max-backscan", "-3"))
+    assert rc == 3
+    assert "max_backscan" in capsys.readouterr().err
+
+
 def test_benchmark_unknown_method(generated, capsys):
     rc = main([
         "benchmark",
@@ -505,18 +566,28 @@ def test_every_config_field_is_a_settable_key():
     assert format_settings(build_settings(None, wanted)).splitlines() == wanted
 
 
-def _print_config(generated, capsys, *args):
-    """The --print-config lines of a short ``detect`` run given ``args``."""
+def _print_config(generated, capsys, *args, command=("detect", "--at-step", "3")):
+    """The --print-config lines of a short ``command`` run given ``args``."""
     rc = main([
-        "detect",
+        *command,
         "--points", str(generated["points"]),
         "--series", str(generated["series"]),
-        "--at-step", "3",
         "--print-config",
         *args,
     ])
     assert rc == 0
     return capsys.readouterr().out.splitlines()[:len(NON_DEFAULT)]
+
+
+@pytest.mark.parametrize("command", [
+    ("monitor",),
+    ("benchmark", "--methods", "kmeans", "--max-backscan", "5"),
+], ids=["monitor", "benchmark"])
+def test_print_config_on_every_run_command(generated, capsys, command):
+    sets = ["lid.s=8", "fusion.k=4"]
+    args = ["--truth", str(generated["truth"]), *(a for s in sets for a in ("--set", s))]
+    dump = _print_config(generated, capsys, *args, command=command)
+    assert dump == format_settings(build_settings(None, sets)).splitlines()
 
 
 @pytest.mark.parametrize("sets", [

@@ -5,6 +5,7 @@ import pytest
 
 import stlid.metrics
 from stlid import (
+    BaselineConfig,
     EvaluationReport,
     FailureRegion,
     GroundTruth,
@@ -188,6 +189,27 @@ def test_benchmark_rejects_run_without_method_rows(grid_noise_dataset):
         benchmark(ds, truth, methods=("slid",), run=st_only)
     (report,) = benchmark(ds, truth, methods=("stlid",), run=st_only)
     assert report.method == "stlid"
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"max_backscan": -1}, "max_backscan"),
+    ({"baseline_config": BaselineConfig(dbscan_eps=0.0)}, "dbscan_eps"),
+    ({"baseline_config": BaselineConfig(edq_levels=())}, "edq_levels"),
+])
+def test_benchmark_rejects_bad_settings(grid_noise_dataset, kwargs, key):
+    truth = GroundTruth([FailureRegion("r", 0.0, 0.0, 4.0, 4.0, 30)])
+    with pytest.raises(ConfigError, match=key):
+        benchmark(grid_noise_dataset, truth, methods=("kmeans",), **kwargs)
+
+
+def test_benchmark_reports_the_error_of_an_undefined_method(grid_noise_dataset):
+    ds = grid_noise_dataset
+    ds.displacement[:, ds.column(30)] = 1.0  # two-means is undefined at the failure
+    truth = GroundTruth([FailureRegion("r", 0.0, 0.0, 4.0, 4.0, 30)])
+    kmeans, lof_report = benchmark(ds, truth, methods=("kmeans", "lof"), max_backscan=3)
+    assert kmeans.result is None and kmeans.region("r").precision is None
+    assert "two-means undefined" in str(kmeans.error)
+    assert lof_report.result is not None and lof_report.error is None
 
 
 def test_benchmark_computes_each_step_once(small_scenario, monkeypatch):
