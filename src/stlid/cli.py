@@ -33,7 +33,7 @@ from .data import (
 from .detection import DetectionConfig
 from .errors import ConfigError, DataError, StlidError
 from .fusion import FusionConfig
-from .lid import LidConfig
+from .lid import T_LID_FIRST_COL, LidConfig
 from .metrics import METHOD_NAMES, BaselineConfig, benchmark, report_csv, report_table
 from .synthetic import CreepScenarioSpec, generate_creep_scenario
 
@@ -231,16 +231,16 @@ def cmd_detect(args) -> int:
     settings = _settings(args)
     dataset, truth = _load_inputs(args, settings)
     stop = args.at_step
-    if stop is not None and stop < dataset.start_step + 3:
+    if stop is not None and stop < dataset.start_step + T_LID_FIRST_COL:
         raise ConfigError(
-            f"--at-step must be >= {dataset.start_step + 3} "
+            f"--at-step must be >= {dataset.start_step + T_LID_FIRST_COL} "
             "(velocity, fusion bootstrap and temporal history come first)"
         )
     result = pipeline.run_detection(
         dataset,
         truth=truth,
         stop_step=stop,
-        store="all" if args.scores else "st",
+        store="all" if args.scores else "none",
         **settings.run_args(),
     )
     if args.scores:

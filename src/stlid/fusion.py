@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import MonitoringDataset
 from .errors import ConfigError
-from .lid import LidConfig, LidField, _fill_sentinel, _log_sums, knn, s_lid_all
+from .lid import S_LID_FIRST_COL, LidConfig, LidField, _fill_sentinel, _log_sums, knn, s_lid_all
 
 DEFAULT_K = 8
 
@@ -238,10 +238,12 @@ def fuse_all(
     config.validate()
     lid_config.validate()
     c = dataset.column(step)
-    if c == 1:
+    if c == S_LID_FIRST_COL:
         return s_lid_all(dataset, step, lid_config)
-    if c < 1:
-        raise ConfigError(f"fusion needs velocity; first valid step is {dataset.start_step + 1}")
+    if c < S_LID_FIRST_COL:
+        raise ConfigError(
+            f"fusion needs velocity; first valid step is {dataset.start_step + S_LID_FIRST_COL}"
+        )
     prev = np.asarray(prev_slids, dtype=np.float64)
     if prev.shape != (dataset.num_points,):
         raise ConfigError("prev_slids must hold one value per point")

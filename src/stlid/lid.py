@@ -45,6 +45,12 @@ from .errors import (
 
 DEFAULT_S = 20
 
+# the warm-up, in dataset columns (steps after the first): s-LID needs the
+# step's velocity, so it starts at column 1; t-LID needs two velocities before
+# the query's, so it (and with it st-LID) starts at column 3
+S_LID_FIRST_COL = 1
+T_LID_FIRST_COL = 3
+
 
 @dataclass
 class LidConfig:
@@ -166,12 +172,12 @@ def mle_lid(distances, config: LidConfig | None = None) -> float:
 
 
 def _fill_sentinel(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    out = values.copy()
+    """Fill the invalid entries of ``values``, a fresh array, in place with the sentinel."""
     if valid.any():
-        out[~valid] = values[valid].max()
+        values[~valid] = values[valid].max()
     else:
-        out[:] = 1.0
-    return out
+        values[:] = 1.0
+    return values
 
 
 def knn(points: np.ndarray, k: int, rows=slice(None), tree=None) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +204,7 @@ def s_lid_all(
     dataset: MonitoringDataset, step: int, config: LidConfig | None = None
 ) -> LidField:
     """s-LID of every point's kinematic sample at ``step`` (velocity required,
-    so step must be at least start_step + 1)."""
+    so step must be at least start_step + S_LID_FIRST_COL)."""
     config = config or LidConfig()
     config.validate()
     dist, _ = knn(dataset.samples_at(step), config.s)
@@ -287,16 +293,16 @@ def t_lid_field(
 ) -> LidField:
     """t-LID of every point at ``step`` over its full velocity history.
 
-    Velocities exist from start_step + 1, and the query needs two earlier
-    records, so the first valid step is start_step + 3.
+    The query needs two earlier velocities, so the first valid step is
+    start_step + T_LID_FIRST_COL.
     """
     config = config or LidConfig()
     config.validate()
     c = dataset.column(step)
-    if c < 3:
+    if c < T_LID_FIRST_COL:
         raise ConfigError(
             f"t-LID needs two historical velocities before the query; "
-            f"first valid step is {dataset.start_step + 3}, got {step}"
+            f"first valid step is {dataset.start_step + T_LID_FIRST_COL}, got {step}"
         )
     queries = dataset.samples_at(step)[:, 1]
     values, valid = t_lid_rows(dataset.displacement[:, :c], queries, config)

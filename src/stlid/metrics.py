@@ -34,7 +34,7 @@ from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, 
 from .detection import DetectionConfig, default_epsilon
 from .errors import ConfigError, StlidError
 from .fusion import FusionConfig
-from .lid import LidConfig
+from .lid import S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig
 from .pipeline import RunResult, run_detection
 
 METHOD_NAMES = ("kmeans", "dbscan", "lof", "edq", "slid", "stlid")
@@ -162,7 +162,7 @@ RUN_ROWS = {
 }
 # first evaluable column per method: two-means needs only displacement, the
 # detector a full st-LID field, the rest a velocity
-_FIRST_COL = {"kmeans": 0, "stlid": 3}
+_FIRST_COL = {"kmeans": 0, "stlid": T_LID_FIRST_COL}
 
 
 def _run_rows(run: RunResult | None, name: str):
@@ -290,7 +290,7 @@ def benchmark(
             res, _ = result_at(region.tof)
             det = np.empty(0, dtype=int) if res is None else np.flatnonzero(res.high_risk)
             prec, correct, total = precision(dataset.coords[det], truth)
-            first = dataset.start_step + _FIRST_COL.get(name, 1)
+            first = dataset.start_step + _FIRST_COL.get(name, S_LID_FIRST_COL)
             if max_backscan is not None:
                 first = max(first, region.tof - max_backscan)
             steps, minutes = lead_time(

@@ -13,9 +13,10 @@ All per-point reductions are row-wise over C-contiguous blocks, so chunk
 boundaries cannot change a single bit of the output: running with any
 parallelism degree, including 1, yields identical results.
 
-Step layout for a dataset starting at step 0: velocities exist from step 1
-(s-LID, bootstrap fused), the spatial prior from step 2, and t-LID needs two
-historical velocities, so the first complete st-LID field is at step 3.
+Step layout, in dataset columns (steps after the first): s-LID and the fused
+field start at ``lid.S_LID_FIRST_COL`` (1), where velocities begin; there the
+fused field is the s-LID field, and the spatial prior joins a column later.
+t-LID and st-LID start at ``lid.T_LID_FIRST_COL`` (3), after two velocities.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 import scipy.spatial
@@ -45,7 +45,9 @@ from .detection import (
 )
 from .errors import ConfigError
 from .fusion import FusionConfig, fuse_rows, neighbor_weights
-from .lid import LidConfig, LidField, _fill_sentinel, knn, lid_rows, t_lid_rows
+from .lid import (
+    S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig, LidField, _fill_sentinel, knn, lid_rows, t_lid_rows,
+)
 
 
 @dataclass
@@ -68,7 +70,7 @@ class PipelineState:
     """Resumable between-step state, advanced in place by ``iter_run``;
     everything else is derived from the immutable dataset."""
 
-    next_col: int = 1
+    next_col: int = S_LID_FIRST_COL
     prev_slid: np.ndarray | None = None
     det_state: DetectionState = field(default_factory=DetectionState)
     events: list = field(default_factory=list)
@@ -102,41 +104,11 @@ class RunResult:
     epsilon: float | None = None
 
 
-# ---------------------------------------------------------------------------
-# per-chunk kernel
-# ---------------------------------------------------------------------------
-
-
-# first column (steps after the dataset's first) at which each per-point
-# family is computable: velocity, then the spatial prior, then two historical
-# velocities
-_FIRST_COL = {"s": 1, "fused": 2, "t": 3}
-
-
-def _chunk_kernel(
-    lid_config, fusion_config, nbr_idx, weights_at, disp, samples, tree, col, prev_slid, out, rows
-):
-    """Write s-LID, fused s-LID and t-LID of the points in the slice ``rows``
-    at column ``col`` into the ``rows`` of ``out``'s (values, valid) buffers,
-    one pair per family computable at ``col``; ``tree`` is the kd-tree over
-    all of the step's samples."""
-    s = lid_config.s
-    obs_k = fusion_config.effective_obs_k(lid_config)
-    dist, _ = knn(samples, max(s, obs_k), rows, tree)
-
-    values, valid = out["s"]
-    values[rows], valid[rows] = lid_rows(dist[:, :s], lid_config)
-    if "fused" in out:
-        values, valid = out["fused"]
-        values[rows], valid[rows] = fuse_rows(
-            prev_slid[nbr_idx[rows]],
-            weights_at(samples, rows),
-            dist[:, :obs_k],
-            fusion_config.variance_floor,
-        )
-    if "t" in out:
-        values, valid = out["t"]
-        values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)
+# first column (steps after the dataset's first) of each score family: the
+# fused field starts as the s-LID field, and st-LID with t-LID
+_FIRST_COL = {
+    "s": S_LID_FIRST_COL, "fused": S_LID_FIRST_COL, "t": T_LID_FIRST_COL, "st": T_LID_FIRST_COL
+}
 
 
 def _last_col(dataset, stop_step):
@@ -145,9 +117,10 @@ def _last_col(dataset, stop_step):
     if stop_step is None:
         return dataset.num_steps - 1
     last_col = dataset.column(stop_step)
-    if last_col < 1:
+    if last_col < S_LID_FIRST_COL:
         raise ConfigError(
-            f"pipeline needs velocity; first computable step is {dataset.start_step + 1}"
+            "pipeline needs velocity; first computable step is "
+            f"{dataset.start_step + S_LID_FIRST_COL}"
         )
     return last_col
 
@@ -176,8 +149,9 @@ def iter_run(
     external step. ``state`` is updated in place after every step, so saving
     it at any point makes the run resumable from the next step; pass a
     loaded PipelineState to continue. A passed state must fit the dataset:
-    its arrays hold one value per point and it resumes within the dataset's
-    steps, else ConfigError.
+    its arrays hold one value per point, it resumes within the dataset's
+    steps, it holds the previous s-LID field past the first velocity column,
+    and its t-LID statistics are all set or all unset; else ConfigError.
     """
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
@@ -189,12 +163,15 @@ def iter_run(
         raise ConfigError(f"parallelism degree must be >= 1, got {parallel}")
     n = dataset.num_points
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
+    s = lid_config.s
+    obs_k = fusion_config.effective_obs_k(lid_config)
+    disp = dataset.displacement
 
     last_col = _last_col(dataset, stop_step)
 
     if state is None:
         state = PipelineState()
-    if not 1 <= state.next_col <= dataset.num_steps:
+    if not S_LID_FIRST_COL <= state.next_col <= dataset.num_steps:
         raise ConfigError(
             f"state resumes at column {state.next_col}; the dataset has {dataset.num_steps} steps"
         )
@@ -202,12 +179,34 @@ def iter_run(
         arr = getattr(state, name)
         if arr is not None and np.shape(arr) != (n,):
             raise ConfigError(f"state {name} has shape {np.shape(arr)}; the dataset has {n} points")
+    if state.next_col > S_LID_FIRST_COL and state.prev_slid is None:
+        raise ConfigError(f"state resumes at column {state.next_col} but holds no prev_slid")
+    if len({getattr(state, name) is None for name in ("t_count", "t_mean", "t_m2")}) > 1:
+        raise ConfigError("state sets only some of t_count, t_mean and t_m2")
     if state.det_state is None:
         state.det_state = DetectionState()
     if detection_config.normalization == "zscore-history" and state.t_count is None:
         state.t_count = np.zeros(n)
         state.t_mean = np.zeros(n)
         state.t_m2 = np.zeros(n)
+
+    def kernel(rows):
+        """Write the families of ``out`` at column ``col`` for the points in the
+        slice ``rows``, from the step's values the loop below sets."""
+        dist, _ = knn(samples, max(s, obs_k), rows, tree)
+        s_values, s_valid = out["s"]
+        s_values[rows], s_valid[rows] = lid_rows(dist[:, :s], lid_config)
+        values, valid = out["fused"]
+        if col == S_LID_FIRST_COL:  # bootstrap: without a prior the fused field is the raw field
+            values[rows], valid[rows] = s_values[rows], s_valid[rows]
+        else:
+            prior = state.prev_slid[nbr_idx[rows]]
+            values[rows], valid[rows] = fuse_rows(
+                prior, weights_at(samples, rows), dist[:, :obs_k], fusion_config.variance_floor
+            )
+        if "t" in out:
+            values, valid = out["t"]
+            values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)
 
     bounds = np.linspace(0, n, parallel + 1).astype(int)
     chunks = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -222,23 +221,14 @@ def iter_run(
             out = {
                 fam: (np.empty(n), np.empty(n, dtype=bool))
                 for fam, first in _FIRST_COL.items()
-                if col >= first
+                if fam != "st" and col >= first  # the kernel's families; st-LID comes from them
             }
-            kernel = partial(
-                _chunk_kernel, lid_config, fusion_config, nbr_idx, weights_at, dataset.displacement,
-                samples, tree, col, state.prev_slid, out,
-            )
             list(map_chunks(kernel, chunks))  # chunks write into out; this raises their errors
             fields = {
                 fam: LidField(step, _fill_sentinel(values, valid), valid)
                 for fam, (values, valid) in out.items()
             }
-            s_field = fields["s"]
-            # bootstrap: without a prior the fused field is the raw field
-            fused_field = fields.get("fused") or LidField(
-                step, s_field.values.copy(), s_field.valid.copy()
-            )
-            t_field = fields.get("t")
+            s_field, fused_field, t_field = fields["s"], fields["fused"], fields.get("t")
 
             st = decision = event = None
             if t_field is not None:
@@ -299,11 +289,7 @@ def event_lead_times(events, truth: GroundTruth | None, step_interval_minutes: f
 
 
 # score families each ``store`` mode of run_detection keeps
-_STORED = {"all": ("s", "fused", "t", "st"), "st": ("st",), "none": ()}
-
-# first column of each kept history: the bootstrap fused field starts with
-# s-LID, and st-LID with t-LID
-_HIST_FIRST_COL = {**_FIRST_COL, "fused": _FIRST_COL["s"], "st": _FIRST_COL["t"]}
+_STORED = {"all": tuple(_FIRST_COL), "st": ("st",), "none": ()}
 
 
 def run_detection(
@@ -347,13 +333,13 @@ def run_detection(
             last_col = _last_col(dataset, stop_step)
             kept = {}
             for fam in _STORED[store]:
-                shape = (last_col - _HIST_FIRST_COL[fam] + 1, dataset.num_points)
+                shape = (last_col - _FIRST_COL[fam] + 1, dataset.num_points)
                 if shape[0] > 0:
                     kept[fam] = (np.empty(shape), np.empty(shape, dtype=bool))
         seconds.append(rec.seconds)
         col = rec.step - dataset.start_step
         for fam, (values, valid) in kept.items():
-            row = col - _HIST_FIRST_COL[fam]
+            row = col - _FIRST_COL[fam]
             if row >= 0:
                 fld = getattr(rec, fam)
                 values[row] = fld.values
@@ -368,7 +354,7 @@ def run_detection(
     )
     for fam in _STORED[store]:
         if fam in ("s", "st"):  # the families whose steps RunResult records
-            cols = np.arange(_HIST_FIRST_COL[fam], last_col + 1)
+            cols = np.arange(_FIRST_COL[fam], last_col + 1)
             setattr(result, f"{fam}_steps", dataset.start_step + cols)
         if fam in kept:
             setattr(result, f"{fam}_hist", kept[fam][0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stlid.metrics
+import stlid.pipeline
 from stlid import (
     BaselineConfig,
     DetectionConfig,
@@ -123,6 +124,31 @@ def test_detect_at_step_too_early(generated, capsys):
     ])
     assert rc == 3
     assert "at-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scores, store", [(False, "none"), (True, "all")])
+def test_detect_keeps_a_history_only_for_the_score_dump(
+    generated, tmp_path, monkeypatch, scores, store
+):
+    stores = []
+    real = stlid.pipeline.run_detection
+
+    def recorded(*args, **kwargs):
+        stores.append(kwargs["store"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stlid.pipeline, "run_detection", recorded)
+    args = [
+        "detect",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--truth", str(generated["truth"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4",
+    ]
+    if scores:
+        args += ["--scores", str(tmp_path / "scores.csv")]
+    assert main(args) == 0
+    assert stores == [store]
 
 
 def test_detect_parallel_bit_identical(generated, tmp_path):
@@ -288,6 +314,26 @@ def test_monitor_resume_from_unreadable_checkpoint_exits_3(generated, tmp_path, 
     assert main([*args, "--checkpoint", str(ck), "--resume"]) == 3
     assert f"checkpoint {ck} is not in this layout" in capsys.readouterr().err
     assert main([*args, "--checkpoint", str(tmp_path / "missing.ckpt"), "--resume"]) == 2
+
+
+def test_monitor_resume_from_checkpoint_without_prev_slid_exits_3(generated, tmp_path, capsys):
+    ck = tmp_path / "state.ckpt"
+    args = [
+        "monitor",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4",
+        "--checkpoint", str(ck),
+        "--checkpoint-every", "20",
+    ]
+    assert main(args) == 0  # the last checkpoint is taken after step 100 of 119
+    with np.load(ck) as npz:
+        kept = {name: npz[name] for name in npz.files if name != "prev_slid"}
+    with open(ck, "wb") as fh:
+        np.savez(fh, **kept)
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 3
+    assert "holds no prev_slid" in capsys.readouterr().err
 
 
 def test_monitor_event_line(tmp_path, capsys):

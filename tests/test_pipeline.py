@@ -122,12 +122,24 @@ def test_run_detection_holds_each_history_once(parallel, monkeypatch):
 
 
 def test_step_layout(grid_noise_dataset):
-    recs = list(iter_run(grid_noise_dataset, **SMALL, stop_step=4))
-    assert [r.step for r in recs] == [1, 2, 3, 4]
-    assert recs[0].st is None and recs[1].st is None
-    assert recs[2].st is not None and recs[3].st is not None
-    # bootstrap: the first fused field is exactly the raw field
-    assert np.array_equal(recs[0].fused.values, recs[0].s.values)
+    ds = grid_noise_dataset
+    # eight points share one series, so each has only zero distances among
+    # its s=6 kinematic neighbours: an invalid point and a sentinel fill
+    disp = ds.displacement.copy()
+    disp[:8] = disp[0]
+    degenerate = make_dataset(disp, coords=ds.coords)
+    for parallel in (1, 3):
+        recs = list(iter_run(degenerate, **SMALL, parallel=parallel, stop_step=4))
+        assert [r.step for r in recs] == [1, 2, 3, 4]
+        assert recs[0].st is None and recs[1].st is None
+        assert recs[2].st is not None and recs[3].st is not None
+        # bootstrap: the first fused field is the raw field, bit for bit,
+        # sentinel fills and validity flags included
+        boot = recs[0]
+        assert not boot.s.valid[:8].any() and boot.s.valid[8:].any()
+        assert boot.fused.values.tobytes() == boot.s.values.tobytes()
+        assert np.array_equal(boot.fused.valid, boot.s.valid)
+        assert boot.fused.values is not boot.s.values
 
 
 def test_fields_match_standalone_functions(grid_noise_dataset):
@@ -261,6 +273,21 @@ def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
     # the state is untouched by the rejected runs and still resumes its own dataset
     assert state.next_col == 21
     assert next(iter_run(ds, **SMALL, state=state)).step == 21
+
+
+def test_resume_rejects_state_without_its_carried_fields(grid_noise_dataset):
+    ds = grid_noise_dataset
+    zscore = DetectionConfig(normalization="zscore-history")
+    state = PipelineState()
+    for _ in iter_run(ds, **SMALL, detection_config=zscore, stop_step=20, state=state):
+        pass
+    with pytest.raises(ConfigError, match="holds no prev_slid"):
+        next(iter_run(ds, **SMALL, state=replace(state, prev_slid=None)))
+    for name in ("t_count", "t_mean", "t_m2"):
+        with pytest.raises(ConfigError, match="only some of t_count, t_mean and t_m2"):
+            next(iter_run(ds, **SMALL, detection_config=zscore, state=replace(state, **{name: None})))
+    # the rejected runs left the state as it was
+    assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
 
 
 def test_load_checkpoint_rejects_missing_fields(tmp_path):
