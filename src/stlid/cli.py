@@ -264,13 +264,14 @@ def cmd_monitor(args) -> int:
         if not args.checkpoint:
             raise ConfigError("--resume needs --checkpoint")
         state = pipeline.load_checkpoint(args.checkpoint)
-        print(f"resuming at step {dataset.start_step + state.next_col}")
 
     sleep_s = 0.0
     if args.realtime_factor > 0:
         sleep_s = dataset.step_interval_minutes * 60.0 * args.realtime_factor
     n_since_ckpt = 0
-    for rec in pipeline.iter_run(dataset, state=state, **settings.run_args()):
+    for i, rec in enumerate(pipeline.iter_run(dataset, state=state, **settings.run_args())):
+        if args.resume and i == 0:  # iter_run has accepted the state
+            print(f"resuming at step {rec.step}")
         decision = rec.decision
         if decision is None:
             print(f"step={rec.step} (warm-up)")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .lid import knn
+from .lid import LidField, knn
 
 NORMALIZATION_MODES = ("raw", "zscore", "zscore-history")
 
@@ -82,17 +82,13 @@ def default_epsilon(coords: np.ndarray) -> float:
 
 
 @dataclass
-class StLidField:
-    """Per-point st-LID probabilities at one step.
+class StLidField(LidField):
+    """Per-point st-LID probabilities at one step, each in [0, 1].
 
     ``valid`` marks points whose underlying neighborhoods were non-degenerate;
     invalid points keep a value (computed from the sentinel fill) but are
     excluded from the alarm argmax.
     """
-
-    step: int
-    values: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -155,13 +151,13 @@ class DetectionState:
     place by ``update_detection``; it holds only what the rule reads, so its
     size does not grow with the run.
 
-    ``hits`` counts qualifying consecutive steps, capped at n; ``fired`` marks
-    that the current chain already produced its event, so an unbroken chain
-    never emits twice.
+    ``candidate_coord`` is the ball centre; ``hits`` counts qualifying
+    consecutive steps, capped at n; ``fired`` marks that the current chain
+    already produced its event, so an unbroken chain never emits twice. The
+    argmax's id is not kept: the step's ``AlarmDecision`` carries it.
     """
 
     candidate_coord: tuple[float, float] | None = None
-    candidate_id: int | None = None
     hits: int = 0
     fired: bool = False
 
@@ -201,7 +197,7 @@ def update_detection(
     usable = fld.valid & np.isfinite(values)
     if not usable.any():
         # nothing to track this step: the chain is broken
-        state.candidate_coord = state.candidate_id = None
+        state.candidate_coord = None
         state.hits, state.fired = 0, False
         return AlarmDecision(fld.step, None, None, None, 0), None
 
@@ -224,7 +220,7 @@ def update_detection(
     # the ball center slides to the argmax; a step below the threshold
     # starts no chain
     if above or center is not None:
-        state.candidate_coord, state.candidate_id = x_hat, pid
+        state.candidate_coord = x_hat
 
     event = None
     if state.hits >= config.n and not state.fired:

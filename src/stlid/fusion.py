@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import MonitoringDataset
 from .errors import ConfigError
-from .lid import S_LID_FIRST_COL, LidConfig, LidField, _fill_sentinel, _log_sums, knn, s_lid_all
+from .lid import S_LID_FIRST_COL, LidConfig, LidField, _log_sums, knn, s_lid_all
 
 DEFAULT_K = 8
 
@@ -254,5 +254,4 @@ def fuse_all(
     samples = dataset.samples_at(step)
     obs, _ = knn(samples, config.effective_obs_k(lid_config))
     weights = weights_at(samples, slice(None))
-    values, valid = fuse_rows(prev[nbr_idx], weights, obs, config.variance_floor)
-    return LidField(step, _fill_sentinel(values, valid), valid)
+    return LidField.filled(step, *fuse_rows(prev[nbr_idx], weights, obs, config.variance_floor))

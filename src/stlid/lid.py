@@ -79,12 +79,22 @@ class LidField:
 
     Entries with ``valid == False`` had degenerate or empty neighborhoods;
     their value is the sentinel fill (the step's maximum finite LID, or 1.0
-    when no point produced a finite estimate).
+    when no point produced a finite estimate), which ``filled`` writes.
     """
 
     step: int
     values: np.ndarray
     valid: np.ndarray
+
+    @classmethod
+    def filled(cls, step: int, values: np.ndarray, valid: np.ndarray) -> LidField:
+        """The field of ``values``, a fresh array whose invalid entries are
+        set to the sentinel in place."""
+        if valid.any():
+            values[~valid] = values[valid].max()
+        else:
+            values[:] = 1.0
+        return cls(step, values, valid)
 
 
 def kinematic_distance(a, b) -> float:
@@ -171,15 +181,6 @@ def mle_lid(distances, config: LidConfig | None = None) -> float:
     return float(values[0])
 
 
-def _fill_sentinel(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Fill the invalid entries of ``values``, a fresh array, in place with the sentinel."""
-    if valid.any():
-        values[~valid] = values[valid].max()
-    else:
-        values[:] = 1.0
-    return values
-
-
 def knn(points: np.ndarray, k: int, rows=slice(None), tree=None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distances and indices of the k nearest other points of each of
     ``points[rows]``, shape (m, k) each.
@@ -208,12 +209,12 @@ def s_lid_all(
     config = config or LidConfig()
     config.validate()
     dist, _ = knn(dataset.samples_at(step), config.s)
-    values, valid = lid_rows(dist, config)
-    return LidField(step, _fill_sentinel(values, valid), valid)
+    return LidField.filled(step, *lid_rows(dist, config))
 
 
 def t_lid(velocity_history, config: LidConfig | None = None) -> float:
-    """LID of the last velocity in ``velocity_history`` against all earlier ones.
+    """LID of the last velocity in ``velocity_history`` against all earlier ones:
+    ``mle_lid`` of the sorted distances to them, with its zero policy and errors.
 
     The history must contain the query plus at least two records. A constant
     history leaves no positive distances and raises InsufficientNeighborsError.
@@ -227,22 +228,7 @@ def t_lid(velocity_history, config: LidConfig | None = None) -> float:
         )
     if not np.all(np.isfinite(v)):
         raise ValueError("velocity history must be finite")
-    d = np.abs(v[-1] - v[:-1])
-    if config.zero_distance_policy == "drop":
-        d = d[d > 0.0]
-    else:
-        d = np.maximum(d, config.epsilon_floor)
-    if d.size < 2:
-        raise InsufficientNeighborsError(
-            f"only {d.size} positive distance(s) to the history remain"
-        )
-    d.sort()
-    values, valid = lid_rows(d[None, :], config)
-    if not valid[0]:
-        raise DegenerateNeighborhoodError(
-            "all history distances are equal; log-sum is zero"
-        )
-    return float(values[0])
+    return mle_lid(np.sort(np.abs(v[-1] - v[:-1])), config)
 
 
 # float64 cells of the scratch tile t_lid_rows streams the history through:
@@ -305,5 +291,4 @@ def t_lid_field(
             f"first valid step is {dataset.start_step + T_LID_FIRST_COL}, got {step}"
         )
     queries = dataset.samples_at(step)[:, 1]
-    values, valid = t_lid_rows(dataset.displacement[:, :c], queries, config)
-    return LidField(step, _fill_sentinel(values, valid), valid)
+    return LidField.filled(step, *t_lid_rows(dataset.displacement[:, :c], queries, config))

@@ -46,7 +46,7 @@ from .detection import (
 from .errors import ConfigError
 from .fusion import FusionConfig, fuse_rows, neighbor_weights
 from .lid import (
-    S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig, LidField, _fill_sentinel, knn, lid_rows, t_lid_rows,
+    S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig, LidField, knn, lid_rows, t_lid_rows,
 )
 
 
@@ -68,19 +68,20 @@ class StepRecord:
 @dataclass
 class PipelineState:
     """Resumable between-step state, advanced in place by ``iter_run``;
-    everything else is derived from the immutable dataset."""
+    everything else is derived from the immutable dataset. ``t_mean`` and
+    ``t_m2`` are each point's running t-LID mean and M2 under ``zscore-history``;
+    their count follows from ``next_col``."""
 
     next_col: int = S_LID_FIRST_COL
     prev_slid: np.ndarray | None = None
     det_state: DetectionState = field(default_factory=DetectionState)
     events: list = field(default_factory=list)
-    t_count: np.ndarray | None = None
     t_mean: np.ndarray | None = None
     t_m2: np.ndarray | None = None
 
 
 # the per-point arrays of a PipelineState, each None until first set
-_STATE_ARRAYS = ("prev_slid", "t_count", "t_mean", "t_m2")
+_STATE_ARRAYS = ("prev_slid", "t_mean", "t_m2")
 
 
 @dataclass
@@ -151,7 +152,8 @@ def iter_run(
     loaded PipelineState to continue. A passed state must fit the dataset:
     its arrays hold one value per point, it resumes within the dataset's
     steps, it holds the previous s-LID field past the first velocity column,
-    and its t-LID statistics are all set or all unset; else ConfigError.
+    its t-LID statistics are both set or both unset, and under
+    ``zscore-history`` it holds them past the first t-LID column; else ConfigError.
     """
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
@@ -181,14 +183,15 @@ def iter_run(
             raise ConfigError(f"state {name} has shape {np.shape(arr)}; the dataset has {n} points")
     if state.next_col > S_LID_FIRST_COL and state.prev_slid is None:
         raise ConfigError(f"state resumes at column {state.next_col} but holds no prev_slid")
-    if len({getattr(state, name) is None for name in ("t_count", "t_mean", "t_m2")}) > 1:
-        raise ConfigError("state sets only some of t_count, t_mean and t_m2")
+    if (state.t_mean is None) != (state.t_m2 is None):
+        raise ConfigError("state sets only some of t_mean and t_m2")
+    history = detection_config.normalization == "zscore-history"
+    if history and state.t_mean is None and state.next_col > T_LID_FIRST_COL:
+        raise ConfigError(f"state resumes at column {state.next_col} but holds no t-LID statistics")
+    if history and state.t_mean is None:
+        state.t_mean, state.t_m2 = np.zeros(n), np.zeros(n)
     if state.det_state is None:
         state.det_state = DetectionState()
-    if detection_config.normalization == "zscore-history" and state.t_count is None:
-        state.t_count = np.zeros(n)
-        state.t_mean = np.zeros(n)
-        state.t_m2 = np.zeros(n)
 
     def kernel(rows):
         """Write the families of ``out`` at column ``col`` for the points in the
@@ -224,23 +227,19 @@ def iter_run(
                 if fam != "st" and col >= first  # the kernel's families; st-LID comes from them
             }
             list(map_chunks(kernel, chunks))  # chunks write into out; this raises their errors
-            fields = {
-                fam: LidField(step, _fill_sentinel(values, valid), valid)
-                for fam, (values, valid) in out.items()
-            }
+            fields = {fam: LidField.filled(step, *arrays) for fam, arrays in out.items()}
             s_field, fused_field, t_field = fields["s"], fields["fused"], fields.get("t")
 
             st = decision = event = None
             if t_field is not None:
                 t_stats = None
-                if detection_config.normalization == "zscore-history":
-                    state.t_count += 1.0
+                if history:
+                    count = col - T_LID_FIRST_COL + 1  # t-LID fields seen so far
                     delta = t_field.values - state.t_mean
-                    state.t_mean += delta / state.t_count
+                    state.t_mean += delta / count
                     state.t_m2 += delta * (t_field.values - state.t_mean)
-                    sd = np.sqrt(state.t_m2 / state.t_count)
-                    sd[state.t_count < 2] = 0.0
-                    t_stats = (state.t_mean.copy(), sd)
+                    sd = np.sqrt(state.t_m2 / count) if count >= 2 else np.zeros(n)
+                    t_stats = (state.t_mean, sd)
 
                 st = st_lid_field(
                     fused_field.values,
@@ -279,9 +278,7 @@ def event_lead_times(events, truth: GroundTruth | None, step_interval_minutes: f
     for region in truth.regions:
         steps = 0
         for ev in sorted(events, key=lambda e: e.detection_step):
-            if ev.detection_step <= region.tof and region.contains(
-                np.array([ev.location])
-            )[0]:
+            if ev.detection_step <= region.tof and region.contains(ev.location)[0]:
                 steps = region.tof - ev.detection_step
                 break
         leads[region.label] = (steps, steps * step_interval_minutes)
@@ -392,14 +389,30 @@ def save_checkpoint(path, state: PipelineState) -> None:
         raise
 
 
+def _typed(meta):
+    """``meta``, a checkpoint's parsed meta record, if its fields and those of
+    its events hold their JSON types; else TypeError."""
+    def xy(v):
+        return type(v) is list and len(v) == 2 and all(type(a) in (int, float) for a in v)
+
+    good = [type(meta["next_col"]) is type(meta["hits"]) is int, type(meta["fired"]) is bool,
+            meta["candidate_coord"] is None or xy(meta["candidate_coord"])]
+    good += [type(e["detection_step"]) is type(e["point_id"]) is int and xy(e["location"])
+             and type(e["value"]) in (int, float) for e in meta["events"]]
+    if not all(good):
+        raise TypeError("a field of the meta record or of an event has another type")
+    return meta
+
+
 def load_checkpoint(path) -> PipelineState:
     """Read a state written by ``save_checkpoint``; ConfigError when the
-    file is no ``.npz`` archive, lacks a field of that layout or holds one in
-    another form, OSError when it cannot be opened. Other meta keys, such as
-    the per-step tracker history that earlier versions wrote, are ignored."""
+    file is no ``.npz`` archive, lacks a field of that layout or holds one of
+    another type, OSError when it cannot be opened. Other keys, such as the
+    per-step tracker history, the candidate id and the t-LID count that
+    earlier versions wrote, are ignored."""
     try:
         with np.load(path) as npz:
-            meta = json.loads(bytes(npz["meta"]).decode())
+            meta = _typed(json.loads(bytes(npz["meta"]).decode()))
             arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
         # JSON turned the coordinate tuples into lists
@@ -420,18 +433,16 @@ def write_scores_csv(path, result: RunResult, dataset: MonitoringDataset) -> Non
     """
     if result.s_hist is None or result.st_hist is None:
         raise ConfigError("score dump needs a run stored with store='all'")
-    lag = len(result.s_steps) - len(result.st_steps)  # s rows start before t and st rows
+    hists = [  # each family's histories and the column of their first row
+        (getattr(result, f"{fam}_hist"), getattr(result, f"{fam}_valid_hist"), first)
+        for fam, first in _FIRST_COL.items()
+    ]
     with open(path, "w") as fh:
         fh.write(",".join(SCORES_HEADER) + "\n")
-        for i, step in enumerate(result.st_steps):
-            values = (
-                result.s_hist[i + lag], result.fused_hist[i + lag],
-                result.t_hist[i], result.st_hist[i],
-            )
-            valid = (
-                result.s_valid_hist[i + lag], result.fused_valid_hist[i + lag],
-                result.t_valid_hist[i], result.st_valid_hist[i],
-            )
+        for step in result.st_steps:
+            col = step - dataset.start_step
+            values = [v[col - first] for v, _, first in hists]
+            valid = [m[col - first] for _, m, first in hists]
             for j, pid in enumerate(dataset.ids):
                 cells = [fmt_float(v[j]) for v in values] + [str(int(m[j])) for m in valid]
                 fh.write(f"{step},{pid},{','.join(cells)}\n")

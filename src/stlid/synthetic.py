@@ -159,13 +159,8 @@ def generate_creep_scenario(spec: CreepScenarioSpec) -> tuple[MonitoringDataset,
 
     regions = []
     if spec.region is not None:
-        xmin, ymin, xmax, ymax = spec.region
-        inside = (
-            (coords[:, 0] >= xmin)
-            & (coords[:, 0] <= xmax)
-            & (coords[:, 1] >= ymin)
-            & (coords[:, 1] <= ymax)
-        )
+        regions.append(FailureRegion("failure", *spec.region, spec.time_of_failure))
+        inside = regions[0].contains(coords)
         if np.any(inside):
             rates = _region_rates(spec, coords, inside)
             if spec.rate_jitter > 0:
@@ -188,9 +183,6 @@ def generate_creep_scenario(spec: CreepScenarioSpec) -> tuple[MonitoringDataset,
                 )
             velocity[:, 0] = 0.0  # displacement datum at the first step
             base[inside] += np.cumsum(velocity, axis=1)
-        regions.append(
-            FailureRegion("failure", xmin, ymin, xmax, ymax, spec.time_of_failure)
-        )
 
     if spec.noise_sd > 0:
         # about 1 MB of noise at a time: drawn in C order, the row blocks take

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -333,7 +334,66 @@ def test_monitor_resume_from_checkpoint_without_prev_slid_exits_3(generated, tmp
         np.savez(fh, **kept)
     capsys.readouterr()
     assert main([*args, "--resume"]) == 3
-    assert "holds no prev_slid" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "holds no prev_slid" in err
+    assert "resuming" not in out  # the refused state was never resumed
+
+
+def test_monitor_resume_under_history_normalization_of_a_zscore_checkpoint_exits_3(
+    generated, tmp_path, capsys
+):
+    ck = tmp_path / "state.ckpt"
+    args = [
+        "monitor",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4",
+        "--checkpoint", str(ck),
+        "--checkpoint-every", "20",
+    ]
+    assert main(args) == 0  # the last checkpoint is taken after step 100 of 119
+    saved = ck.read_bytes()
+    capsys.readouterr()
+    history = [*args, "--set", "detection.normalization=zscore-history", "--resume"]
+    assert main(history) == 3
+    out, err = capsys.readouterr()
+    assert "holds no t-LID statistics" in err
+    assert "resuming" not in out
+    # under its own normalization the checkpoint resumes, announced at its first step
+    ck.write_bytes(saved)
+    assert main([*args, "--resume"]) == 0
+    assert capsys.readouterr().out.startswith("resuming at step 101\nstep=101 ")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("next_col", "101"), ("next_col", 101.0), ("hits", "2"), ("fired", 0),
+    ("candidate_coord", [4.0]),
+])
+def test_monitor_resume_from_checkpoint_with_a_field_of_another_type_exits_3(
+    generated, tmp_path, capsys, field, value
+):
+    ck = tmp_path / "state.ckpt"
+    args = [
+        "monitor",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4",
+        "--checkpoint", str(ck),
+        "--checkpoint-every", "20",
+    ]
+    assert main(args) == 0
+    with np.load(ck) as npz:
+        kept = {name: npz[name] for name in npz.files}
+    meta = json.loads(bytes(kept["meta"]).decode())
+    meta[field] = value
+    kept["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    with open(ck, "wb") as fh:
+        np.savez(fh, **kept)
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 3
+    out, err = capsys.readouterr()
+    assert f"checkpoint {ck} is not in this layout" in err
+    assert "resuming" not in out
 
 
 def test_monitor_event_line(tmp_path, capsys):

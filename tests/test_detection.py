@@ -307,19 +307,19 @@ def test_update_advances_the_given_state_in_place():
     steps = [
         # field, the returned decision, the tracker fields after the update
         (field([0.9, 0.1, 0.1, 0.1], step=0),
-         (0, 0, (0.0, 0.0), 0.9, 1), ((0.0, 0.0), 0, 1, False)),
+         (0, 0, (0.0, 0.0), 0.9, 1), ((0.0, 0.0), 1, False)),
         (field([0.9, 0.1, 0.1, 0.1], step=1),  # fires
-         (1, 0, (0.0, 0.0), 0.9, 2), ((0.0, 0.0), 0, 2, True)),
+         (1, 0, (0.0, 0.0), 0.9, 2), ((0.0, 0.0), 2, True)),
         (field([0.9, 0.9, 0.9, 0.9], step=2, valid=np.zeros(4, bool)),  # nothing usable
-         (2, None, None, None, 0), (None, None, 0, False)),
+         (2, None, None, None, 0), (None, 0, False)),
         (field([0.1, 0.1, 0.2, 0.1], step=3),  # below the threshold
-         (3, 2, (5.0, 5.0), 0.2, 0), (None, None, 0, False)),
+         (3, 2, (5.0, 5.0), 0.2, 0), (None, 0, False)),
     ]
     for fld, decision, tracker in steps:
         back, _ = update_detection(state, fld, COORDS, cfg)
         assert isinstance(back, AlarmDecision) and back == decision
-        assert (state.candidate_coord, state.candidate_id, state.hits, state.fired) == tracker
-        assert set(vars(state)) == {"candidate_coord", "candidate_id", "hits", "fired"}
+        assert (state.candidate_coord, state.hits, state.fired) == tracker
+        assert set(vars(state)) == {"candidate_coord", "hits", "fired"}
 
 
 @st.composite

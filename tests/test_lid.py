@@ -279,6 +279,17 @@ def brute_slid(samples, s):
     return out
 
 
+def test_filled_field_sets_its_invalid_entries_to_the_largest_valid_value():
+    values = np.array([1.0, np.nan, 3.0, np.inf, 2.0])
+    valid = np.array([True, False, True, False, True])
+    fld = lid.LidField.filled(7, values, valid)
+    assert fld.values is values  # filled in place
+    assert fld.step == 7 and fld.valid is valid
+    assert fld.values.tolist() == [1.0, 3.0, 3.0, 3.0, 2.0]
+    none = lid.LidField.filled(7, np.array([np.nan, 5.0]), np.zeros(2, dtype=bool))
+    assert none.values.tolist() == [1.0, 1.0]
+
+
 def test_s_lid_all_identical_points_all_degenerate():
     ds = make_dataset(np.ones((6, 3)), coords=[(i, i) for i in range(6)])
     fld = s_lid_all(ds, 1, LidConfig(s=3))

@@ -20,6 +20,7 @@ from stlid import (
     t_lid_field,
 )
 from stlid import lid
+from stlid.detection import st_lid_field
 from stlid.errors import ConfigError, DataError
 from stlid.pipeline import (
     PipelineState,
@@ -142,6 +143,41 @@ def test_step_layout(grid_noise_dataset):
         assert boot.fused.values is not boot.s.values
 
 
+def test_every_field_fills_its_invalid_points_with_the_largest_valid_value(grid_noise_dataset):
+    ds = grid_noise_dataset
+    # eight points share one series (degenerate s-LID neighbourhoods) and one
+    # is constant (no positive distance to its own history)
+    disp = ds.displacement.copy()
+    disp[:8] = disp[0]
+    disp[20] = 0.5
+    degenerate = make_dataset(disp, coords=ds.coords)
+    rec = list(iter_run(degenerate, **SMALL, stop_step=4))[-1]
+    standalone = (
+        s_lid_all(degenerate, 4, SMALL["lid_config"]),
+        t_lid_field(degenerate, 4, SMALL["lid_config"]),
+        fuse_all(degenerate, rec.s.values, 4, SMALL["fusion_config"], SMALL["lid_config"]),
+    )
+    for fld in (rec.s, rec.fused, rec.t, *standalone):
+        assert 0 < fld.valid.sum() < ds.num_points
+        assert np.all(fld.values[~fld.valid] == fld.values[fld.valid].max())
+    assert not rec.t.valid[20] and not rec.s.valid[:8].any()
+
+
+def test_history_normalization_follows_the_running_statistics_of_every_t_lid_field(
+    grid_noise_dataset,
+):
+    cfg = DetectionConfig(normalization="zscore-history")
+    res = run_detection(grid_noise_dataset, detection_config=cfg, **SMALL)
+    lag = lid.T_LID_FIRST_COL - lid.S_LID_FIRST_COL  # fused rows start before t-LID rows
+    for row in range(len(res.st_steps)):
+        past = res.t_hist[: row + 1]  # this step's t-LID field and every earlier one
+        want = st_lid_field(
+            res.fused_hist[row + lag], res.t_hist[row], cfg,
+            t_history_stats=(past.mean(axis=0), past.std(axis=0)),
+        )
+        assert np.allclose(res.st_hist[row], want.values, rtol=1e-9, atol=1e-12), row
+
+
 def test_fields_match_standalone_functions(grid_noise_dataset):
     ds = grid_noise_dataset
     for cfg in CONFIGS:
@@ -256,8 +292,44 @@ def test_checkpoint_meta_holds_only_the_bounded_state(grid_noise_dataset, tmp_pa
     with np.load(tmp_path / "ck.npz") as npz:
         meta = json.loads(bytes(npz["meta"]).decode())
     assert set(meta) == {
-        "next_col", "candidate_coord", "candidate_id", "hits", "fired", "events",
+        "next_col", "candidate_coord", "hits", "fired", "events",
     }
+
+
+def test_checkpoint_of_the_earlier_layout_resumes_to_the_uninterrupted_run(
+    grid_noise_dataset, tmp_path
+):
+    # earlier versions also wrote the argmax id to the meta record and a
+    # per-point t-LID count, which now follows from next_col
+    ds = grid_noise_dataset
+    zscore = DetectionConfig(normalization="zscore-history", n=2)
+    straight = run_detection(ds, detection_config=zscore, **SMALL)
+    assert straight.events  # the resumed tracker and event list are exercised
+    state = PipelineState()
+    for _ in iter_run(ds, **SMALL, detection_config=zscore, stop_step=20, state=state):
+        pass
+    meta = {
+        "next_col": state.next_col,
+        **vars(state.det_state),
+        "candidate_id": 7,
+        "events": [vars(e) for e in state.events],
+    }
+    with open(tmp_path / "old.npz", "wb") as fh:
+        np.savez(
+            fh,
+            prev_slid=state.prev_slid,
+            t_count=np.full(ds.num_points, float(state.next_col - lid.T_LID_FIRST_COL)),
+            t_mean=state.t_mean,
+            t_m2=state.t_m2,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        )
+    resumed = load_checkpoint(tmp_path / "old.npz")
+    first_row = resumed.next_col - lid.T_LID_FIRST_COL  # st-LID history row of the resumed step
+    rest = list(iter_run(ds, **SMALL, detection_config=zscore, state=resumed))
+    assert np.array_equal(np.vstack([r.st.values for r in rest]), straight.st_hist[first_row:])
+    assert np.array_equal(np.vstack([r.st.valid for r in rest]), straight.st_valid_hist[first_row:])
+    assert resumed.events == straight.events
+    assert resumed.det_state == straight.final_state
 
 
 def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
@@ -283,9 +355,24 @@ def test_resume_rejects_state_without_its_carried_fields(grid_noise_dataset):
         pass
     with pytest.raises(ConfigError, match="holds no prev_slid"):
         next(iter_run(ds, **SMALL, state=replace(state, prev_slid=None)))
-    for name in ("t_count", "t_mean", "t_m2"):
-        with pytest.raises(ConfigError, match="only some of t_count, t_mean and t_m2"):
+    for name in ("t_mean", "t_m2"):
+        with pytest.raises(ConfigError, match="only some of t_mean and t_m2"):
             next(iter_run(ds, **SMALL, detection_config=zscore, state=replace(state, **{name: None})))
+    # a state that kept no t-LID statistics past their first column, such as
+    # one of a run under another normalization, cannot continue them
+    no_stats = [replace(state, t_mean=None, t_m2=None)]
+    other = PipelineState()
+    for _ in iter_run(ds, **SMALL, stop_step=ds.start_step + lid.T_LID_FIRST_COL, state=other):
+        pass
+    no_stats.append(other)
+    for bad in no_stats:
+        with pytest.raises(ConfigError, match="holds no t-LID statistics"):
+            next(iter_run(ds, **SMALL, detection_config=zscore, state=bad))
+    # before the first t-LID field there is nothing to continue: they start at zero
+    early = PipelineState()
+    for _ in iter_run(ds, **SMALL, stop_step=ds.start_step + lid.T_LID_FIRST_COL - 1, state=early):
+        pass
+    assert next(iter_run(ds, **SMALL, detection_config=zscore, state=early)).st is not None
     # the rejected runs left the state as it was
     assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
 
@@ -308,9 +395,36 @@ def test_load_checkpoint_rejects_missing_fields(tmp_path):
         npz("no_meta.ckpt", prev_slid=np.zeros(3)),
         npz("bad_json.ckpt", meta=np.frombuffer(b"{next_col", np.uint8)),
     ]
+    good = {
+        "next_col": 5, "candidate_coord": [1.0, 2.0], "hits": 1, "fired": False,
+        "events": [{"detection_step": 3, "point_id": 7, "location": [1.0, 2.0], "value": 0.9}],
+    }
+    wrong = {  # a field of another type, each in a file of its own
+        "next_col": ["5", 5.0, True, None],
+        "hits": ["2", 2.0, False],
+        "fired": [0, "false", None],
+        "candidate_coord": ["1,2", [1.0], [1.0, 2.0, 3.0], [1.0, "2"], [True, 2.0]],
+    }
+    wrong_event = {
+        "detection_step": ["3", 3.0, True],
+        "point_id": ["7", None],
+        "location": [None, [1.0], "1,2", [1.0, None]],
+        "value": ["0.9", None, True],
+    }
+    metas = [{**good, name: v} for name, values in wrong.items() for v in values]
+    metas += [
+        {**good, "events": [{**good["events"][0], name: v}]}
+        for name, values in wrong_event.items() for v in values
+    ]
+    metas += [{**good, "events": "none"}, {**good, "events": [[3, 7]]}, [good]]
+    for i, m in enumerate(metas):
+        unreadable.append(npz(f"typed{i}.ckpt", meta=np.frombuffer(json.dumps(m).encode(), np.uint8)))
     for path in unreadable:
         with pytest.raises(ConfigError, match=f"{path.name} is not in this layout"):
             load_checkpoint(path)
+    back = load_checkpoint(npz("good.ckpt", meta=np.frombuffer(json.dumps(good).encode(), np.uint8)))
+    assert (back.next_col, back.det_state.candidate_coord, back.det_state.hits) == (5, (1.0, 2.0), 1)
+    assert back.events[0].location == (1.0, 2.0)
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.ckpt")
 
