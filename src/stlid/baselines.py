@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .data import BASELINE_SCORES_HEADER, MonitoringDataset, fmt_float
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError, DegenerateInputError, require
 from .lid import LidConfig, s_lid_all
 
 
@@ -79,10 +79,8 @@ def dbscan_labels(samples, eps: float, min_pts: int) -> np.ndarray:
     when its neighborhood reaches min_pts. Clusters are numbered by their
     first core point, so labels are reproducible.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    if min_pts < 1:
-        raise ConfigError("min_pts must be >= 1")
+    require("eps", eps, "(0, inf)")
+    require("min_pts", min_pts, "[1, inf)")
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = x.shape[0]
     tree = cKDTree(x)
@@ -146,8 +144,7 @@ def lof_scores(samples, k: int) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = x.shape[0]
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    require("k", k, "[1, inf)")
     if n <= k:
         raise ConfigError(f"LOF with k={k} needs more than k points, got {n}")
     d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
@@ -174,6 +171,7 @@ def lof_scores(samples, k: int) -> np.ndarray:
 
 def lof(samples, k: int, cutoff: float = 1.5, step: int = 0) -> BaselineResult:
     """LOF baseline: likelihood = rank-normalized score, high risk = score >= cutoff."""
+    require("cutoff", cutoff)
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     scores = lof_scores(x, k)
     n = len(scores)
@@ -222,8 +220,9 @@ def edq_select(
     step. O(points^2 * steps): tractable at desk scale, expensive at field scale.
     """
     levels = [float(q) for q in quantile_levels]
-    if not levels or any(not 0 <= q <= 1 for q in levels):
-        raise ConfigError("quantile levels must lie in [0, 1]")
+    if not levels:
+        raise ConfigError("quantile selection needs at least one level")
+    require("quantile levels", np.array(levels), "[0, 1]")
     if dataset.num_points < 2:
         raise ConfigError("quantile selection needs at least 2 series")
     last = dataset.last_step if end_step is None else end_step

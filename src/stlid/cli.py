@@ -31,7 +31,7 @@ from .data import (
     save_ground_truth,
 )
 from .detection import DetectionConfig
-from .errors import ConfigError, DataError, StlidError
+from .errors import ConfigError, DataError, StlidError, require
 from .fusion import FusionConfig
 from .lid import T_LID_FIRST_COL, LidConfig
 from .metrics import METHOD_NAMES, BaselineConfig, benchmark, report_csv, report_table
@@ -66,8 +66,8 @@ class RunSettings:
             section = getattr(self, f.name)
             if is_dataclass(section):
                 section.validate()
-        if self.parallel < 1:
-            raise ConfigError("parallel must be >= 1")
+        require("parallel", self.parallel, "[1, inf)")
+        require("step_interval_minutes", self.step_interval_minutes, "(0, inf)")
 
     def run_args(self) -> dict:
         """The keyword arguments of a detector run under these settings."""
@@ -203,10 +203,11 @@ def cmd_generate(args) -> int:
 
 def _settings(args) -> RunSettings:
     """The effective settings: defaults, then ``--config``, ``--set`` and
-    ``--parallel``; dumped first when ``--print-config`` asks."""
-    settings = build_settings(parse_kv_file(args.config) if args.config else None, args.set)
+    ``--parallel``, checked together; dumped first when ``--print-config`` asks."""
+    overrides = list(args.set or [])
     if args.parallel is not None:
-        settings.parallel = args.parallel
+        overrides.append(f"parallel={args.parallel}")
+    settings = build_settings(parse_kv_file(args.config) if args.config else None, overrides)
     if args.print_config:
         print(format_settings(settings))
     return settings
@@ -257,6 +258,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    require("--checkpoint-every", args.checkpoint_every, "[1, inf)")
+    require("--realtime-factor", args.realtime_factor, "[0, inf)")
     settings = _settings(args)
     dataset, truth = _load_inputs(args, settings)
     state = pipeline.PipelineState()
@@ -265,9 +268,7 @@ def cmd_monitor(args) -> int:
             raise ConfigError("--resume needs --checkpoint")
         state = pipeline.load_checkpoint(args.checkpoint)
 
-    sleep_s = 0.0
-    if args.realtime_factor > 0:
-        sleep_s = dataset.step_interval_minutes * 60.0 * args.realtime_factor
+    sleep_s = dataset.step_interval_minutes * 60.0 * args.realtime_factor
     n_since_ckpt = 0
     for i, rec in enumerate(pipeline.iter_run(dataset, state=state, **settings.run_args())):
         if args.resume and i == 0:  # iter_run has accepted the state

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DataError, ParseError
+from .errors import ConsistencyError, DataError, ParseError, require
 
 
 POINTS_HEADER = ("id", "x", "y")
@@ -106,8 +106,7 @@ class MonitoringDataset:
         coords = np.array([p.coord for p in self.points], dtype=np.float64)
         if coords.shape != (n, 2) or not np.all(np.isfinite(coords)):
             raise DataError("point coordinates must be finite 2-D positions")
-        if self.step_interval_minutes <= 0:
-            raise DataError("step interval must be positive")
+        require("step interval", self.step_interval_minutes, "(0, inf)", DataError)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "coords", coords)
         self._index_of = {int(i): k for k, i in enumerate(ids)}

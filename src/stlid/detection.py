@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .lid import LidField, knn
 
 NORMALIZATION_MODES = ("raw", "zscore", "zscore-history")
@@ -63,12 +63,10 @@ class DetectionConfig:
     normalization: str = "zscore"
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"persistence length n must be >= 1, got {self.n}")
-        if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # false for NaN too
-            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not 0 < self.threshold < 1:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        require("persistence length n", self.n, "[1, inf)")
+        if self.epsilon is not None:
+            require("epsilon", self.epsilon, "(0, inf)")
+        require("threshold", self.threshold, "(0, 1)")
         if self.normalization not in NORMALIZATION_MODES:
             raise ConfigError(
                 f"normalization must be one of {NORMALIZATION_MODES}, got {self.normalization!r}"
@@ -91,10 +89,9 @@ class StLidField(LidField):
     """
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if np.any((v < 0) | (v > 1)):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if np.any((self.values < 0) | (self.values > 1)):  # NaN passes: update_detection skips it
             raise ValueError("st-LID values must lie in [0, 1]")
-        self.values = v
         self.valid = np.asarray(self.valid, dtype=bool)
 
 

@@ -18,13 +18,12 @@ the neighborhood mean, which is what suppresses isolated noisy spikes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MonitoringDataset
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .lid import S_LID_FIRST_COL, LidConfig, LidField, _log_sums, knn, s_lid_all
 
 DEFAULT_K = 8
@@ -39,10 +38,8 @@ class GammaParams:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise ValueError("Gamma parameters must be finite")
-        if self.alpha <= 0 or self.beta < 0:
-            raise ValueError(f"need alpha > 0 and beta >= 0, got ({self.alpha}, {self.beta})")
+        require("Gamma alpha", self.alpha, "(0, inf)", ValueError)
+        require("Gamma beta", self.beta, "[0, inf)", ValueError)
 
     @property
     def mean(self) -> float:
@@ -71,19 +68,15 @@ class FusionConfig:
     weight_space: str = "physical"
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise ConfigError(f"spatial neighborhood size k must be >= 1, got {self.k}")
-        if self.obs_k is not None and self.obs_k < 1:
-            raise ConfigError(f"observation neighborhood size must be >= 1, got {self.obs_k}")
+        require("spatial neighborhood size k", self.k, "[1, inf)")
+        if self.obs_k is not None:
+            require("observation neighborhood size obs_k", self.obs_k, "[1, inf)")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 raise ConfigError(f"bandwidth must be 'median' or a positive number, got {self.bandwidth!r}")
-        elif not 0 < self.bandwidth < math.inf:  # false for NaN too
-            raise ConfigError(f"fixed bandwidth must be finite and positive, got {self.bandwidth}")
-        if not 0 < self.variance_floor < math.inf:
-            raise ConfigError(
-                f"variance_floor must be finite and positive, got {self.variance_floor}"
-            )
+        else:
+            require("fixed bandwidth", self.bandwidth, "(0, inf)")
+        require("variance_floor", self.variance_floor, "(0, inf)")
         if self.weight_space not in ("physical", "kinematic"):
             raise ConfigError(f"weight_space must be 'physical' or 'kinematic', got {self.weight_space!r}")
 
@@ -96,8 +89,7 @@ def gaussian_weights(query_coord, neighbor_coords, bandwidth: float) -> np.ndarr
 
     Positive, sum to one, monotone non-increasing in distance.
     """
-    if bandwidth <= 0:
-        raise ConfigError("bandwidth must be positive")
+    require("bandwidth", bandwidth, "(0, inf)")
     q = np.asarray(query_coord, dtype=np.float64)
     nb = np.atleast_2d(np.asarray(neighbor_coords, dtype=np.float64))
     if nb.shape[0] < 1:
@@ -127,8 +119,7 @@ def prior_from_neighbors(
     w = np.asarray(weights, dtype=np.float64)
     if s.shape != w.shape or s.ndim != 1:
         raise ValueError("neighbor s-LIDs and weights must be 1-D and aligned")
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
-        raise ValueError("neighbor s-LIDs must be finite and strictly positive")
+    require("neighbor s-LIDs", s, "(0, inf)", ValueError)
     mu = float(np.dot(w, s))
     var = float(np.dot(w, (s - mu) ** 2))
     var = max(var, variance_floor)
@@ -140,8 +131,7 @@ def observation_params(distances) -> GammaParams:
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 1 or d.size < 1:
         raise ValueError("need at least one neighbor distance")
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
-        raise ValueError("observation distances must be finite and strictly positive")
+    require("observation distances", d, "(0, inf)", ValueError)
     if np.any(np.diff(d) < 0):
         raise ValueError("distances must be sorted ascending")
     k = d.size
@@ -151,9 +141,7 @@ def observation_params(distances) -> GammaParams:
 
 def fused_slid(prior: GammaParams, obs: GammaParams) -> float:
     """Posterior-mean s-LID of the conjugate update."""
-    denom = prior.beta + obs.beta
-    if denom <= 0:
-        raise ValueError("posterior rate must be positive")
+    denom = require("posterior rate", prior.beta + obs.beta, "(0, inf)", ValueError)
     return (prior.alpha + obs.alpha) / denom
 
 
@@ -247,8 +235,7 @@ def fuse_all(
     prev = np.asarray(prev_slids, dtype=np.float64)
     if prev.shape != (dataset.num_points,):
         raise ConfigError("prev_slids must hold one value per point")
-    if np.any(prev <= 0) or not np.all(np.isfinite(prev)):
-        raise ValueError("prev_slids must be finite and strictly positive")
+    require("prev_slids", prev, "(0, inf)", ValueError)
 
     nbr_idx, weights_at = neighbor_weights(dataset.coords, config)
     samples = dataset.samples_at(step)

@@ -41,6 +41,7 @@ from .errors import (
     ConfigError,
     DegenerateNeighborhoodError,
     InsufficientNeighborsError,
+    require,
 )
 
 DEFAULT_S = 20
@@ -61,16 +62,12 @@ class LidConfig:
     epsilon_floor: float = 1e-12
 
     def validate(self) -> None:
-        if self.s < 2:
-            raise ConfigError(f"neighborhood size s must be >= 2, got {self.s}")
+        require("neighborhood size s", self.s, "[2, inf)")
         if self.zero_distance_policy not in ("drop", "floor"):
             raise ConfigError(
                 f"zero_distance_policy must be 'drop' or 'floor', got {self.zero_distance_policy!r}"
             )
-        if not 0 < self.epsilon_floor < math.inf:  # false for NaN too
-            raise ConfigError(
-                f"epsilon_floor must be finite and positive, got {self.epsilon_floor}"
-            )
+        require("epsilon_floor", self.epsilon_floor, "(0, inf)")
 
 
 @dataclass
@@ -103,9 +100,7 @@ def kinematic_distance(a, b) -> float:
         a = (a.displacement, a.velocity)
     if isinstance(b, KinematicSample):
         b = (b.displacement, b.velocity)
-    for v in (*a, *b):
-        if not math.isfinite(v):
-            raise ValueError("kinematic samples must be finite")
+    require("kinematic samples", np.array([*a, *b], dtype=np.float64), error=ValueError)
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
@@ -161,8 +156,7 @@ def mle_lid(distances, config: LidConfig | None = None) -> float:
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 1 or d.size < 2:
         raise InsufficientNeighborsError("need at least 2 neighbor distances")
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite and non-negative")
+    require("distances", d, "[0, inf)", ValueError)
     if np.any(np.diff(d) < 0):
         raise ValueError("distances must be sorted ascending")
     if config.zero_distance_policy == "drop":
@@ -226,8 +220,7 @@ def t_lid(velocity_history, config: LidConfig | None = None) -> float:
         raise InsufficientNeighborsError(
             "velocity history must hold the query plus at least 2 records"
         )
-    if not np.all(np.isfinite(v)):
-        raise ValueError("velocity history must be finite")
+    require("velocity history", v, error=ValueError)
     return mle_lid(np.sort(np.abs(v[-1] - v[:-1])), config)
 
 

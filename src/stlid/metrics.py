@@ -15,7 +15,6 @@ st-LID detector keeps its full detection set.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,7 +31,7 @@ from .baselines import (
 )
 from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, fmt_float
 from .detection import DetectionConfig, default_epsilon
-from .errors import ConfigError, StlidError
+from .errors import ConfigError, StlidError, require
 from .fusion import FusionConfig
 from .lid import S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig
 from .pipeline import RunResult, run_detection
@@ -143,16 +142,14 @@ class BaselineConfig:
     edq_levels: tuple = DEFAULT_EDQ_LEVELS
 
     def validate(self) -> None:
-        if self.dbscan_eps is not None and not 0 < self.dbscan_eps < math.inf:  # false for NaN too
-            raise ConfigError(f"dbscan_eps must be None or finite and positive, got {self.dbscan_eps}")
-        if self.dbscan_min_pts < 1:
-            raise ConfigError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts}")
-        if self.lof_k < 1:
-            raise ConfigError(f"lof_k must be >= 1, got {self.lof_k}")
-        if not math.isfinite(self.lof_cutoff):
-            raise ConfigError(f"lof_cutoff must be finite, got {self.lof_cutoff}")
-        if not self.edq_levels or not all(0 <= q <= 1 for q in self.edq_levels):
-            raise ConfigError(f"edq_levels must be levels in [0, 1], got {self.edq_levels}")
+        if self.dbscan_eps is not None:
+            require("dbscan_eps", self.dbscan_eps, "(0, inf)")
+        require("dbscan_min_pts", self.dbscan_min_pts, "[1, inf)")
+        require("lof_k", self.lof_k, "[1, inf)")
+        require("lof_cutoff", self.lof_cutoff)
+        if not self.edq_levels:
+            raise ConfigError("edq_levels must hold at least one level")
+        require("edq_levels", np.asarray(self.edq_levels, dtype=np.float64), "[0, 1]")
 
 
 # the RunResult arrays (steps, values, valid) each detector-based method reads
@@ -239,8 +236,8 @@ def benchmark(
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHOD_NAMES)}")
     baseline_config = baseline_config or BaselineConfig()
     baseline_config.validate()
-    if max_backscan is not None and max_backscan < 0:
-        raise ConfigError(f"max_backscan must be >= 0, got {max_backscan}")
+    if max_backscan is not None:
+        require("max_backscan", max_backscan, "[0, inf)")
     needs_run = [m for m in methods if m in RUN_ROWS]
     if needs_run and run is None:
         run = run_detection(

@@ -43,7 +43,7 @@ from .detection import (
     st_lid_field,
     update_detection,
 )
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .fusion import FusionConfig, fuse_rows, neighbor_weights
 from .lid import (
     S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig, LidField, knn, lid_rows, t_lid_rows,
@@ -80,8 +80,9 @@ class PipelineState:
     t_m2: np.ndarray | None = None
 
 
-# the per-point arrays of a PipelineState, each None until first set
-_STATE_ARRAYS = ("prev_slid", "t_mean", "t_m2")
+# the per-point arrays of a PipelineState, each None until first set, and the
+# range of their values: s-LID is positive, a sum of squares non-negative
+_STATE_ARRAYS = {"prev_slid": "(0, inf)", "t_mean": "(-inf, inf)", "t_m2": "[0, inf)"}
 
 
 @dataclass
@@ -150,7 +151,8 @@ def iter_run(
     external step. ``state`` is updated in place after every step, so saving
     it at any point makes the run resumable from the next step; pass a
     loaded PipelineState to continue. A passed state must fit the dataset:
-    its arrays hold one value per point, it resumes within the dataset's
+    its arrays are float64, hold one finite value per point (a positive
+    ``prev_slid``, a non-negative ``t_m2``), it resumes within the dataset's
     steps, it holds the previous s-LID field past the first velocity column,
     its t-LID statistics are both set or both unset, and under
     ``zscore-history`` it holds them past the first t-LID column; else ConfigError.
@@ -161,8 +163,7 @@ def iter_run(
     lid_config.validate()
     fusion_config.validate()
     detection_config.validate()
-    if parallel < 1:
-        raise ConfigError(f"parallelism degree must be >= 1, got {parallel}")
+    require("parallelism degree", parallel, "[1, inf)")
     n = dataset.num_points
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
     s = lid_config.s
@@ -177,10 +178,14 @@ def iter_run(
         raise ConfigError(
             f"state resumes at column {state.next_col}; the dataset has {dataset.num_steps} steps"
         )
-    for name in _STATE_ARRAYS:
+    for name, interval in _STATE_ARRAYS.items():
         arr = getattr(state, name)
-        if arr is not None and np.shape(arr) != (n,):
-            raise ConfigError(f"state {name} has shape {np.shape(arr)}; the dataset has {n} points")
+        if arr is None:
+            continue
+        if np.shape(arr) != (n,) or getattr(arr, "dtype", None) != np.float64:
+            raise ConfigError(f"state {name} has shape {np.shape(arr)} and dtype "
+                              f"{getattr(arr, 'dtype', None)}; the run needs ({n},) float64")
+        require(f"state {name}", arr, interval)
     if state.next_col > S_LID_FIRST_COL and state.prev_slid is None:
         raise ConfigError(f"state resumes at column {state.next_col} but holds no prev_slid")
     if (state.t_mean is None) != (state.t_m2 is None):

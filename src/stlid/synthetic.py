@@ -29,18 +29,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FailureRegion, GroundTruth, MonitoredPoint, MonitoringDataset
-from .errors import ConfigError
+from .errors import ConfigError, require
+
+
+# each number of a CreepScenarioSpec and its range; the failure steps are
+# checked against each other
+SPEC_RANGES = {
+    "grid_nx": "[1, inf)", "grid_ny": "[1, inf)", "num_steps": "[2, inf)", "seed": "[0, inf)",
+    "noise_sd": "[0, inf)", "steady_rate": "(0, inf)", "accel_exponent": "(0, inf)",
+    "spacing": "(0, inf)", "drift_max": "[0, inf)", "transient_amp": "[0, inf)",
+    "transient_tau": "(0, inf)", "rate_floor": "(0, 1]", "bump_width": "(0, inf)",
+    "rate_jitter": "[0, 1)", "slip_theta": "[0, inf)", "slip_rho": "[0, 1)",
+    "step_interval_minutes": "(0, inf)",
+}
 
 
 @dataclass
 class CreepScenarioSpec:
-    """Parameters of a generated scenario.
+    """Parameters of a generated scenario; ``validate`` raises ConfigError
+    unless each number lies in its ``SPEC_RANGES`` range, given here.
 
-    ``region`` is an (xmin, ymin, xmax, ymax) rectangle in coordinate space or
-    None for a noise-only scenario. ``rate_floor`` sets the slowest in-region
-    steady rate as a fraction of ``steady_rate`` (the peak); ``bump_width`` is
-    the radial profile's sigma in coordinate units and ``rate_jitter`` the
-    half-width of the per-point multiplicative rate perturbation.
+    - ``grid_nx`` x ``grid_ny`` points (each >= 1), ``spacing`` (0, inf)
+      apart; ``num_steps`` >= 2; ``seed`` >= 0; ``step_interval_minutes``
+      (0, inf); ``noise_sd`` [0, inf): the measurement noise; ``drift_max``
+      [0, inf): the largest per-point linear drift per step.
+    - ``region``: a finite (xmin, ymin, xmax, ymax) rectangle in coordinate
+      space that holds a grid point (``generate_creep_scenario`` checks),
+      with ``0 < onset_step < time_of_failure < num_steps``; or None for a
+      noise-only scenario.
+    - ``steady_rate`` (0, inf): the peak steady rate; ``rate_floor`` (0, 1]:
+      the slowest in-region steady rate as a fraction of it; ``bump_width``
+      (0, inf): the radial profile's sigma in coordinate units;
+      ``rate_jitter`` [0, 1): the half-width of the per-point multiplicative
+      rate perturbation; ``transient_amp`` [0, inf) and ``transient_tau``
+      (0, inf): the initial surplus over the steady rate and its decay time
+      in steps; ``accel_exponent`` (0, inf): the inverse-velocity exponent;
+      ``slip_theta`` [0, inf) and ``slip_rho`` [0, 1): the stick-slip
+      factor's log bound and AR(1) coefficient.
     """
 
     grid_nx: int
@@ -65,41 +90,19 @@ class CreepScenarioSpec:
     step_interval_minutes: float = 2.5
 
     def validate(self) -> None:
-        if self.grid_nx < 1 or self.grid_ny < 1:
-            raise ConfigError("grid dimensions must be positive")
-        if self.num_steps < 2:
-            raise ConfigError("num_steps must be at least 2")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-        if self.spacing <= 0:
-            raise ConfigError("spacing must be positive")
-        if self.drift_max < 0:
-            raise ConfigError("drift_max must be >= 0")
-        if not 0 < self.rate_floor <= 1:
-            raise ConfigError("rate_floor must lie in (0, 1]")
-        if not 0 <= self.rate_jitter < 1:
-            raise ConfigError("rate_jitter must lie in [0, 1)")
-        if self.bump_width <= 0:
-            raise ConfigError("bump_width must be positive")
-        if self.slip_theta < 0:
-            raise ConfigError("slip_theta must be >= 0")
-        if not 0 <= self.slip_rho < 1:
-            raise ConfigError("slip_rho must lie in [0, 1)")
+        for name, interval in SPEC_RANGES.items():
+            require(name, getattr(self, name), interval)
         if self.region is not None:
             if self.time_of_failure is None or self.onset_step is None:
                 raise ConfigError("a failure region needs onset_step and time_of_failure")
-            xmin, ymin, xmax, ymax = self.region
-            if not (xmax > xmin and ymax > ymin):
-                raise ConfigError("failure region rectangle is degenerate")
+            box = require("region", np.array(self.region, dtype=np.float64))
+            if box.shape != (4,) or not (box[2] > box[0] and box[3] > box[1]):
+                raise ConfigError(f"failure region {self.region} must be a rectangle xmin < xmax, ymin < ymax")
             if not 0 < self.onset_step < self.time_of_failure < self.num_steps:
                 raise ConfigError(
                     "need 0 < onset_step < time_of_failure < num_steps, got "
                     f"onset={self.onset_step} tof={self.time_of_failure} steps={self.num_steps}"
                 )
-            if self.steady_rate <= 0:
-                raise ConfigError("steady_rate must be positive")
-            if self.accel_exponent <= 0:
-                raise ConfigError("accel_exponent must be positive")
 
 
 def _grid_coords(spec: CreepScenarioSpec) -> np.ndarray:
@@ -161,28 +164,29 @@ def generate_creep_scenario(spec: CreepScenarioSpec) -> tuple[MonitoringDataset,
     if spec.region is not None:
         regions.append(FailureRegion("failure", *spec.region, spec.time_of_failure))
         inside = regions[0].contains(coords)
-        if np.any(inside):
-            rates = _region_rates(spec, coords, inside)
-            if spec.rate_jitter > 0:
-                rates = rates * rng.uniform(
-                    1.0 - spec.rate_jitter, 1.0 + spec.rate_jitter, size=rates.size
-                )
-            tof, onset = spec.time_of_failure, spec.onset_step
-            shape = 1.0 + spec.transient_amp * np.exp(-steps / spec.transient_tau)
-            accel = np.ones(t)
-            ramp = slice(onset, tof + 1)
-            accel[ramp] = (
-                (tof - onset + 1.0) / (tof - steps[ramp] + 1.0)
-            ) ** spec.accel_exponent
-            accel[tof + 1 :] = 0.0  # collapsed: the region freezes after failure
-            shape[tof + 1 :] = 0.0
-            velocity = rates[:, None] * (shape * accel)[None, :]
-            if spec.slip_theta > 0:
-                velocity *= _slip_modulation(
-                    rng, rates.size, t, spec.slip_rho, spec.slip_theta
-                )
-            velocity[:, 0] = 0.0  # displacement datum at the first step
-            base[inside] += np.cumsum(velocity, axis=1)
+        if not inside.any():
+            raise ConfigError(f"failure region {spec.region} holds no grid point")
+        rates = _region_rates(spec, coords, inside)
+        if spec.rate_jitter > 0:
+            rates = rates * rng.uniform(
+                1.0 - spec.rate_jitter, 1.0 + spec.rate_jitter, size=rates.size
+            )
+        tof, onset = spec.time_of_failure, spec.onset_step
+        shape = 1.0 + spec.transient_amp * np.exp(-steps / spec.transient_tau)
+        accel = np.ones(t)
+        ramp = slice(onset, tof + 1)
+        accel[ramp] = (
+            (tof - onset + 1.0) / (tof - steps[ramp] + 1.0)
+        ) ** spec.accel_exponent
+        accel[tof + 1 :] = 0.0  # collapsed: the region freezes after failure
+        shape[tof + 1 :] = 0.0
+        velocity = rates[:, None] * (shape * accel)[None, :]
+        if spec.slip_theta > 0:
+            velocity *= _slip_modulation(
+                rng, rates.size, t, spec.slip_rho, spec.slip_theta
+            )
+        velocity[:, 0] = 0.0  # displacement datum at the first step
+        base[inside] += np.cumsum(velocity, axis=1)
 
     if spec.noise_sd > 0:
         # about 1 MB of noise at a time: drawn in C order, the row blocks take

@@ -181,6 +181,18 @@ def test_dbscan_validation():
         dbscan_labels(np.zeros((3, 2)), eps=-1.0, min_pts=2)
     with pytest.raises(ConfigError):
         dbscan_labels(np.zeros((3, 2)), eps=1.0, min_pts=0)
+    # a NaN radius holds no neighbour, so it used to label every point noise
+    for eps in (math.nan, math.inf, 0.0):
+        with pytest.raises(ConfigError, match="eps"):
+            dbscan_labels(np.zeros((3, 2)), eps=eps, min_pts=2)
+
+
+def test_lof_validation():
+    # a NaN cutoff compares false with every score, so it used to flag no point
+    x = np.random.default_rng(0).normal(size=(30, 2))
+    for cutoff in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="cutoff"):
+            lof(x, 5, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -718,3 +718,182 @@ def test_detect_reports_example_lead_in_minutes(tmp_path, capsys):
     assert main(["generate", str(DOCS / "example_scenario.cfg"), *args]) == 0
     assert main(["detect", *args]) == 0
     assert "lead[failure] = 60 steps (150.0 min)" in capsys.readouterr().out.splitlines()
+
+
+# ---------------------------------------------------------------------------
+# every outside number is refused where it enters
+# ---------------------------------------------------------------------------
+
+ALL = ("nan", "inf", "-1", "0")
+# each numeric config key and which of ALL lie outside its range
+CONFIG_OUT_OF_RANGE = {
+    "lid.s": ALL,
+    "lid.epsilon_floor": ALL,
+    "fusion.k": ALL,
+    "fusion.obs_k": ALL,
+    "fusion.bandwidth": ALL,
+    "fusion.variance_floor": ALL,
+    "detection.n": ALL,
+    "detection.epsilon": ALL,
+    "detection.threshold": ALL,
+    "baseline.dbscan_eps": ALL,
+    "baseline.dbscan_min_pts": ALL,
+    "baseline.lof_k": ALL,
+    "baseline.lof_cutoff": ("nan", "inf"),
+    "baseline.edq_levels": ("nan", "inf", "-1"),
+    "parallel": ALL,
+    "step_interval_minutes": ALL,
+}
+# each numeric scenario spec field and which of ALL lie outside its range
+SPEC_OUT_OF_RANGE = {
+    "grid_nx": ALL, "grid_ny": ALL, "num_steps": ALL, "seed": ("nan", "inf", "-1"),
+    "noise_sd": ("nan", "inf", "-1"), "region": ALL, "time_of_failure": ALL,
+    "steady_rate": ALL, "onset_step": ALL, "accel_exponent": ALL, "spacing": ALL,
+    "drift_max": ("nan", "inf", "-1"), "transient_amp": ("nan", "inf", "-1"),
+    "transient_tau": ALL, "rate_floor": ALL, "bump_width": ALL,
+    "rate_jitter": ("nan", "inf", "-1"), "slip_theta": ("nan", "inf", "-1"),
+    "slip_rho": ("nan", "inf", "-1"), "step_interval_minutes": ALL,
+}
+
+
+@pytest.fixture(scope="module")
+def example(tmp_path_factory):
+    """Points, series and truth of the small spec, shared by the table cases."""
+    root = tmp_path_factory.mktemp("example")
+    paths = {name: root / f"{name}.csv" for name in ("points", "series", "truth")}
+    spec = write_spec(root / "spec.cfg")
+    args = [f"--{name}={path}" for name, path in paths.items()]
+    assert main(["generate", str(spec), *args]) == 0
+    return paths
+
+
+def test_the_tables_cover_every_number():
+    from stlid.cli import _setting_types
+    from stlid.synthetic import CreepScenarioSpec
+
+    numeric = [key for key, tp in _setting_types().items() if tp is not str]
+    assert list(CONFIG_OUT_OF_RANGE) == numeric
+    assert set(SPEC_OUT_OF_RANGE) == {f.name for f in fields(CreepScenarioSpec)}
+
+
+# the two output files each run command writes
+OUTPUT_FLAGS = {
+    "detect": ("--scores", "--events"),
+    "monitor": ("--checkpoint", "--events"),
+    "benchmark": ("--table", "--csv"),
+}
+
+
+def _run_argv(command, example, tmp_path):
+    """``command`` over the example, with its output files in ``tmp_path``:
+    (argv, the output paths)."""
+    outputs = [tmp_path / "out.csv", tmp_path / "ev.csv"]
+    argv = [command, *(f"--{name}={path}" for name, path in example.items())]
+    argv += [f"{flag}={path}" for flag, path in zip(OUTPUT_FLAGS[command], outputs)]
+    return argv, outputs
+
+
+def _refused(capsys, argv, outputs, code=3):
+    """Run ``argv``: it exits with ``code`` before any output, and writes no
+    file of ``outputs``."""
+    assert main(argv) == code, argv
+    out, err = capsys.readouterr()
+    assert out == "" and not any(p.exists() for p in outputs), argv
+    assert err.startswith(f"stlid: {'usage' if code == 1 else 'config'} error: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["detect", "monitor", "benchmark"])
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key, values in CONFIG_OUT_OF_RANGE.items() for value in values
+])
+def test_an_out_of_range_setting_exits_3_before_any_output(
+    example, tmp_path, capsys, command, key, value
+):
+    argv, outputs = _run_argv(command, example, tmp_path)
+    err = _refused(capsys, [*argv, "--print-config", "--set", f"{key}={value}"], outputs)
+    assert key.rpartition(".")[2] in err
+
+
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field, values in SPEC_OUT_OF_RANGE.items() for value in values),
+    ("region", "30,30,40,40"),  # on the 12 x 10 grid: no point inside
+    ("region", "1,2,3"),
+])
+def test_an_out_of_range_spec_field_exits_3_before_any_output(tmp_path, capsys, field, value):
+    spec = write_spec(tmp_path / "spec.cfg", **{field: value})
+    outputs = [tmp_path / f"{name}.csv" for name in ("points", "series", "truth")]
+    err = _refused(capsys, ["generate", str(spec), *(f"--{p.stem}={p}" for p in outputs)], outputs)
+    assert field in err
+
+
+@pytest.mark.parametrize("command, flag, value, code", [
+    ("detect", "--parallel", "-1", 3), ("detect", "--parallel", "0", 3),
+    ("detect", "--parallel", "nan", 1), ("detect", "--parallel", "inf", 1),
+    ("detect", "--at-step", "-1", 3), ("detect", "--at-step", "0", 3),
+    ("detect", "--at-step", "nan", 1), ("detect", "--at-step", "inf", 1),
+    ("monitor", "--parallel", "0", 3),
+    ("monitor", "--checkpoint-every", "0", 3), ("monitor", "--checkpoint-every", "-5", 3),
+    ("monitor", "--checkpoint-every", "nan", 1), ("monitor", "--checkpoint-every", "inf", 1),
+    ("monitor", "--realtime-factor", "nan", 3), ("monitor", "--realtime-factor", "inf", 3),
+    ("monitor", "--realtime-factor", "-1", 3),
+    ("benchmark", "--parallel", "0", 3),
+    ("benchmark", "--max-backscan", "-1", 3),
+    ("benchmark", "--max-backscan", "nan", 1), ("benchmark", "--max-backscan", "inf", 1),
+])
+def test_an_out_of_range_flag_exits_with_its_code_before_any_output(
+    example, tmp_path, capsys, command, flag, value, code
+):
+    argv, outputs = _run_argv(command, example, tmp_path)
+    err = _refused(capsys, [*argv, f"{flag}={value}"], outputs, code)
+    assert code == 1 or flag.strip("-").replace("-", "_") in err.replace("-", "_")
+
+
+def test_parallel_flag_is_checked_before_the_config_dump(example, capsys):
+    # the dump used to print parallel=0, which does not load back, and only
+    # then did the run refuse it
+    argv = ["detect", *(f"--{name}={path}" for name, path in example.items())]
+    err = _refused(capsys, [*argv, "--parallel", "0", "--print-config"], [])
+    assert "parallel must lie in [1, inf), got 0" in err
+    assert main([*argv, "--parallel", "2", "--print-config", "--at-step", "3"]) == 0
+    assert "parallel=2" in capsys.readouterr().out.splitlines()
+
+
+def test_generate_negative_seed_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.cfg")
+    outputs = [tmp_path / f"{name}.csv" for name in ("points", "series")]
+    _refused(capsys, ["generate", str(spec), *(f"--{p.stem}={p}" for p in outputs),
+                      "--seed", "-1"], outputs)
+
+
+@pytest.mark.parametrize("normalization, name, bad", [
+    ("zscore", "prev_slid", lambda a: a.astype(np.int64)),
+    ("zscore", "prev_slid", lambda a: np.where(np.arange(a.size) == 5, np.nan, a)),
+    ("zscore", "prev_slid", lambda a: -a),
+    ("zscore-history", "t_m2", lambda a: a - a.max() - 1.0),
+], ids=["int-prev_slid", "nan-prev_slid", "negative-prev_slid", "negative-t_m2"])
+def test_monitor_resume_from_checkpoint_with_arrays_outside_their_range_exits_3(
+    generated, tmp_path, capsys, normalization, name, bad
+):
+    ck = tmp_path / "state.ckpt"
+    args = [
+        "monitor",
+        "--points", str(generated["points"]),
+        "--series", str(generated["series"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4",
+        "--set", f"detection.normalization={normalization}",
+        "--checkpoint", str(ck),
+        "--checkpoint-every", "20",
+    ]
+    assert main(args) == 0  # the last checkpoint is taken after step 100 of 119
+    with np.load(ck) as npz:
+        kept = {key: npz[key] for key in npz.files}
+    kept[name] = bad(kept[name])
+    with open(ck, "wb") as fh:
+        np.savez(fh, **kept)
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 3
+    out, err = capsys.readouterr()
+    assert f"state {name}" in err
+    assert "resuming" not in out

@@ -39,6 +39,13 @@ def test_weights_single_neighbor():
     assert gaussian_weights((0.0, 0.0), [(3.0, 4.0)], 2.0).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -1.0, 0.0])
+def test_weights_reject_a_bandwidth_outside_its_range(bandwidth):
+    # a NaN bandwidth used to give NaN weights
+    with pytest.raises(ConfigError, match="bandwidth"):
+        gaussian_weights((0.0, 0.0), [(3.0, 4.0), (1.0, 0.0)], bandwidth)
+
+
 def test_weights_properties_randomized():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -377,6 +377,30 @@ def test_resume_rejects_state_without_its_carried_fields(grid_noise_dataset):
     assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("prev_slid", lambda a: a.astype(np.int64)),
+    ("prev_slid", lambda a: np.where(np.arange(a.size) == 7, np.nan, a)),
+    ("prev_slid", lambda a: -a),
+    ("prev_slid", lambda a: np.zeros_like(a)),
+    ("t_mean", lambda a: np.full_like(a, np.inf)),
+    ("t_m2", lambda a: a - a.max() - 1.0),
+    ("t_m2", lambda a: a.astype(np.float32)),
+    ("t_m2", lambda a: list(a)),
+], ids=["int", "nan", "negative", "zero", "inf-mean", "negative-m2", "float32", "list"])
+def test_resume_rejects_state_arrays_outside_their_range(grid_noise_dataset, name, bad):
+    # a prior from a truncated, NaN or negative field would run on silently
+    ds = grid_noise_dataset
+    zscore = DetectionConfig(normalization="zscore-history")
+    state = PipelineState()
+    for _ in iter_run(ds, **SMALL, detection_config=zscore, stop_step=20, state=state):
+        pass
+    broken = replace(state, **{name: bad(getattr(state, name))})
+    with pytest.raises(ConfigError, match=f"state {name}"):
+        next(iter_run(ds, **SMALL, detection_config=zscore, state=broken))
+    # the rejected run left the state's shared parts as they were
+    assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
+
+
 def test_load_checkpoint_rejects_missing_fields(tmp_path):
     def npz(name, **arrays):
         with open(tmp_path / name, "wb") as fh:
