@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import BASELINE_SCORES_HEADER, MonitoringDataset, fmt_float
+from .data import BASELINE_SCORES_HEADER, MonitoringDataset, format_rows
 from .errors import ConfigError, DegenerateInputError, require
 from .lid import LidConfig, s_lid_all
 
@@ -256,19 +256,12 @@ def edq_select(
 
 
 def write_baseline_scores_csv(path, results, dataset: MonitoringDataset) -> None:
-    """Per-step score dump for comparison methods.
-
-    Mirrors the detector's per-step dump layout (step and point id first) with
-    a method column, in the ``BASELINE_SCORES_HEADER`` format.
-    """
+    """Per-point scores of comparison methods in the ``BASELINE_SCORES_HEADER``
+    format: the detector's dump layout (step and point id first) with a method column."""
     with open(path, "w") as fh:
         fh.write(",".join(BASELINE_SCORES_HEADER) + "\n")
         for res in results:
-            for j, pid in enumerate(dataset.ids):
-                fh.write(
-                    f"{res.step},{pid},{res.method},{fmt_float(res.likelihood[j])},"
-                    f"{int(res.high_risk[j])}\n"
-                )
+            fh.write(format_rows(res.step, dataset.ids, res.method, res.likelihood, res.high_risk))
 
 
 def slid_result(values, step: int) -> BaselineResult:

@@ -16,17 +16,21 @@ import sys
 import time
 import types
 import typing
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import reduce
 
 from . import pipeline
 from .baselines import write_baseline_scores_csv
 from .data import (
+    SCORES_HEADER,
     check_events,
     check_scores,
+    format_rows,
     load_dataset,
     load_ground_truth,
     load_points,
+    replacing,
     save_dataset,
     save_ground_truth,
 )
@@ -202,15 +206,11 @@ def cmd_generate(args) -> int:
 
 
 def _settings(args) -> RunSettings:
-    """The effective settings: defaults, then ``--config``, ``--set`` and
-    ``--parallel``, checked together; dumped first when ``--print-config`` asks."""
+    """The checked settings: defaults, then ``--config``, ``--set`` and ``--parallel``."""
     overrides = list(args.set or [])
     if args.parallel is not None:
         overrides.append(f"parallel={args.parallel}")
-    settings = build_settings(parse_kv_file(args.config) if args.config else None, overrides)
-    if args.print_config:
-        print(format_settings(settings))
-    return settings
+    return build_settings(parse_kv_file(args.config) if args.config else None, overrides)
 
 
 def _event_line(ev) -> str:
@@ -221,38 +221,44 @@ def _event_line(ev) -> str:
 
 
 def _load_inputs(args, settings):
+    """The dataset and truth, checked against each other and against
+    ``--at-step``; the ``--print-config`` dump follows these last pre-run checks."""
     dataset = load_dataset(
         args.points, args.series, step_interval_minutes=settings.step_interval_minutes
     )
-    truth = load_ground_truth(args.truth) if getattr(args, "truth", None) else None
+    truth = load_ground_truth(args.truth) if args.truth else None
+    if truth is not None:
+        truth.validate_against(dataset)
+    if getattr(args, "at_step", None) is not None:  # after velocity, fusion bootstrap and t-LID
+        first, last = dataset.start_step + T_LID_FIRST_COL, dataset.last_step
+        require("--at-step", args.at_step, f"[{first}, {last}]")
+    if args.print_config:
+        print(format_settings(settings))
     return dataset, truth
 
 
 def cmd_detect(args) -> int:
     settings = _settings(args)
     dataset, truth = _load_inputs(args, settings)
-    stop = args.at_step
-    if stop is not None and stop < dataset.start_step + T_LID_FIRST_COL:
-        raise ConfigError(
-            f"--at-step must be >= {dataset.start_step + T_LID_FIRST_COL} "
-            "(velocity, fusion bootstrap and temporal history come first)"
-        )
-    result = pipeline.run_detection(
-        dataset,
-        truth=truth,
-        stop_step=stop,
-        store="all" if args.scores else "none",
-        **settings.run_args(),
-    )
-    if args.scores:
-        pipeline.write_scores_csv(args.scores, result, dataset)
+    state = pipeline.PipelineState()
+    records = pipeline.iter_run(dataset, stop_step=args.at_step, state=state, **settings.run_args())
+    # the score dump is written as the steps arrive, and replaces --scores once the run has finished
+    with replacing(args.scores) if args.scores else nullcontext() as dump:
+        if dump is not None:
+            dump.write(",".join(SCORES_HEADER) + "\n")
+        for rec in records:
+            if dump is not None and rec.st is not None:  # one block of rows per st-LID step
+                fields = (rec.s, rec.fused, rec.t, rec.st)
+                dump.write(format_rows(rec.step, dataset.ids, *(f.values for f in fields),
+                                       *(f.valid for f in fields)))
     if args.events:
-        pipeline.write_events_csv(args.events, result.events)
-    for ev in result.events:
+        pipeline.write_events_csv(args.events, state.events)
+    for ev in state.events:
         print(_event_line(ev))
-    for label, (steps, minutes) in result.lead_times.items():
+    leads = pipeline.event_lead_times(state.events, truth, dataset.step_interval_minutes)
+    for label, (steps, minutes) in leads.items():
         print(f"lead[{label}] = {steps} steps ({minutes:.1f} min)")
-    if not result.events:
+    if not state.events:
         print("no events")
     return EXIT_OK
 
@@ -295,6 +301,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if args.max_backscan is not None:
+        require("max_backscan", args.max_backscan, "[0, inf)")  # as metrics.benchmark names it
     settings = _settings(args)
     methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods else METHOD_NAMES
     for m in methods:
@@ -302,9 +310,9 @@ def cmd_benchmark(args) -> int:
             raise _UsageError(
                 f"unknown method {m!r}; valid methods: {', '.join(METHOD_NAMES)}"
             )
-    dataset, truth = _load_inputs(args, settings)
-    if truth is None:
+    if not args.truth:
         raise ConfigError("benchmark needs --truth")
+    dataset, truth = _load_inputs(args, settings)
     reports = benchmark(
         dataset,
         truth,

@@ -14,16 +14,18 @@ save/load round-trips are bit-exact):
   order; steps must be contiguous per point and identical across points
 * ground-truth CSV: header ``label,xmin,ymin,xmax,ymax,tof``
 
-The detector's score dump and event log (written by ``stlid.pipeline``) are
-checked here too. Each header lives in one ``*_HEADER`` constant that the
-reader, the writer and the check share.
+The detector's score dump and event log are checked here too. Each header
+lives in one ``*_HEADER`` constant that the reader, the writer and the check
+share, and every per-point dump is written by ``format_rows``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +52,36 @@ def fmt_float(v) -> str:
     """The float format of every file the package writes: 17 significant
     digits round-trip any float64 exactly."""
     return format(float(v), ".17g")
+
+
+def format_rows(step: int, ids, *columns) -> str:
+    """One CSV row per point, ``step,id,...``, as one string block. Each
+    column holds a value per point: a bool array is written as 0 or 1, any
+    other array by ``fmt_float``, and a str is the same cell on every row."""
+    cells = [map(str, ids.tolist())]
+    for col in columns:
+        if isinstance(col, str):
+            cells.append([col] * len(ids))
+        elif col.dtype == bool:
+            cells.append(np.where(col, "1", "0").tolist())
+        else:
+            cells.append(map(fmt_float, col.tolist()))
+    return "".join(f"{step},{','.join(row)}\n" for row in zip(*cells))
+
+
+@contextmanager
+def replacing(path, mode="w"):
+    """Open a file that replaces ``path`` once the block ends without error;
+    on any error or interrupt it is removed, and ``path`` is left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)

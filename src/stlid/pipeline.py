@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.spatial
 
-from .data import EVENTS_HEADER, SCORES_HEADER, GroundTruth, MonitoringDataset, fmt_float
+from .data import EVENTS_HEADER, GroundTruth, MonitoringDataset, fmt_float, replacing
 from .detection import (
     AlarmDecision,
     DetectionConfig,
@@ -379,19 +379,9 @@ def save_checkpoint(path, state: PipelineState) -> None:
     }
     arrays = {k: getattr(state, k) for k in _STATE_ARRAYS if getattr(state, k) is not None}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    # np.savez given a name appends ".npz" when it lacks one, so write through
-    # an open file; replacing the target with a finished file keeps the last
-    # good checkpoint if the write is interrupted
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    # np.savez given a name appends ".npz" when it lacks one, so write through an open file
+    with replacing(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _typed(meta):
@@ -427,30 +417,6 @@ def load_checkpoint(path) -> PipelineState:
         return PipelineState(next_col=meta["next_col"], det_state=det, events=events, **arrays)
     except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None
-
-
-def write_scores_csv(path, result: RunResult, dataset: MonitoringDataset) -> None:
-    """Per-step score dump in the ``SCORES_HEADER`` format: step, point id,
-    s-LID, fused s-LID, t-LID and st-LID, then one 0/1 validity flag per
-    family (0: the value is the sentinel fill, not an estimate).
-
-    Covers the steps where every family is defined (store="all" runs).
-    """
-    if result.s_hist is None or result.st_hist is None:
-        raise ConfigError("score dump needs a run stored with store='all'")
-    hists = [  # each family's histories and the column of their first row
-        (getattr(result, f"{fam}_hist"), getattr(result, f"{fam}_valid_hist"), first)
-        for fam, first in _FIRST_COL.items()
-    ]
-    with open(path, "w") as fh:
-        fh.write(",".join(SCORES_HEADER) + "\n")
-        for step in result.st_steps:
-            col = step - dataset.start_step
-            values = [v[col - first] for v, _, first in hists]
-            valid = [m[col - first] for _, m, first in hists]
-            for j, pid in enumerate(dataset.ids):
-                cells = [fmt_float(v[j]) for v in values] + [str(int(m[j])) for m in valid]
-                fh.write(f"{step},{pid},{','.join(cells)}\n")
 
 
 def write_events_csv(path, events) -> None:

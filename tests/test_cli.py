@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stlid.cli
+import stlid.lid
 import stlid.metrics
 import stlid.pipeline
 from stlid import (
@@ -16,12 +19,15 @@ from stlid import (
     load_dataset,
     load_ground_truth,
     raw_slid_baseline,
+    run_detection,
+    save_dataset,
     shipped_scenario_spec,
 )
 from stlid.cli import build_settings, format_settings, main, parse_kv_file
-from stlid.data import POINTS_HEADER, SERIES_HEADER, fmt_float
+from stlid.data import POINTS_HEADER, SCORES_HEADER, SERIES_HEADER, fmt_float
+from stlid.errors import DataError
 
-from conftest import overflowing_grid
+from conftest import make_dataset, overflowing_grid
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -127,29 +133,139 @@ def test_detect_at_step_too_early(generated, capsys):
     assert "at-step" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scores, store", [(False, "none"), (True, "all")])
-def test_detect_keeps_a_history_only_for_the_score_dump(
-    generated, tmp_path, monkeypatch, scores, store
-):
-    stores = []
-    real = stlid.pipeline.run_detection
-
-    def recorded(*args, **kwargs):
-        stores.append(kwargs["store"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(stlid.pipeline, "run_detection", recorded)
-    args = [
+def _detect_args(generated, *args):
+    return [
         "detect",
         "--points", str(generated["points"]),
         "--series", str(generated["series"]),
         "--truth", str(generated["truth"]),
         "--set", "lid.s=8", "--set", "fusion.k=4",
+        *args,
     ]
-    if scores:
-        args += ["--scores", str(tmp_path / "scores.csv")]
-    assert main(args) == 0
-    assert stores == [store]
+
+
+@pytest.mark.parametrize("scores", [False, True], ids=["no-scores", "scores"])
+def test_detect_streams_one_run_without_run_detection(generated, tmp_path, monkeypatch, scores):
+    calls = Counter()
+    for name in ("run_detection", "iter_run"):
+        def counted(*args, _name=name, _real=getattr(stlid.pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(stlid.pipeline, name, counted)
+    args = ["--scores", str(tmp_path / "scores.csv")] if scores else []
+    assert main(_detect_args(generated, *args)) == 0
+    assert calls == {"iter_run": 1}
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_detect_scores_holds_no_history_sized_array(tmp_path, monkeypatch, parallel):
+    # as test_pipeline's run-memory test: 32 KB tiles, full at both lengths,
+    # and the dataset is built before the trace starts
+    monkeypatch.setattr(stlid.lid, "_TILE_CELLS", 4096)
+    n, steps = 100, 300
+    coords = [(float(i % 10), float(i // 10)) for i in range(n)]
+    peaks = []
+    for t in (steps, 2 * steps):
+        rng = np.random.default_rng(7)
+        ds = make_dataset(np.cumsum(rng.normal(0, 0.1, size=(n, t)), axis=1), coords=coords)
+        monkeypatch.setattr(stlid.cli, "load_dataset", lambda *args, **kwargs: ds)
+        scores = tmp_path / f"scores{t}.csv"
+        argv = ["detect", "--points", "-", "--series", "-", "--parallel", str(parallel),
+                "--scores", str(scores)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(scores.read_text().splitlines()) == 1 + n * (t - 3)
+    # one more n x steps float64 array would add n * steps * 8 bytes
+    assert peaks[1] - peaks[0] < n * steps * 8 / 4, peaks
+
+
+@pytest.mark.parametrize("fault", ["refused", "failed", "interrupted"])
+def test_a_refused_or_failed_detect_leaves_the_score_dump_untouched(
+    generated, tmp_path, monkeypatch, fault
+):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("an earlier dump\n")
+    argv = _detect_args(generated, "--scores", str(scores))
+    if fault == "refused":
+        assert main([*argv, "--set", "detection.epsilon=nan"]) == 3
+    else:
+        real = stlid.pipeline.iter_run
+        error = DataError("stopped midway") if fault == "failed" else KeyboardInterrupt()
+
+        def midway(*args, **kwargs):  # rows of 18 st-LID steps are written first
+            for i, rec in enumerate(real(*args, **kwargs)):
+                if i == 20:
+                    raise error
+                yield rec
+
+        monkeypatch.setattr(stlid.pipeline, "iter_run", midway)
+        if fault == "failed":
+            assert main(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+    assert scores.read_text() == "an earlier dump\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def _stored_dump(dataset, res) -> list:
+    """The lines of the score dump of a ``store="all"`` run, written row by
+    row from its histories: the reference the streamed dump must equal byte
+    for byte."""
+    hists = [  # each family's histories and the column of their first row
+        (getattr(res, f"{fam}_hist"), getattr(res, f"{fam}_valid_hist"), first)
+        for fam, first in (
+            ("s", stlid.lid.S_LID_FIRST_COL), ("fused", stlid.lid.S_LID_FIRST_COL),
+            ("t", stlid.lid.T_LID_FIRST_COL), ("st", stlid.lid.T_LID_FIRST_COL),
+        )
+    ]
+    lines = [",".join(SCORES_HEADER) + "\n"]
+    for step in res.st_steps:
+        col = step - dataset.start_step
+        values = [v[col - first] for v, _, first in hists]
+        valid = [m[col - first] for _, m, first in hists]
+        for j, pid in enumerate(dataset.ids):
+            cells = [fmt_float(v[j]) for v in values] + [str(int(m[j])) for m in valid]
+            lines.append(f"{step},{pid},{','.join(cells)}\n")
+    return lines
+
+
+@pytest.mark.parametrize("normalization", ["zscore", "zscore-history"])
+@pytest.mark.parametrize("at_step", [None, 20])
+@pytest.mark.parametrize("parallel", [1, 3])
+@pytest.mark.parametrize("shared", [False, True], ids=["noise", "shared-series"])
+def test_score_dump_equals_the_rows_of_the_stored_histories(
+    grid_noise_dataset, tmp_path, shared, parallel, at_step, normalization
+):
+    ds = grid_noise_dataset
+    if shared:  # as test_step_layout: eight points share one series, so 0 flags appear
+        disp = ds.displacement.copy()
+        disp[:8] = disp[0]
+        ds = make_dataset(disp, coords=ds.coords)
+    points, series, scores = (tmp_path / name for name in ("p.csv", "s.csv", "scores.csv"))
+    save_dataset(ds, points, series)
+    sets = ["lid.s=6", "fusion.k=4", f"detection.normalization={normalization}"]
+    argv = ["detect", "--points", str(points), "--series", str(series),
+            *(a for s in sets for a in ("--set", s)), "--parallel", str(parallel),
+            "--scores", str(scores), *(["--at-step", str(at_step)] if at_step else [])]
+    assert main(argv) == 0
+    settings = build_settings(None, sets)
+    res = run_detection(
+        load_dataset(points, series), stop_step=at_step, store="all",
+        lid_config=settings.lid, fusion_config=settings.fusion,
+        detection_config=settings.detection,
+    )
+    assert res.s_valid_hist.all() == (not shared)  # 0 flags appear with the shared series only
+    got, want = scores.read_text().splitlines(keepends=True), _stored_dump(ds, res)
+    # line by line, so that a failure names its first line, not a diff of the whole file
+    assert len(got) == len(want), (len(got), len(want))
+    assert not [(g, w) for g, w in zip(got, want) if g != w][:1]
+    assert main(["validate", "scores", str(scores)]) == 0
 
 
 def test_detect_parallel_bit_identical(generated, tmp_path):
@@ -799,7 +915,7 @@ def _refused(capsys, argv, outputs, code=3):
     assert main(argv) == code, argv
     out, err = capsys.readouterr()
     assert out == "" and not any(p.exists() for p in outputs), argv
-    assert err.startswith(f"stlid: {'usage' if code == 1 else 'config'} error: ")
+    assert err.startswith(f"stlid: {({1: 'usage', 2: 'data'}).get(code, 'config')} error: ")
     assert "Traceback" not in err
     return err
 
@@ -833,6 +949,7 @@ def test_an_out_of_range_spec_field_exits_3_before_any_output(tmp_path, capsys, 
     ("detect", "--parallel", "nan", 1), ("detect", "--parallel", "inf", 1),
     ("detect", "--at-step", "-1", 3), ("detect", "--at-step", "0", 3),
     ("detect", "--at-step", "nan", 1), ("detect", "--at-step", "inf", 1),
+    ("detect", "--at-step", "120", 3),  # the example's last step is 119
     ("monitor", "--parallel", "0", 3),
     ("monitor", "--checkpoint-every", "0", 3), ("monitor", "--checkpoint-every", "-5", 3),
     ("monitor", "--checkpoint-every", "nan", 1), ("monitor", "--checkpoint-every", "inf", 1),
@@ -846,8 +963,20 @@ def test_an_out_of_range_flag_exits_with_its_code_before_any_output(
     example, tmp_path, capsys, command, flag, value, code
 ):
     argv, outputs = _run_argv(command, example, tmp_path)
-    err = _refused(capsys, [*argv, f"{flag}={value}"], outputs, code)
-    assert code == 1 or flag.strip("-").replace("-", "_") in err.replace("-", "_")
+    for dump in ([], ["--print-config"]):
+        err = _refused(capsys, [*argv, f"{flag}={value}", *dump], outputs, code)
+        assert code == 1 or flag.strip("-").replace("-", "_") in err.replace("-", "_")
+
+
+@pytest.mark.parametrize("command", ["detect", "monitor", "benchmark"])
+def test_a_truth_outside_the_dataset_exits_2_before_any_output(
+    example, tmp_path, capsys, command
+):
+    late = tmp_path / "late.csv"  # the example's last step is 119
+    late.write_text("label,xmin,ymin,xmax,ymax,tof\nfailure,4,3,8,7,120\n")
+    argv, outputs = _run_argv(command, {**example, "truth": late}, tmp_path)
+    err = _refused(capsys, [*argv, "--print-config"], outputs, code=2)
+    assert "time of failure 120" in err
 
 
 def test_parallel_flag_is_checked_before_the_config_dump(example, capsys):
