@@ -229,8 +229,8 @@ def _load_inputs(args, settings):
     truth = load_ground_truth(args.truth) if args.truth else None
     if truth is not None:
         truth.validate_against(dataset)
-    if getattr(args, "at_step", None) is not None:  # after velocity, fusion bootstrap and t-LID
-        first, last = dataset.start_step + T_LID_FIRST_COL, dataset.last_step
+    if getattr(args, "at_step", None) is not None:
+        first, last = dataset.start_step + T_LID_FIRST_COL, dataset.last_step  # the st-LID steps
         require("--at-step", args.at_step, f"[{first}, {last}]")
     if args.print_config:
         print(format_settings(settings))
