@@ -222,7 +222,7 @@ def _event_line(ev) -> str:
 
 def _load_inputs(args, settings):
     """The dataset and truth, checked against each other and against
-    ``--at-step``; the ``--print-config`` dump follows these last pre-run checks."""
+    ``--at-step``; each run command dumps ``--print-config`` after its last check."""
     dataset = load_dataset(
         args.points, args.series, step_interval_minutes=settings.step_interval_minutes
     )
@@ -232,8 +232,6 @@ def _load_inputs(args, settings):
     if getattr(args, "at_step", None) is not None:
         first, last = dataset.start_step + T_LID_FIRST_COL, dataset.last_step  # the st-LID steps
         require("--at-step", args.at_step, f"[{first}, {last}]")
-    if args.print_config:
-        print(format_settings(settings))
     return dataset, truth
 
 
@@ -242,6 +240,8 @@ def cmd_detect(args) -> int:
     dataset, truth = _load_inputs(args, settings)
     state = pipeline.PipelineState()
     records = pipeline.iter_run(dataset, stop_step=args.at_step, state=state, **settings.run_args())
+    if args.print_config:
+        print(format_settings(settings))
     # the score dump is written as the steps arrive, and replaces --scores once the run has finished
     with replacing(args.scores) if args.scores else nullcontext() as dump:
         if dump is not None:
@@ -266,19 +266,20 @@ def cmd_detect(args) -> int:
 def cmd_monitor(args) -> int:
     require("--checkpoint-every", args.checkpoint_every, "[1, inf)")
     require("--realtime-factor", args.realtime_factor, "[0, inf)")
+    if args.resume and not args.checkpoint:
+        raise ConfigError("--resume needs --checkpoint")
     settings = _settings(args)
-    dataset, truth = _load_inputs(args, settings)
-    state = pipeline.PipelineState()
-    if args.resume:
-        if not args.checkpoint:
-            raise ConfigError("--resume needs --checkpoint")
-        state = pipeline.load_checkpoint(args.checkpoint)
+    dataset, _ = _load_inputs(args, settings)
+    state = pipeline.load_checkpoint(args.checkpoint) if args.resume else pipeline.PipelineState()
+    records = pipeline.iter_run(dataset, state=state, **settings.run_args())
+    if args.print_config:
+        print(format_settings(settings))
+    if args.resume and state.next_col < dataset.num_steps:  # a step is left
+        print(f"resuming at step {dataset.start_step + state.next_col}")
 
     sleep_s = dataset.step_interval_minutes * 60.0 * args.realtime_factor
     n_since_ckpt = 0
-    for i, rec in enumerate(pipeline.iter_run(dataset, state=state, **settings.run_args())):
-        if args.resume and i == 0:  # iter_run has accepted the state
-            print(f"resuming at step {rec.step}")
+    for rec in records:
         decision = rec.decision
         if decision is None:
             print(f"step={rec.step} (warm-up)")
@@ -321,6 +322,14 @@ def cmd_benchmark(args) -> int:
         max_backscan=args.max_backscan,
         **settings.run_args(),
     )
+    # per-point scores of the comparison methods at the failure step; a
+    # method undefined there raises its error again, before any output
+    compared = [rep for rep in reports if rep.method != "stlid"]
+    undefined = [rep.error for rep in compared if rep.error is not None]
+    if args.method_scores and undefined:
+        raise undefined[0]
+    if args.print_config:  # only now: the run itself can refuse the dataset or the settings
+        print(format_settings(settings))
     table = report_table(reports)
     print(table)
     if args.table:
@@ -330,12 +339,6 @@ def cmd_benchmark(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(report_csv(reports))
     if args.method_scores:
-        # per-point scores of the comparison methods at the failure step; a
-        # method undefined there raises its error again
-        compared = [rep for rep in reports if rep.method != "stlid"]
-        for rep in compared:
-            if rep.error is not None:
-                raise rep.error
         write_baseline_scores_csv(args.method_scores, [rep.result for rep in compared], dataset)
     return EXIT_OK
 

@@ -118,6 +118,9 @@ class MonitoringDataset:
     coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if type(self.start_step) is bool or not isinstance(self.start_step, (int, np.integer)):
+            raise DataError(f"start_step must be an integer, got {self.start_step!r}")
+        self.start_step = int(self.start_step)  # a Python int, which JSON writes
         self.displacement = np.asarray(self.displacement, dtype=np.float64)
         if self.displacement.ndim != 2:
             raise DataError("displacement must be a 2-D matrix")

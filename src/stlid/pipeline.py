@@ -134,6 +134,37 @@ def _resolved_detection(dataset, config):
     return cfg
 
 
+def _check_state(state: PipelineState) -> PipelineState:
+    """``state``, loaded or passed, if a run can resume it; else ConfigError.
+    Its fields hold the JSON types ``save_checkpoint`` writes (a bool is no
+    int, a coordinate a pair of numbers, a ``det_state`` of None a fresh
+    tracker), each set array is 1-D float64 within its range, ``prev_slid``
+    is set past the first velocity column, and t_mean and t_m2 go together."""
+    def pair(v):
+        return type(v) is tuple and len(v) == 2 and all(type(a) in (int, float) for a in v)
+
+    det = DetectionState() if state.det_state is None else state.det_state
+    good = [type(state.next_col) is type(det.hits) is int, type(det.fired) is bool,
+            det.candidate_coord is None or pair(det.candidate_coord)]
+    good += [type(e) is DetectionEvent and type(e.detection_step) is type(e.point_id) is int
+             and pair(e.location) and type(e.value) in (int, float) for e in state.events]
+    if not all(good):
+        raise ConfigError("a field of the state or of one of its events has another type")
+    for name, interval in _STATE_ARRAYS.items():
+        arr = getattr(state, name)
+        if arr is None:
+            continue
+        if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.dtype != np.float64:
+            raise ConfigError(f"state {name} is no 1-D float64 array: {type(arr).__name__} "
+                              f"{np.shape(arr)} {getattr(arr, 'dtype', '')}")
+        require(f"state {name}", arr, interval)
+    if state.next_col > S_LID_FIRST_COL and state.prev_slid is None:
+        raise ConfigError(f"state resumes at column {state.next_col} but holds no prev_slid")
+    if (state.t_mean is None) != (state.t_m2 is None):
+        raise ConfigError("state sets only some of t_mean and t_m2")
+    return state
+
+
 def iter_run(
     dataset: MonitoringDataset,
     lid_config: LidConfig | None = None,
@@ -143,19 +174,18 @@ def iter_run(
     stop_step: int | None = None,
     state: PipelineState | None = None,
 ):
-    """Yield one StepRecord per step from the first velocity step onward.
+    """Check the run, raising every refusal, then return a generator of one
+    StepRecord per step from the first velocity step onward.
 
     ``parallel`` is the number of threads the points of each step are split
-    over; 1 runs fully in-process on the calling thread. The output is
+    over (1 runs on the calling thread); the generator opens its pool at the
+    first step and closes it when it ends or is closed. The output is
     bit-identical for every degree. ``stop_step`` ends the run after that
-    external step. ``state`` is updated in place after every step, so saving
-    it at any point makes the run resumable from the next step; pass a
-    loaded PipelineState to continue. A passed state must fit the dataset:
-    its arrays are float64, hold one finite value per point (a positive
-    ``prev_slid``, a non-negative ``t_m2``), it resumes within the dataset's
-    steps, it holds the previous s-LID field past the first velocity column,
-    its t-LID statistics are both set or both unset, and under
-    ``zscore-history`` it holds them past the first t-LID column; else ConfigError.
+    external step. ``state``, checked by ``_check_state``, is updated in
+    place after every step, so saving it at any point makes the run
+    resumable from the next step. It must also fit the run: each array holds
+    one value per point, ``next_col`` lies within the dataset, and under
+    ``zscore-history`` t-LID statistics are held past the first t-LID column.
     """
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
@@ -168,28 +198,17 @@ def iter_run(
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
     s = lid_config.s
     obs_k = fusion_config.effective_obs_k(lid_config)
+    require("number of points (each needs max(s, obs_k) neighbours)", n, f"({max(s, obs_k)}, inf)")
     disp = dataset.displacement
 
     last_col = _last_col(dataset, stop_step)
 
-    if state is None:
-        state = PipelineState()
-    if not S_LID_FIRST_COL <= state.next_col <= dataset.num_steps:
-        raise ConfigError(
-            f"state resumes at column {state.next_col}; the dataset has {dataset.num_steps} steps"
-        )
-    for name, interval in _STATE_ARRAYS.items():
+    state = _check_state(PipelineState() if state is None else state)
+    require("state next_col", state.next_col, f"[{S_LID_FIRST_COL}, {dataset.num_steps}]")
+    for name in _STATE_ARRAYS:
         arr = getattr(state, name)
-        if arr is None:
-            continue
-        if np.shape(arr) != (n,) or getattr(arr, "dtype", None) != np.float64:
-            raise ConfigError(f"state {name} has shape {np.shape(arr)} and dtype "
-                              f"{getattr(arr, 'dtype', None)}; the run needs ({n},) float64")
-        require(f"state {name}", arr, interval)
-    if state.next_col > S_LID_FIRST_COL and state.prev_slid is None:
-        raise ConfigError(f"state resumes at column {state.next_col} but holds no prev_slid")
-    if (state.t_mean is None) != (state.t_m2 is None):
-        raise ConfigError("state sets only some of t_mean and t_m2")
+        if arr is not None and len(arr) != n:
+            raise ConfigError(f"state {name} holds {len(arr)} values; the dataset has {n} points")
     history = detection_config.normalization == "zscore-history"
     if history and state.t_mean is None and state.next_col > T_LID_FIRST_COL:
         raise ConfigError(f"state resumes at column {state.next_col} but holds no t-LID statistics")
@@ -198,80 +217,83 @@ def iter_run(
     if state.det_state is None:
         state.det_state = DetectionState()
 
-    def kernel(rows):
-        """Write the families of ``out`` at column ``col`` for the points in the
-        slice ``rows``, from the step's values the loop below sets."""
-        dist, _ = knn(samples, max(s, obs_k), rows, tree)
-        s_values, s_valid = out["s"]
-        s_values[rows], s_valid[rows] = lid_rows(dist[:, :s], lid_config)
-        values, valid = out["fused"]
-        if col == S_LID_FIRST_COL:  # bootstrap: without a prior the fused field is the raw field
-            values[rows], valid[rows] = s_values[rows], s_valid[rows]
-        else:
-            prior = state.prev_slid[nbr_idx[rows]]
-            values[rows], valid[rows] = fuse_rows(
-                prior, weights_at(samples, rows), dist[:, :obs_k], fusion_config.variance_floor
-            )
-        if "t" in out:
-            values, valid = out["t"]
-            values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)
-
     bounds = np.linspace(0, n, parallel + 1).astype(int)
     chunks = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
-    with ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
-        map_chunks = map if pool is None else pool.map
-        for col in range(state.next_col, last_col + 1):
-            t0 = time.perf_counter()
-            step = dataset.start_step + col
-            samples = dataset.samples_at(step)
-            tree = scipy.spatial.cKDTree(samples)
-            out = {
-                fam: (np.empty(n), np.empty(n, dtype=bool))
-                for fam, first in _FIRST_COL.items()
-                if fam != "st" and col >= first  # the kernel's families; st-LID comes from them
-            }
-            list(map_chunks(kernel, chunks))  # chunks write into out; this raises their errors
-            fields = {fam: LidField.filled(step, *arrays) for fam, arrays in out.items()}
-            s_field, fused_field, t_field = fields["s"], fields["fused"], fields.get("t")
+    def steps():
+        def kernel(rows):
+            """Write the families of ``out`` at column ``col`` for the points in
+            the slice ``rows``, from the step's values the loop below sets."""
+            dist, _ = knn(samples, max(s, obs_k), rows, tree)
+            s_values, s_valid = out["s"]
+            s_values[rows], s_valid[rows] = lid_rows(dist[:, :s], lid_config)
+            values, valid = out["fused"]
+            if col == S_LID_FIRST_COL:  # bootstrap: without a prior the fused field is the raw one
+                values[rows], valid[rows] = s_values[rows], s_valid[rows]
+            else:
+                prior = state.prev_slid[nbr_idx[rows]]
+                values[rows], valid[rows] = fuse_rows(
+                    prior, weights_at(samples, rows), dist[:, :obs_k], fusion_config.variance_floor
+                )
+            if "t" in out:
+                values, valid = out["t"]
+                values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)
 
-            st = decision = event = None
-            if t_field is not None:
-                t_stats = None
-                if history:
-                    count = col - T_LID_FIRST_COL + 1  # t-LID fields seen so far
-                    delta = t_field.values - state.t_mean
-                    state.t_mean += delta / count
-                    state.t_m2 += delta * (t_field.values - state.t_mean)
-                    sd = np.sqrt(state.t_m2 / count) if count >= 2 else np.zeros(n)
-                    t_stats = (state.t_mean, sd)
+        with ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
+            map_chunks = map if pool is None else pool.map
+            for col in range(state.next_col, last_col + 1):
+                t0 = time.perf_counter()
+                step = dataset.start_step + col
+                samples = dataset.samples_at(step)
+                tree = scipy.spatial.cKDTree(samples)
+                out = {
+                    fam: (np.empty(n), np.empty(n, dtype=bool))
+                    for fam, first in _FIRST_COL.items()
+                    if fam != "st" and col >= first  # the kernel's families; st-LID comes from them
+                }
+                list(map_chunks(kernel, chunks))  # chunks write into out; this raises their errors
+                fields = {fam: LidField.filled(step, *arrays) for fam, arrays in out.items()}
+                s_field, fused_field, t_field = fields["s"], fields["fused"], fields.get("t")
 
-                st = st_lid_field(
-                    fused_field.values,
-                    t_field.values,
-                    detection_config,
+                st = decision = event = None
+                if t_field is not None:
+                    t_stats = None
+                    if history:
+                        count = col - T_LID_FIRST_COL + 1  # t-LID fields seen so far
+                        delta = t_field.values - state.t_mean
+                        state.t_mean += delta / count
+                        state.t_m2 += delta * (t_field.values - state.t_mean)
+                        sd = np.sqrt(state.t_m2 / count) if count >= 2 else np.zeros(n)
+                        t_stats = (state.t_mean, sd)
+
+                    st = st_lid_field(
+                        fused_field.values,
+                        t_field.values,
+                        detection_config,
+                        step=step,
+                        valid=fused_field.valid & t_field.valid,
+                        t_history_stats=t_stats,
+                    )
+                    decision, event = update_detection(
+                        state.det_state, st, dataset.coords, detection_config, dataset.ids
+                    )
+
+                state.prev_slid = s_field.values
+                state.next_col = col + 1
+                if event is not None:
+                    state.events.append(event)
+                yield StepRecord(
                     step=step,
-                    valid=fused_field.valid & t_field.valid,
-                    t_history_stats=t_stats,
-                )
-                decision, event = update_detection(
-                    state.det_state, st, dataset.coords, detection_config, dataset.ids
+                    s=s_field,
+                    fused=fused_field,
+                    t=t_field,
+                    st=st,
+                    decision=decision,
+                    event=event,
+                    seconds=time.perf_counter() - t0,
                 )
 
-            state.prev_slid = s_field.values
-            state.next_col = col + 1
-            if event is not None:
-                state.events.append(event)
-            yield StepRecord(
-                step=step,
-                s=s_field,
-                fused=fused_field,
-                t=t_field,
-                st=st,
-                decision=decision,
-                event=event,
-                seconds=time.perf_counter() - t0,
-            )
+    return steps()
 
 
 def event_lead_times(events, truth: GroundTruth | None, step_interval_minutes: float):
@@ -309,20 +331,17 @@ def run_detection(
     ``store`` controls memory. "all" keeps the s-LID, fused s-LID, t-LID and
     st-LID families, "st" keeps only st-LID, "none" keeps just events and
     timings. Each kept family is one steps x points float64 array of values
-    and one bool array of validity flags, allocated once at the first step
-    and filled row by row; on the shipped 2000 x 2000 scenario "all" holds
-    about 144 MB.
+    and one bool array of validity flags, allocated once before the first
+    step and filled row by row; on the shipped 2000 x 2000 scenario "all"
+    holds about 144 MB.
     """
     if store not in _STORED:
         raise ConfigError(f"store must be 'all', 'st' or 'none', got {store!r}")
     if truth is not None:
         truth.validate_against(dataset)
     detection_config = _resolved_detection(dataset, detection_config)
-    kept = None  # family -> (values, valid) histories, allocated at the first record
-    seconds = []
     state = PipelineState()
-
-    for rec in iter_run(
+    records = iter_run(
         dataset,
         lid_config=lid_config,
         fusion_config=fusion_config,
@@ -330,14 +349,15 @@ def run_detection(
         parallel=parallel,
         stop_step=stop_step,
         state=state,
-    ):
-        if kept is None:  # iter_run has checked the configs and stop_step
-            last_col = _last_col(dataset, stop_step)
-            kept = {}
-            for fam in _STORED[store]:
-                shape = (last_col - _FIRST_COL[fam] + 1, dataset.num_points)
-                if shape[0] > 0:
-                    kept[fam] = (np.empty(shape), np.empty(shape, dtype=bool))
+    )
+    last_col = _last_col(dataset, stop_step)
+    kept = {}  # family -> (values, valid) histories
+    for fam in _STORED[store]:
+        shape = (last_col - _FIRST_COL[fam] + 1, dataset.num_points)
+        if shape[0] > 0:
+            kept[fam] = (np.empty(shape), np.empty(shape, dtype=bool))
+    seconds = []
+    for rec in records:
         seconds.append(rec.seconds)
         col = rec.step - dataset.start_step
         for fam, (values, valid) in kept.items():
@@ -384,38 +404,24 @@ def save_checkpoint(path, state: PipelineState) -> None:
         np.savez(fh, **arrays)
 
 
-def _typed(meta):
-    """``meta``, a checkpoint's parsed meta record, if its fields and those of
-    its events hold their JSON types; else TypeError."""
-    def xy(v):
-        return type(v) is list and len(v) == 2 and all(type(a) in (int, float) for a in v)
-
-    good = [type(meta["next_col"]) is type(meta["hits"]) is int, type(meta["fired"]) is bool,
-            meta["candidate_coord"] is None or xy(meta["candidate_coord"])]
-    good += [type(e["detection_step"]) is type(e["point_id"]) is int and xy(e["location"])
-             and type(e["value"]) in (int, float) for e in meta["events"]]
-    if not all(good):
-        raise TypeError("a field of the meta record or of an event has another type")
-    return meta
-
-
 def load_checkpoint(path) -> PipelineState:
     """Read a state written by ``save_checkpoint``; ConfigError when the
-    file is no ``.npz`` archive, lacks a field of that layout or holds one of
-    another type, OSError when it cannot be opened. Other keys, such as the
-    per-step tracker history, the candidate id and the t-LID count that
-    earlier versions wrote, are ignored."""
+    file is no ``.npz`` archive, lacks a field of that layout or holds a
+    state ``_check_state`` refuses, OSError when it cannot be opened. Other
+    keys, such as the per-step tracker history, the candidate id and the
+    t-LID count that earlier versions wrote, are ignored."""
     try:
         with np.load(path) as npz:
-            meta = _typed(json.loads(bytes(npz["meta"]).decode()))
+            meta = json.loads(bytes(npz["meta"]).decode())
             arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
         # JSON turned the coordinate tuples into lists
         xy = det.candidate_coord
         det.candidate_coord = None if xy is None else tuple(xy)
         events = [DetectionEvent(**{**e, "location": tuple(e["location"])}) for e in meta["events"]]
-        return PipelineState(next_col=meta["next_col"], det_state=det, events=events, **arrays)
-    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        state = PipelineState(next_col=meta["next_col"], det_state=det, events=events, **arrays)
+        return _check_state(state)
+    except (ConfigError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None
 
 

@@ -668,6 +668,29 @@ def test_benchmark_method_scores_of_undefined_method_exits_2(tmp_path, capsys):
     assert not (tmp_path / "methods.csv").exists()
 
 
+def test_benchmark_method_scores_of_undefined_method_writes_nothing(tmp_path, capsys):
+    # every displacement is equal at the failure step only: two-means is
+    # undefined there, LOF is not
+    rng = np.random.default_rng(5)
+    disp = rng.normal(0, 1, size=(36, 10))
+    disp[:, 6] = 1.0
+    ds = make_dataset(disp, coords=[(float(i % 6), float(i // 6)) for i in range(36)])
+    pts, ser, tr = (tmp_path / name for name in ("p.csv", "s.csv", "t.csv"))
+    save_dataset(ds, pts, ser)
+    tr.write_text("label,xmin,ymin,xmax,ymax,tof\nfailure,0,0,2,2,6\n")
+    outputs = [tmp_path / name for name in ("table.txt", "report.csv", "methods.csv")]
+    argv = ["benchmark", "--points", str(pts), "--series", str(ser), "--truth", str(tr),
+            "--methods", "kmeans,lof", "--print-config",
+            *(f"--{flag}={path}" for flag, path in zip(("table", "csv", "method-scores"), outputs))]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not any(p.exists() for p in outputs)
+    assert err == "stlid: error: all displacement values identical; two-means undefined\n"
+    # without --method-scores the undefined method is reported as n.a.
+    assert main(argv[:-1]) == 0
+    assert "n.a." in capsys.readouterr().out
+
+
 def test_benchmark_negative_max_backscan_exits_3(generated, capsys):
     # it used to cut every scan before it began, reporting every lead as 0
     rc = main(_benchmark_args(generated, "--methods", "kmeans", "--max-backscan", "-3"))
@@ -1026,3 +1049,96 @@ def test_monitor_resume_from_checkpoint_with_arrays_outside_their_range_exits_3(
     out, err = capsys.readouterr()
     assert f"state {name}" in err
     assert "resuming" not in out
+
+
+def _monitor_resume_argv(example, tmp_path, checkpoint):
+    """``monitor --resume --print-config`` over the example from ``checkpoint``,
+    with its event log in ``tmp_path``: (argv, the output paths)."""
+    events = tmp_path / "ev.csv"
+    argv = ["monitor", *(f"--{name}={path}" for name, path in example.items()),
+            f"--events={events}", "--resume", "--print-config"]
+    if checkpoint is not None:
+        argv.append(f"--checkpoint={checkpoint}")
+    return argv, [events]
+
+
+def _written_checkpoint(example, tmp_path, capsys):
+    """The example's checkpoint after step 100 of 119, as its arrays and meta record."""
+    ck = tmp_path / "state.ckpt"
+    argv = ["monitor", *(f"--{name}={path}" for name, path in example.items()),
+            f"--checkpoint={ck}", "--checkpoint-every=20"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with np.load(ck) as npz:
+        kept = {key: npz[key] for key in npz.files}
+    return ck, kept, json.loads(bytes(kept["meta"]).decode())
+
+
+def _rewrite(ck, arrays, meta):
+    with open(ck, "wb") as fh:
+        np.savez(fh, **{**arrays, "meta": np.frombuffer(json.dumps(meta).encode(), np.uint8)})
+
+
+def test_a_refused_resume_prints_no_config_dump(example, tmp_path, capsys):
+    argv, outputs = _monitor_resume_argv(example, tmp_path, None)
+    assert "--resume needs --checkpoint" in _refused(capsys, argv, outputs)
+
+    text = tmp_path / "text.ckpt"
+    text.write_text("next_col=5\n")
+    argv, outputs = _monitor_resume_argv(example, tmp_path, text)
+    assert "is not in this layout" in _refused(capsys, argv, outputs)
+
+    argv, outputs = _monitor_resume_argv(example, tmp_path, tmp_path / "missing.ckpt")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "No such file" in err and not outputs[0].exists()
+
+    ck, arrays, meta = _written_checkpoint(example, tmp_path, capsys)
+    argv, outputs = _monitor_resume_argv(example, tmp_path, ck)
+    _rewrite(ck, {**arrays, "prev_slid": np.full_like(arrays["prev_slid"], -1.0)}, meta)
+    assert "state prev_slid must lie in (0, inf), got -1.0" in _refused(capsys, argv, outputs)
+    _rewrite(ck, arrays, {**meta, "hits": 0.5})
+    assert "is not in this layout" in _refused(capsys, argv, outputs)
+    # the checkpoint as written resumes, announced after the dump
+    _rewrite(ck, arrays, meta)
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[len(format_settings(stlid.cli.RunSettings()).splitlines())] == "resuming at step 101"
+
+
+def test_a_resume_from_a_finished_checkpoint_prints_only_its_events(example, tmp_path, capsys):
+    ck = tmp_path / "state.ckpt"
+    argv = ["monitor", *(f"--{name}={path}" for name, path in example.items()),
+            f"--checkpoint={ck}", "--checkpoint-every=1"]
+    assert main(argv) == 0
+    done = capsys.readouterr().out.splitlines()[-1]
+    assert main([*argv, "--resume"]) == 0
+    assert capsys.readouterr().out.splitlines() == [done]
+
+
+@pytest.fixture(scope="module")
+def twelve_points(tmp_path_factory):
+    """A 4 x 3 grid: too few points for the default s=20 neighbourhoods."""
+    root = tmp_path_factory.mktemp("twelve")
+    paths = {name: root / f"{name}.csv" for name in ("points", "series", "truth")}
+    spec = write_spec(root / "spec.cfg", grid_nx=4, grid_ny=3, region="1,1,2,2")
+    assert main(["generate", str(spec), *(f"--{name}={path}" for name, path in paths.items())]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("command", ["detect", "monitor", "benchmark"])
+def test_too_few_points_for_the_neighbourhoods_exits_3_before_any_output(
+    twelve_points, tmp_path, capsys, command
+):
+    argv, outputs = _run_argv(command, twelve_points, tmp_path)
+    if command == "benchmark":
+        argv.append("--methods=stlid")
+    err = _refused(capsys, [*argv, "--print-config"], outputs)
+    assert "must lie in (20, inf), got 12" in err
+
+
+def test_a_benchmark_of_displacement_methods_runs_on_too_few_points(twelve_points, tmp_path, capsys):
+    argv, outputs = _run_argv("benchmark", twelve_points, tmp_path)
+    assert main([*argv, "--methods=kmeans", "--print-config"]) == 0
+    assert capsys.readouterr().out.startswith("lid.s=20\n")
+    assert all(p.exists() for p in outputs)

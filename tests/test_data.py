@@ -110,6 +110,17 @@ def test_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.coords, ds.coords)
 
 
+@pytest.mark.parametrize("start", [2.5, math.nan, True, "7", None])
+def test_a_start_step_that_is_no_integer_is_refused(start):
+    with pytest.raises(DataError, match="start_step must be an integer"):
+        make_dataset(np.zeros((3, 4)), start_step=start)
+
+
+def test_a_numpy_integer_start_step_is_stored_as_a_python_int():
+    ds = make_dataset(np.zeros((3, 4)), start_step=np.int64(7))
+    assert type(ds.start_step) is int and ds.start_step == 7 and ds.last_step == 10
+
+
 def test_velocity_at_basic():
     ds = make_dataset([[0.0, 2.0, 5.0]])
     assert velocity_at(ds, 0, 2) == 3.0

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -58,6 +59,18 @@ def test_parallel_degrees_bit_identical(grid_noise_dataset):
             assert np.array_equal(runs[0].t_hist, other.t_hist), cfg
             assert np.array_equal(runs[0].st_hist, other.st_hist), cfg
             assert runs[0].events == other.events, cfg
+
+
+def test_the_thread_pool_opens_at_the_first_step_and_closes_with_the_generator(
+    grid_noise_dataset
+):
+    before = threading.active_count()
+    records = iter_run(grid_noise_dataset, **SMALL, parallel=3)
+    assert threading.active_count() == before  # a generator never started opens no thread
+    next(records)
+    assert threading.active_count() > before
+    records.close()
+    assert threading.active_count() == before
 
 
 def test_tile_and_chunk_boundaries_interleave(grid_noise_dataset, monkeypatch):
@@ -244,7 +257,7 @@ def test_a_bad_config_is_reported_before_a_bad_stop_step(grid_noise_dataset):
             with pytest.raises(ConfigError, match="neighborhood size s"):
                 run_detection(ds, stop_step=stop, store=store, **bad)
         with pytest.raises(ConfigError, match="neighborhood size s"):
-            next(iter_run(ds, stop_step=stop, **bad))
+            iter_run(ds, stop_step=stop, **bad)
 
 
 def test_checkpoint_resume_matches_uninterrupted(grid_noise_dataset, tmp_path):
@@ -281,6 +294,24 @@ def test_checkpoint_roundtrip_detection_state(grid_noise_dataset, tmp_path):
     assert back.det_state == state.det_state
     assert back.events == state.events
     assert np.array_equal(back.prev_slid, state.prev_slid)
+
+
+def test_a_numpy_integer_start_step_checkpoints_and_resumes(grid_noise_dataset, tmp_path):
+    ds = make_dataset(grid_noise_dataset.displacement, coords=grid_noise_dataset.coords,
+                      start_step=np.int64(7))
+    fast = DetectionConfig(n=2)
+    straight = run_detection(ds, detection_config=fast, **SMALL)
+    assert straight.events  # the checkpoint holds an event, whose step JSON must write
+    state = PipelineState()
+    for _ in iter_run(ds, **SMALL, detection_config=fast, stop_step=straight.events[0].detection_step,
+                      state=state):
+        pass
+    save_checkpoint(tmp_path / "ck.npz", state)
+    resumed = load_checkpoint(tmp_path / "ck.npz")
+    for _ in iter_run(ds, **SMALL, detection_config=fast, state=resumed):
+        pass
+    assert resumed.events == straight.events
+    assert resumed.det_state == straight.final_state
 
 
 def test_checkpoint_meta_holds_only_the_bounded_state(grid_noise_dataset, tmp_path):
@@ -340,7 +371,7 @@ def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
     fewer_steps = make_dataset(ds.displacement[:, :15], coords=ds.coords)
     for other in (fewer_points, fewer_steps):
         with pytest.raises(ConfigError):
-            next(iter_run(other, **SMALL, state=state))
+            iter_run(other, **SMALL, state=state)
     # the state is untouched by the rejected runs and still resumes its own dataset
     assert state.next_col == 21
     assert next(iter_run(ds, **SMALL, state=state)).step == 21
@@ -353,10 +384,10 @@ def test_resume_rejects_state_without_its_carried_fields(grid_noise_dataset):
     for _ in iter_run(ds, **SMALL, detection_config=zscore, stop_step=20, state=state):
         pass
     with pytest.raises(ConfigError, match="holds no prev_slid"):
-        next(iter_run(ds, **SMALL, state=replace(state, prev_slid=None)))
+        iter_run(ds, **SMALL, state=replace(state, prev_slid=None))
     for name in ("t_mean", "t_m2"):
         with pytest.raises(ConfigError, match="only some of t_mean and t_m2"):
-            next(iter_run(ds, **SMALL, detection_config=zscore, state=replace(state, **{name: None})))
+            iter_run(ds, **SMALL, detection_config=zscore, state=replace(state, **{name: None}))
     # a state that kept no t-LID statistics past their first column, such as
     # one of a run under another normalization, cannot continue them
     no_stats = [replace(state, t_mean=None, t_m2=None)]
@@ -366,7 +397,7 @@ def test_resume_rejects_state_without_its_carried_fields(grid_noise_dataset):
     no_stats.append(other)
     for bad in no_stats:
         with pytest.raises(ConfigError, match="holds no t-LID statistics"):
-            next(iter_run(ds, **SMALL, detection_config=zscore, state=bad))
+            iter_run(ds, **SMALL, detection_config=zscore, state=bad)
     # before the first t-LID field there is nothing to continue: they start at zero
     early = PipelineState()
     for _ in iter_run(ds, **SMALL, stop_step=ds.start_step + lid.T_LID_FIRST_COL - 1, state=early):
@@ -395,17 +426,21 @@ def test_resume_rejects_state_arrays_outside_their_range(grid_noise_dataset, nam
         pass
     broken = replace(state, **{name: bad(getattr(state, name))})
     with pytest.raises(ConfigError, match=f"state {name}"):
-        next(iter_run(ds, **SMALL, detection_config=zscore, state=broken))
+        iter_run(ds, **SMALL, detection_config=zscore, state=broken)
     # the rejected run left the state's shared parts as they were
     assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
 
 
-def test_load_checkpoint_rejects_missing_fields(tmp_path):
+def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
     def npz(name, **arrays):
         with open(tmp_path / name, "wb") as fh:
             np.savez(fh, **arrays)
         return tmp_path / name
 
+    def as_meta(record):
+        return np.frombuffer(json.dumps(record).encode(), np.uint8)
+
+    prev_slid = np.ones(grid_noise_dataset.num_points)
     meta = np.frombuffer(json.dumps({"next_col": 5, "has_prev": False}).encode(), np.uint8)
     text = tmp_path / "text.ckpt"
     text.write_text("next_col=5\n")
@@ -441,15 +476,41 @@ def test_load_checkpoint_rejects_missing_fields(tmp_path):
     ]
     metas += [{**good, "events": "none"}, {**good, "events": [[3, 7]]}, [good]]
     for i, m in enumerate(metas):
-        unreadable.append(npz(f"typed{i}.ckpt", meta=np.frombuffer(json.dumps(m).encode(), np.uint8)))
+        unreadable.append(npz(f"typed{i}.ckpt", meta=as_meta(m), prev_slid=prev_slid))
+    # the state rule of iter_run: past its first column a state holds the previous s-LID field
+    unreadable.append(npz("no_prev_slid.ckpt", meta=as_meta(good)))
     for path in unreadable:
         with pytest.raises(ConfigError, match=f"{path.name} is not in this layout"):
             load_checkpoint(path)
-    back = load_checkpoint(npz("good.ckpt", meta=np.frombuffer(json.dumps(good).encode(), np.uint8)))
+    back = load_checkpoint(npz("good.ckpt", meta=as_meta(good), prev_slid=prev_slid))
     assert (back.next_col, back.det_state.candidate_coord, back.det_state.hits) == (5, (1.0, 2.0), 1)
     assert back.events[0].location == (1.0, 2.0)
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+    # the same fields in a passed state are refused by the iter_run call, which
+    # leaves the state as it was
+    def refused(state):
+        kept = (state.next_col, replace(state.det_state), list(state.events), state.prev_slid)
+        with pytest.raises(ConfigError, match="has another type"):
+            iter_run(grid_noise_dataset, **SMALL, state=state)
+        assert (state.next_col, state.det_state, state.events) == kept[:3]
+        assert state.prev_slid is kept[3] and state.t_mean is None and state.t_m2 is None
+
+    def passed(v):  # a loaded state holds its coordinates as tuples
+        return tuple(v) if type(v) is list else v
+
+    for name, values in wrong.items():
+        for v in map(passed, values):
+            if name == "next_col":
+                refused(replace(back, next_col=v))
+            else:
+                refused(replace(back, det_state=replace(back.det_state, **{name: v})))
+    for name, values in wrong_event.items():
+        for v in map(passed, values):
+            refused(replace(back, events=[replace(back.events[0], **{name: v})]))
+    refused(replace(back, det_state=replace(back.det_state, hits=0.5, fired="no")))
+    assert next(iter_run(grid_noise_dataset, **SMALL, state=back)).step == 5
 
 
 def test_history_normalization_mode(grid_noise_dataset):
