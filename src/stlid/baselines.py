@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import BASELINE_SCORES_HEADER, MonitoringDataset, format_rows
-from .errors import ConfigError, DegenerateInputError, require
-from .lid import LidConfig, s_lid_all
+from .data import BASELINE_SCORES_HEADER, MonitoringDataset, format_rows, replacing
+from .errors import ConfigError, DegenerateInputError, require, require_int
+from .lid import LidConfig, knn, s_lid_all
 
 
 @dataclass
@@ -80,7 +80,7 @@ def dbscan_labels(samples, eps: float, min_pts: int) -> np.ndarray:
     first core point, so labels are reproducible.
     """
     require("eps", eps, "(0, inf)")
-    require("min_pts", min_pts, "[1, inf)")
+    require_int("min_pts", min_pts, "[1, inf)")
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = x.shape[0]
     tree = cKDTree(x)
@@ -144,29 +144,24 @@ def lof_scores(samples, k: int) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = x.shape[0]
-    require("k", k, "[1, inf)")
+    require_int("k", k, "[1, inf)")
     if n <= k:
         raise ConfigError(f"LOF with k={k} needs more than k points, got {n}")
-    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(d, np.inf)
-    kdist = np.sort(d, axis=1)[:, k - 1]
-    neighbors = [np.flatnonzero(d[i] <= kdist[i]) for i in range(n)]
-
-    with np.errstate(divide="ignore"):
-        lrd = np.array(
-            [
-                len(nb) / rs if (rs := np.maximum(kdist[nb], d[i, nb]).sum()) > 0 else np.inf
-                for i, nb in enumerate(neighbors)
-            ]
-        )
-    scores = np.empty(n)
-    for i, nb in enumerate(neighbors):
-        if np.isinf(lrd[i]):
-            # coincident group: ratio of infinities is taken as 1
-            scores[i] = 1.0
-        else:
-            scores[i] = (lrd[nb] / lrd[i]).mean()
-    return scores
+    tree = cKDTree(x)
+    kdist = knn(x, k, tree=tree)[0][:, k - 1]
+    # each ball, widened past its own rounding, is cut back to the points
+    # within the k-distance by the distances a dense matrix would hold
+    neighbors, reach = [], []
+    for i, ball in enumerate(tree.query_ball_point(x, r=kdist * (1 + 1e-9), return_sorted=True)):
+        nb = np.array(ball)
+        d = np.sqrt(((x[nb] - x[i]) ** 2).sum(axis=1))
+        keep = (d <= kdist[i]) & (nb != i)
+        neighbors.append(nb[keep])
+        reach.append(np.maximum(kdist[nb[keep]], d[keep]).sum())
+    lrd = np.array([len(nb) / rs if rs > 0 else np.inf for nb, rs in zip(neighbors, reach)])
+    # a coincident group's ratio of infinities is taken as 1
+    return np.array([1.0 if np.isinf(lrd[i]) else (lrd[nb] / lrd[i]).mean()
+                     for i, nb in enumerate(neighbors)])
 
 
 def lof(samples, k: int, cutoff: float = 1.5, step: int = 0) -> BaselineResult:
@@ -258,7 +253,7 @@ def edq_select(
 def write_baseline_scores_csv(path, results, dataset: MonitoringDataset) -> None:
     """Per-point scores of comparison methods in the ``BASELINE_SCORES_HEADER``
     format: the detector's dump layout (step and point id first) with a method column."""
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(BASELINE_SCORES_HEADER) + "\n")
         for res in results:
             fh.write(format_rows(res.step, dataset.ids, res.method, res.likelihood, res.high_risk))

@@ -35,7 +35,7 @@ from .data import (
     save_ground_truth,
 )
 from .detection import DetectionConfig
-from .errors import ConfigError, DataError, StlidError, require
+from .errors import ConfigError, DataError, StlidError, require, require_int
 from .fusion import FusionConfig
 from .lid import T_LID_FIRST_COL, LidConfig
 from .metrics import METHOD_NAMES, BaselineConfig, benchmark, report_csv, report_table
@@ -70,7 +70,7 @@ class RunSettings:
             section = getattr(self, f.name)
             if is_dataclass(section):
                 section.validate()
-        require("parallel", self.parallel, "[1, inf)")
+        require_int("parallel", self.parallel, "[1, inf)")
         require("step_interval_minutes", self.step_interval_minutes, "(0, inf)")
 
     def run_args(self) -> dict:
@@ -231,7 +231,7 @@ def _load_inputs(args, settings):
         truth.validate_against(dataset)
     if getattr(args, "at_step", None) is not None:
         first, last = dataset.start_step + T_LID_FIRST_COL, dataset.last_step  # the st-LID steps
-        require("--at-step", args.at_step, f"[{first}, {last}]")
+        require_int("--at-step", args.at_step, f"[{first}, {last}]")
     return dataset, truth
 
 
@@ -264,7 +264,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    require("--checkpoint-every", args.checkpoint_every, "[1, inf)")
+    require_int("--checkpoint-every", args.checkpoint_every, "[1, inf)")
     require("--realtime-factor", args.realtime_factor, "[0, inf)")
     if args.resume and not args.checkpoint:
         raise ConfigError("--resume needs --checkpoint")
@@ -303,7 +303,7 @@ def cmd_monitor(args) -> int:
 
 def cmd_benchmark(args) -> int:
     if args.max_backscan is not None:
-        require("max_backscan", args.max_backscan, "[0, inf)")  # as metrics.benchmark names it
+        require_int("max_backscan", args.max_backscan, "[0, inf)")  # as metrics.benchmark names it
     settings = _settings(args)
     methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods else METHOD_NAMES
     for m in methods:
@@ -333,10 +333,10 @@ def cmd_benchmark(args) -> int:
     table = report_table(reports)
     print(table)
     if args.table:
-        with open(args.table, "w") as fh:
+        with replacing(args.table) as fh:
             fh.write(table + "\n")
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with replacing(args.csv) as fh:
             fh.write(report_csv(reports))
     if args.method_scores:
         write_baseline_scores_csv(args.method_scores, [rep.result for rep in compared], dataset)

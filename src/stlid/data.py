@@ -70,12 +70,13 @@ def format_rows(step: int, ids, *columns) -> str:
 
 
 @contextmanager
-def replacing(path, mode="w"):
+def replacing(path, mode="w", newline=None):
     """Open a file that replaces ``path`` once the block ends without error;
-    on any error or interrupt it is removed, and ``path`` is left as it was."""
+    on any error or interrupt it is removed, and ``path`` is left as it was.
+    Every file a command writes goes through here."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -437,13 +438,13 @@ def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
     The series file is written one point at a time as a string block, in
     the same bytes ``csv.writer`` gives row by row.
     """
-    with open(points_file, "w", newline="") as fh:
+    with replacing(points_file, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(POINTS_HEADER)
         for p in dataset.points:
             w.writerow([p.id, fmt_float(p.coord[0]), fmt_float(p.coord[1])])
     steps = [str(dataset.start_step + c) for c in range(dataset.num_steps)]
-    with open(series_file, "w", newline="") as fh:
+    with replacing(series_file, newline="") as fh:
         fh.write(",".join(SERIES_HEADER) + "\r\n")
         for p, row in zip(dataset.points, dataset.displacement):
             fh.write("".join(
@@ -463,7 +464,7 @@ def load_ground_truth(path) -> GroundTruth:
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRUTH_HEADER)
         for r in truth.regions:

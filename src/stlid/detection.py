@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, require
+from .errors import ConfigError, require, require_int
 from .lid import LidField, knn
 
 NORMALIZATION_MODES = ("raw", "zscore", "zscore-history")
@@ -63,7 +63,7 @@ class DetectionConfig:
     normalization: str = "zscore"
 
     def validate(self) -> None:
-        require("persistence length n", self.n, "[1, inf)")
+        require_int("persistence length n", self.n, "[1, inf)")
         if self.epsilon is not None:
             require("epsilon", self.epsilon, "(0, inf)")
         require("threshold", self.threshold, "(0, 1)")

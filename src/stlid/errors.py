@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: data-shaped problems (parsing,
 consistency, non-finite values) exit with 2, configuration problems with 3.
 Every number that comes from outside (a setting, a spec field, a flag, a
-checkpoint array) is checked where it enters by ``require``.
+checkpoint array) is checked where it enters by ``require``, and every
+integer among them by ``require_int``.
 """
 
 from functools import cache
@@ -56,7 +57,7 @@ def _bounds(interval: str) -> tuple:
 
 def require(name: str, value, interval: str = "(-inf, inf)", error=ConfigError):
     """``value`` if it, or every element of an array, lies in ``interval``
-    ("(0, inf)", "[0, 1)", "[k, inf)" for the integers from k, ...); else
+    ("(0, inf)", "[0, 1)", "[1, inf)", ...); else
     ``error`` naming ``name`` and the first value outside. NaN fails every
     comparison and no bound is closed at infinity, so neither ever passes.
     """
@@ -66,3 +67,11 @@ def require(name: str, value, interval: str = "(-inf, inf)", error=ConfigError):
         bad = np.asarray(value)[~np.asarray(ok)][0]
         raise error(f"{name} must lie in {interval}, got {bad}")
     return value
+
+
+def require_int(name: str, value, interval: str = "(-inf, inf)"):
+    """``require`` for an integer: ConfigError unless ``value`` is an int or
+    a numpy integer (a bool or a float, even 2.0, is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return require(name, value, interval)

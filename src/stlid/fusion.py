@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MonitoringDataset
-from .errors import ConfigError, require
+from .errors import ConfigError, require, require_int
 from .lid import S_LID_FIRST_COL, LidConfig, LidField, _log_sums, knn, s_lid_all
 
 DEFAULT_K = 8
@@ -68,9 +68,9 @@ class FusionConfig:
     weight_space: str = "physical"
 
     def validate(self) -> None:
-        require("spatial neighborhood size k", self.k, "[1, inf)")
+        require_int("spatial neighborhood size k", self.k, "[1, inf)")
         if self.obs_k is not None:
-            require("observation neighborhood size obs_k", self.obs_k, "[1, inf)")
+            require_int("observation neighborhood size obs_k", self.obs_k, "[1, inf)")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 raise ConfigError(f"bandwidth must be 'median' or a positive number, got {self.bandwidth!r}")

@@ -42,6 +42,7 @@ from .errors import (
     DegenerateNeighborhoodError,
     InsufficientNeighborsError,
     require,
+    require_int,
 )
 
 DEFAULT_S = 20
@@ -62,7 +63,7 @@ class LidConfig:
     epsilon_floor: float = 1e-12
 
     def validate(self) -> None:
-        require("neighborhood size s", self.s, "[2, inf)")
+        require_int("neighborhood size s", self.s, "[2, inf)")
         if self.zero_distance_policy not in ("drop", "floor"):
             raise ConfigError(
                 f"zero_distance_policy must be 'drop' or 'floor', got {self.zero_distance_policy!r}"

@@ -31,7 +31,7 @@ from .baselines import (
 )
 from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, fmt_float
 from .detection import DetectionConfig, default_epsilon
-from .errors import ConfigError, StlidError, require
+from .errors import ConfigError, StlidError, require, require_int
 from .fusion import FusionConfig
 from .lid import S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig
 from .pipeline import RunResult, run_detection
@@ -144,8 +144,8 @@ class BaselineConfig:
     def validate(self) -> None:
         if self.dbscan_eps is not None:
             require("dbscan_eps", self.dbscan_eps, "(0, inf)")
-        require("dbscan_min_pts", self.dbscan_min_pts, "[1, inf)")
-        require("lof_k", self.lof_k, "[1, inf)")
+        require_int("dbscan_min_pts", self.dbscan_min_pts, "[1, inf)")
+        require_int("lof_k", self.lof_k, "[1, inf)")
         require("lof_cutoff", self.lof_cutoff)
         if not self.edq_levels:
             raise ConfigError("edq_levels must hold at least one level")
@@ -237,7 +237,7 @@ def benchmark(
     baseline_config = baseline_config or BaselineConfig()
     baseline_config.validate()
     if max_backscan is not None:
-        require("max_backscan", max_backscan, "[0, inf)")
+        require_int("max_backscan", max_backscan, "[0, inf)")
     needs_run = [m for m in methods if m in RUN_ROWS]
     if needs_run and run is None:
         run = run_detection(

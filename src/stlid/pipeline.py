@@ -43,7 +43,7 @@ from .detection import (
     st_lid_field,
     update_detection,
 )
-from .errors import ConfigError, require
+from .errors import ConfigError, require, require_int
 from .fusion import FusionConfig, fuse_rows, neighbor_weights
 from .lid import (
     S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig, LidField, knn, lid_rows, t_lid_rows,
@@ -137,13 +137,17 @@ def _resolved_detection(dataset, config):
 def _check_state(state: PipelineState) -> PipelineState:
     """``state``, loaded or passed, if a run can resume it; else ConfigError.
     Its fields hold the JSON types ``save_checkpoint`` writes (a bool is no
-    int, a coordinate a pair of numbers, a ``det_state`` of None a fresh
-    tracker), each set array is 1-D float64 within its range, ``prev_slid``
-    is set past the first velocity column, and t_mean and t_m2 go together."""
+    int, a coordinate a pair of numbers, ``det_state`` a DetectionState or
+    None for a fresh tracker, ``events`` a list of DetectionEvents), each set
+    array is 1-D float64 within its range, ``prev_slid`` is set past the
+    first velocity column, and t_mean and t_m2 go together."""
     def pair(v):
         return type(v) is tuple and len(v) == 2 and all(type(a) in (int, float) for a in v)
 
     det = DetectionState() if state.det_state is None else state.det_state
+    if type(det) is not DetectionState or type(state.events) is not list:
+        raise ConfigError("state det_state is no DetectionState or its events no list: "
+                          f"{type(det).__name__}, {type(state.events).__name__}")
     good = [type(state.next_col) is type(det.hits) is int, type(det.fired) is bool,
             det.candidate_coord is None or pair(det.candidate_coord)]
     good += [type(e) is DetectionEvent and type(e.detection_step) is type(e.point_id) is int
@@ -193,7 +197,7 @@ def iter_run(
     lid_config.validate()
     fusion_config.validate()
     detection_config.validate()
-    require("parallelism degree", parallel, "[1, inf)")
+    require_int("parallelism degree", parallel, "[1, inf)")
     n = dataset.num_points
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
     s = lid_config.s
@@ -427,7 +431,7 @@ def load_checkpoint(path) -> PipelineState:
 
 def write_events_csv(path, events) -> None:
     """Event log in the ``EVENTS_HEADER`` format: step, point id, x, y and st-LID."""
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(EVENTS_HEADER) + "\n")
         for e in events:
             fh.write(

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FailureRegion, GroundTruth, MonitoredPoint, MonitoringDataset
-from .errors import ConfigError, require
+from .errors import ConfigError, require, require_int
 
 
-# each number of a CreepScenarioSpec and its range; the failure steps are
-# checked against each other
+# the integer fields of a CreepScenarioSpec, then each number and its range;
+# the failure steps are checked against each other
+SPEC_INTS = ("grid_nx", "grid_ny", "num_steps", "seed", "onset_step", "time_of_failure")
 SPEC_RANGES = {
     "grid_nx": "[1, inf)", "grid_ny": "[1, inf)", "num_steps": "[2, inf)", "seed": "[0, inf)",
     "noise_sd": "[0, inf)", "steady_rate": "(0, inf)", "accel_exponent": "(0, inf)",
@@ -47,7 +48,8 @@ SPEC_RANGES = {
 @dataclass
 class CreepScenarioSpec:
     """Parameters of a generated scenario; ``validate`` raises ConfigError
-    unless each number lies in its ``SPEC_RANGES`` range, given here.
+    unless each number lies in its ``SPEC_RANGES`` range, given here, and
+    each ``SPEC_INTS`` field is an integer.
 
     - ``grid_nx`` x ``grid_ny`` points (each >= 1), ``spacing`` (0, inf)
       apart; ``num_steps`` >= 2; ``seed`` >= 0; ``step_interval_minutes``
@@ -91,10 +93,12 @@ class CreepScenarioSpec:
 
     def validate(self) -> None:
         for name, interval in SPEC_RANGES.items():
-            require(name, getattr(self, name), interval)
+            (require_int if name in SPEC_INTS else require)(name, getattr(self, name), interval)
         if self.region is not None:
             if self.time_of_failure is None or self.onset_step is None:
                 raise ConfigError("a failure region needs onset_step and time_of_failure")
+            require_int("onset_step", self.onset_step)
+            require_int("time_of_failure", self.time_of_failure)
             box = require("region", np.array(self.region, dtype=np.float64))
             if box.shape != (4,) or not (box[2] > box[0] and box[3] > box[1]):
                 raise ConfigError(f"failure region {self.region} must be a rectangle xmin < xmax, ymin < ymax")

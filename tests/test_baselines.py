@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from stlid import (
     raw_slid_baseline,
     s_lid_all,
 )
-from stlid.baselines import edq_objectives
+from stlid import baselines
+from stlid.baselines import BaselineResult, edq_objectives
 from stlid.errors import ConfigError, DegenerateInputError
 
 from conftest import make_dataset
@@ -76,6 +79,24 @@ def reference_lof(x, k):
         else:
             scores.append(math.fsum(lrd[j] for j in neighbors[i]) / (len(neighbors[i]) * lrd[i]))
     return np.array(scores)
+
+
+def dense_lof(x, k):
+    """LOF over the full n x n distance matrix: the formula ``lof_scores``
+    must equal bit for bit, value for value and in the same summation order."""
+    n = len(x)
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    kdist = np.sort(d, axis=1)[:, k - 1]
+    neighbors = [np.flatnonzero(d[i] <= kdist[i]) for i in range(n)]
+    lrd = np.array([
+        len(nb) / rs if (rs := np.maximum(kdist[nb], d[i, nb]).sum()) > 0 else np.inf
+        for i, nb in enumerate(neighbors)
+    ])
+    scores = np.empty(n)
+    for i, nb in enumerate(neighbors):
+        scores[i] = 1.0 if np.isinf(lrd[i]) else (lrd[nb] / lrd[i]).mean()
+    return scores
 
 
 def labels_match_up_to_renaming(a, b):
@@ -236,6 +257,48 @@ def test_lof_duplicate_group_convention():
     assert not np.any(np.isnan(scores))
     assert np.allclose(scores[:5], 1.0)
     assert np.all(np.isinf(scores[5:]))
+
+
+def _lof_case(name, small_scenario):
+    rng = np.random.default_rng(12)
+    if name == "random":
+        return rng.normal(0, 2, size=(200, 2))
+    if name == "grid":  # every interior point ties at its k-distance
+        return np.stack(np.meshgrid(np.arange(12.0), np.arange(10.0)), axis=-1).reshape(-1, 2)
+    if name == "duplicated":
+        return np.repeat(rng.normal(size=(60, 2)), 3, axis=0)
+    if name == "coincident":  # a group larger than every k
+        return np.vstack([rng.normal(size=(150, 2)), np.full((25, 2), 0.5)])
+    dataset = small_scenario[0]  # quantised kinematic samples: many ties
+    return np.round(dataset.samples_at(dataset.start_step + 650), 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 20])
+@pytest.mark.parametrize("case", ["random", "grid", "duplicated", "coincident", "quantised"])
+def test_lof_equals_the_dense_formula_bitwise(small_scenario, monkeypatch, case, k):
+    x = _lof_case(case, small_scenario)
+    assert lof_scores(x, k).tobytes() == dense_lof(x, k).tobytes()
+    got = lof(x, k, step=7)
+    monkeypatch.setattr(baselines, "lof_scores", dense_lof)
+    want = lof(x, k, step=7)
+    for f in dataclasses.fields(BaselineResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_lof_holds_no_n_by_n_array():
+    n = 1500
+    x = np.random.default_rng(13).normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        lof_scores(x, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4, peak
 
 
 def test_lof_config_guard():

@@ -1,4 +1,7 @@
+import builtins
+import errno
 import json
+import os
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -1000,6 +1003,62 @@ def test_a_truth_outside_the_dataset_exits_2_before_any_output(
     argv, outputs = _run_argv(command, {**example, "truth": late}, tmp_path)
     err = _refused(capsys, [*argv, "--print-config"], outputs, code=2)
     assert "time of failure 120" in err
+
+
+class _FullDisk:
+    """A file that takes half of the first string it is given, then fails
+    as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# every file a command writes, by the flag that names it
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--points"), ("generate", "--series"), ("generate", "--truth"),
+    ("detect", "--scores"), ("detect", "--events"),
+    ("monitor", "--checkpoint"), ("monitor", "--events"),
+    ("benchmark", "--table"), ("benchmark", "--csv"), ("benchmark", "--method-scores"),
+])
+def test_a_write_that_fails_midway_leaves_the_earlier_file(
+    example, tmp_path, monkeypatch, capsys, command, flag
+):
+    target = tmp_path / "target"
+    target.write_bytes(b"an earlier file\r\n")
+    real_open = builtins.open
+
+    def full_disk_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return _FullDisk(fh) if os.fspath(file).startswith(os.fspath(target)) else fh
+
+    if command == "generate":
+        outputs = {f"--{name}": tmp_path / f"{name}.csv" for name in ("points", "series", "truth")}
+        argv = ["generate", str(write_spec(tmp_path / "spec.cfg"))]
+    else:
+        outputs = {}
+        argv = [command, *(f"--{name}={path}" for name, path in example.items())]
+    if command == "benchmark":
+        argv += ["--methods", "kmeans"]
+    outputs[flag] = target
+    monkeypatch.setattr(builtins, "open", full_disk_open)
+    assert main([*argv, *(f"{f}={path}" for f, path in outputs.items())]) == 2
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert target.read_bytes() == b"an earlier file\r\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_parallel_flag_is_checked_before_the_config_dump(example, capsys):

@@ -8,6 +8,8 @@ import pytest
 
 from stlid import (
     DetectionConfig,
+    DetectionEvent,
+    DetectionState,
     FusionConfig,
     GroundTruth,
     LidConfig,
@@ -429,6 +431,19 @@ def test_resume_rejects_state_arrays_outside_their_range(grid_noise_dataset, nam
         iter_run(ds, **SMALL, detection_config=zscore, state=broken)
     # the rejected run left the state's shared parts as they were
     assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
+
+
+@pytest.mark.parametrize("fields", [
+    dict(events=None),
+    dict(events=(DetectionEvent(20, 3, (1.0, 2.0), 0.9),)),
+    dict(events=[vars(DetectionEvent(20, 3, (1.0, 2.0), 0.9))]),
+    dict(det_state={}),
+    dict(det_state=vars(DetectionState())),
+], ids=["events-none", "events-tuple", "event-dict", "det-state-empty-dict", "det-state-dict"])
+def test_iter_run_refuses_a_state_whose_containers_have_another_type(grid_noise_dataset, fields):
+    # these used to raise a bare TypeError or AttributeError
+    with pytest.raises(ConfigError, match="det_state|events"):
+        iter_run(grid_noise_dataset, **SMALL, state=PipelineState(**fields))
 
 
 def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
