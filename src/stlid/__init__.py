@@ -1,17 +1,16 @@
 """Spatiotemporal LID outlier detection for ground-displacement monitoring."""
 
+from types import ModuleType as _ModuleType
+
 from .data import (
     FailureRegion,
     GroundTruth,
-    KinematicSample,
     MonitoredPoint,
     MonitoringDataset,
     load_dataset,
     load_ground_truth,
-    sample_at,
     save_dataset,
     save_ground_truth,
-    velocity_at,
 )
 from .detection import (
     AlarmDecision,
@@ -36,7 +35,6 @@ from .fusion import (
 from .lid import (
     LidConfig,
     LidField,
-    kinematic_distance,
     mle_lid,
     s_lid_all,
     t_lid,
@@ -71,61 +69,4 @@ from .synthetic import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlarmDecision",
-    "BaselineConfig",
-    "BaselineResult",
-    "CreepScenarioSpec",
-    "DetectionConfig",
-    "DetectionEvent",
-    "DetectionState",
-    "EvaluationReport",
-    "FailureRegion",
-    "FusionConfig",
-    "GammaParams",
-    "GroundTruth",
-    "KinematicSample",
-    "LidConfig",
-    "LidField",
-    "MonitoredPoint",
-    "MonitoringDataset",
-    "RunResult",
-    "StLidField",
-    "benchmark",
-    "dbscan",
-    "dbscan_labels",
-    "default_epsilon",
-    "edq_select",
-    "format_lead",
-    "fuse_all",
-    "fused_slid",
-    "gaussian_weights",
-    "generate_creep_scenario",
-    "iter_run",
-    "kinematic_distance",
-    "kmeans2",
-    "lead_time",
-    "load_dataset",
-    "load_ground_truth",
-    "lof",
-    "lof_scores",
-    "mle_lid",
-    "noise_only_spec",
-    "observation_params",
-    "precision",
-    "prior_from_neighbors",
-    "raw_slid_baseline",
-    "run_detection",
-    "s_lid_all",
-    "sample_at",
-    "save_dataset",
-    "save_ground_truth",
-    "shipped_scenario_spec",
-    "sigmoid",
-    "st_lid_field",
-    "t_lid",
-    "t_lid_field",
-    "update_detection",
-    "velocity_at",
-    "write_baseline_scores_csv",
-]
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]

@@ -24,6 +24,7 @@ from . import pipeline
 from .baselines import write_baseline_scores_csv
 from .data import (
     SCORES_HEADER,
+    _write_dataset,
     check_events,
     check_scores,
     format_rows,
@@ -31,7 +32,6 @@ from .data import (
     load_ground_truth,
     load_points,
     replacing,
-    save_dataset,
     save_ground_truth,
 )
 from .detection import DetectionConfig
@@ -194,9 +194,12 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         spec.seed = args.seed
     dataset, truth = generate_creep_scenario(spec)
-    save_dataset(dataset, args.points, args.series)
-    if args.truth:
-        save_ground_truth(truth, args.truth)
+    # every file is written before any is replaced (the truth, innermost, is
+    # written last), so a failed write leaves the earlier files as they were
+    with replacing(args.points, newline="") as pf, replacing(args.series, newline="") as sf:
+        _write_dataset(dataset, pf, sf)
+        if args.truth:
+            save_ground_truth(truth, args.truth)
     print(
         f"generated {dataset.num_points} points x {dataset.num_steps} steps "
         f"(seed {spec.seed}) -> {args.points}, {args.series}"

@@ -3,8 +3,9 @@
 A dataset is a set of monitored points with fixed 2-D coordinates and a
 per-point displacement time series (millimetres), sampled at a constant
 interval. Velocity is the first difference of displacement, so it is
-undefined at the first recorded step; every per-step computation in the
-package therefore starts at the second step.
+undefined at the first recorded step; ``MonitoringDataset.samples_at`` gives
+every point's (displacement, velocity) sample at one step, and every
+per-step computation in the package therefore starts at the second step.
 
 File formats (decimal floats, written with 17 significant digits so that
 save/load round-trips are bit-exact):
@@ -93,14 +94,6 @@ class MonitoredPoint:
     coord: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class KinematicSample:
-    """Per-point, per-step feature vector: (displacement, velocity)."""
-
-    displacement: float
-    velocity: float
-
-
 @dataclass
 class MonitoringDataset:
     """Immutable grid of monitored points plus a displacement matrix.
@@ -145,7 +138,6 @@ class MonitoringDataset:
         require("step interval", self.step_interval_minutes, "(0, inf)", DataError)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "coords", coords)
-        self._index_of = {int(i): k for k, i in enumerate(ids)}
 
     def _raise_non_finite(self):
         """DataError naming the first point, and its first step, whose
@@ -174,12 +166,6 @@ class MonitoringDataset:
     def last_step(self) -> int:
         return self.start_step + self.num_steps - 1
 
-    def index_of(self, point_id: int) -> int:
-        try:
-            return self._index_of[int(point_id)]
-        except KeyError:
-            raise ConsistencyError(f"unknown point id {point_id}") from None
-
     def column(self, step: int) -> int:
         """Map an external step index to a displacement column."""
         c = step - self.start_step
@@ -198,25 +184,6 @@ class MonitoringDataset:
         out[:, 0] = self.displacement[:, c]
         np.subtract(self.displacement[:, c], self.displacement[:, c - 1], out=out[:, 1])
         return out
-
-
-def velocity_at(dataset: MonitoringDataset, point_id: int, step: int) -> float:
-    """Velocity x_t - x_{t-1} of one point; errors at the first step."""
-    i = dataset.index_of(point_id)
-    c = dataset.column(step)
-    if c < 1:
-        raise DataError(
-            f"velocity undefined at step {step}: no predecessor sample"
-        )
-    d = dataset.displacement
-    return float(d[i, c] - d[i, c - 1])
-
-
-def sample_at(dataset: MonitoringDataset, point_id: int, step: int) -> KinematicSample:
-    """The (displacement, velocity) sample of one point at one step."""
-    v = velocity_at(dataset, point_id, step)
-    i = dataset.index_of(point_id)
-    return KinematicSample(float(dataset.displacement[i, dataset.column(step)]), v)
 
 
 @dataclass(frozen=True)
@@ -432,25 +399,28 @@ def load_dataset(points_file, series_file, step_interval_minutes: float = 1.0) -
     )
 
 
-def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
-    """Write a dataset to the documented CSV formats (bit-exact round-trip).
-
-    The series file is written one point at a time as a string block, in
-    the same bytes ``csv.writer`` gives row by row.
-    """
-    with replacing(points_file, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(POINTS_HEADER)
-        for p in dataset.points:
-            w.writerow([p.id, fmt_float(p.coord[0]), fmt_float(p.coord[1])])
+def _write_dataset(dataset: MonitoringDataset, points_fh, series_fh) -> None:
+    """The points and series CSVs of a dataset (bit-exact round-trip). The
+    series is written one point at a time as a string block, in the same
+    bytes ``csv.writer`` gives row by row."""
+    w = csv.writer(points_fh)
+    w.writerow(POINTS_HEADER)
+    for p in dataset.points:
+        w.writerow([p.id, fmt_float(p.coord[0]), fmt_float(p.coord[1])])
     steps = [str(dataset.start_step + c) for c in range(dataset.num_steps)]
-    with replacing(series_file, newline="") as fh:
-        fh.write(",".join(SERIES_HEADER) + "\r\n")
-        for p, row in zip(dataset.points, dataset.displacement):
-            fh.write("".join(
-                f"{p.id},{step},{v}\r\n"
-                for step, v in zip(steps, map(fmt_float, row.tolist()))
-            ))
+    series_fh.write(",".join(SERIES_HEADER) + "\r\n")
+    for p, row in zip(dataset.points, dataset.displacement):
+        series_fh.write("".join(
+            f"{p.id},{step},{v}\r\n"
+            for step, v in zip(steps, map(fmt_float, row.tolist()))
+        ))
+
+
+def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
+    """Write a dataset to the documented CSV formats. Both files are written
+    before either is replaced, so a failed write leaves the earlier pair."""
+    with replacing(points_file, newline="") as pf, replacing(series_file, newline="") as sf:
+        _write_dataset(dataset, pf, sf)
 
 
 def load_ground_truth(path) -> GroundTruth:

@@ -30,13 +30,12 @@ can exclude them from argmax.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.spatial
 
-from .data import KinematicSample, MonitoringDataset
+from .data import MonitoringDataset
 from .errors import (
     ConfigError,
     DegenerateNeighborhoodError,
@@ -93,16 +92,6 @@ class LidField:
         else:
             values[:] = 1.0
         return cls(step, values, valid)
-
-
-def kinematic_distance(a, b) -> float:
-    """Euclidean distance between two (displacement, velocity) samples."""
-    if isinstance(a, KinematicSample):
-        a = (a.displacement, a.velocity)
-    if isinstance(b, KinematicSample):
-        b = (b.displacement, b.velocity)
-    require("kinematic samples", np.array([*a, *b], dtype=np.float64), error=ValueError)
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def _log_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

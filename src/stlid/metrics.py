@@ -8,7 +8,7 @@ failures does not exist for this problem.
 
 Lead time scans backward from the time of failure for the earliest step from
 which the method's selected points stay inside the region at every subsequent
-step; the strictest reading (zero tolerated excursions) is the default.
+step; the scan is strict, so the first excursion ends it.
 Baselines are denoised to their top-10 selection before the scan, while the
 st-LID detector keeps its full detection set.
 """
@@ -59,14 +59,13 @@ def lead_time(
     coords: np.ndarray,
     step_interval_minutes: float,
     first_step: int,
-    slack: int = 0,
 ):
     """Steps and wall-clock minutes gained over the failure.
 
     ``top_sets`` maps a step to the method's selected point indices (or None
     where the method is undefined). A step is consistent when the selection
-    is non-empty and entirely inside the region; ``slack`` excursion steps may
-    be forgiven without breaking the backward scan.
+    is non-empty and entirely inside the region; the backward scan ends at
+    the first step that is not.
     """
     coords = np.asarray(coords, dtype=np.float64)
 
@@ -79,16 +78,8 @@ def lead_time(
     if region.tof < first_step or not consistent(region.tof):
         return 0, 0.0
     t_det = region.tof
-    budget = slack
-    step = region.tof - 1
-    while step >= first_step:
-        if consistent(step):
-            t_det = step
-        elif budget > 0:
-            budget -= 1
-        else:
-            break
-        step -= 1
+    while t_det > first_step and consistent(t_det - 1):
+        t_det -= 1
     steps = region.tof - t_det
     return steps, steps * step_interval_minutes
 

@@ -413,9 +413,11 @@ def load_checkpoint(path) -> PipelineState:
     file is no ``.npz`` archive, lacks a field of that layout or holds a
     state ``_check_state`` refuses, OSError when it cannot be opened. Other
     keys, such as the per-step tracker history, the candidate id and the
-    t-LID count that earlier versions wrote, are ignored."""
+    t-LID count that earlier versions wrote, are ignored. The file is opened
+    as a zip archive only: ``np.load`` would try any other file as a pickle
+    and advise unpickling it."""
     try:
-        with np.load(path) as npz:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as npz:
             meta = json.loads(bytes(npz["meta"]).decode())
             arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})

@@ -13,14 +13,11 @@ import stlid.data
 from stlid import (
     FailureRegion,
     GroundTruth,
-    KinematicSample,
     MonitoringDataset,
     load_dataset,
     load_ground_truth,
-    sample_at,
     save_dataset,
     save_ground_truth,
-    velocity_at,
 )
 from stlid.data import SERIES_HEADER, _load_series_rows, fmt_float, load_points
 from stlid.errors import ConsistencyError, DataError, ParseError
@@ -123,32 +120,34 @@ def test_a_numpy_integer_start_step_is_stored_as_a_python_int():
 
 def test_velocity_at_basic():
     ds = make_dataset([[0.0, 2.0, 5.0]])
-    assert velocity_at(ds, 0, 2) == 3.0
-    assert velocity_at(ds, 0, 1) == 2.0
+    assert ds.samples_at(2).tolist() == [[5.0, 3.0]]
+    assert ds.samples_at(1).tolist() == [[2.0, 2.0]]
 
 
 def test_velocity_constant_series_is_zero():
     ds = make_dataset([[4.0, 4.0, 4.0]])
-    assert velocity_at(ds, 0, 1) == 0.0
-    assert velocity_at(ds, 0, 2) == 0.0
+    for step in (1, 2):
+        sample = ds.samples_at(step)
+        assert sample.tolist() == [[4.0, 0.0]]
+        assert sample[0, 1] == 0.0 and not np.signbit(sample[0, 1])
 
 
 def test_velocity_at_first_step_errors():
-    ds = make_dataset([[0.0, 1.0]])
-    with pytest.raises(DataError):
-        velocity_at(ds, 0, 0)
+    ds = make_dataset([[0.0, 1.0]], start_step=7)
+    with pytest.raises(DataError, match=r"velocity undefined at the first step \(7\)"):
+        ds.samples_at(7)
+    assert ds.samples_at(8).tolist() == [[1.0, 1.0]]
 
 
 def test_velocity_matches_exhaustive_differences():
     rng = np.random.default_rng(8)
     ds = make_dataset(rng.normal(size=(4, 6)))
-    for p in range(4):
-        for t in range(1, 6):
-            expect = ds.displacement[p, t] - ds.displacement[p, t - 1]
-            assert velocity_at(ds, p, t) == expect
     vel = np.diff(ds.displacement, axis=1)
     for t in range(1, 6):
-        assert np.array_equal(ds.samples_at(t)[:, 1], vel[:, t - 1])
+        samples = ds.samples_at(t)
+        assert np.array_equal(samples[:, 1], vel[:, t - 1])
+        for p in range(4):
+            assert samples[p, 1] == ds.displacement[p, t] - ds.displacement[p, t - 1]
 
 
 def test_samples_at_velocity_column_is_the_diff_column_bitwise():
@@ -174,15 +173,6 @@ def test_overflowing_velocity_is_a_data_error():
     edge = np.zeros((2, 3))
     edge[0, 1] = np.finfo(np.float64).max
     assert make_dataset(edge).samples_at(1)[0, 1] == np.finfo(np.float64).max
-
-
-def test_sample_at():
-    ds = make_dataset([[0.0, 2.0, 5.0]])
-    assert sample_at(ds, 0, 2) == KinematicSample(5.0, 3.0)
-    ds2 = make_dataset([[1.0, 1.0]])
-    assert sample_at(ds2, 0, 1) == KinematicSample(1.0, 0.0)
-    with pytest.raises(DataError):
-        sample_at(ds2, 0, 0)
 
 
 def test_dataset_invariants():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.spatial
 
-from stlid import LidConfig, kinematic_distance, mle_lid, s_lid_all, t_lid, t_lid_field
+from stlid import LidConfig, mle_lid, s_lid_all, t_lid, t_lid_field
 from stlid.errors import (
     ConfigError,
     DegenerateNeighborhoodError,
@@ -23,25 +23,6 @@ def reference_lid(sorted_distances):
     dmax = max(d)
     total = math.fsum(math.log(dmax / x) for x in d)
     return len(d) / total
-
-
-# ---------------------------------------------------------------------------
-# kinematic distance
-# ---------------------------------------------------------------------------
-
-
-def test_kinematic_distance_345():
-    assert kinematic_distance((3.0, 1.0), (0.0, -3.0)) == 5.0
-
-
-def test_kinematic_distance_identity_and_axis():
-    assert kinematic_distance((2.0, 7.0), (2.0, 7.0)) == 0.0
-    assert kinematic_distance((7.0, 0.0), (7.0, 2.0)) == 2.0
-
-
-def test_kinematic_distance_rejects_non_finite():
-    with pytest.raises(ValueError):
-        kinematic_distance((np.nan, 0.0), (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

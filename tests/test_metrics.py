@@ -96,18 +96,18 @@ def test_lead_time_empty_breaks():
     assert steps == 2
 
 
-def test_lead_time_slack_forgives_excursion():
+def test_lead_time_an_excursion_ends_the_scan():
     coords = grid_coords()
+    asked = []
 
     def sets(step):
+        asked.append(step)
         if step == 995:
             return [1599]
         return [5] if step >= 990 else [1599]
 
-    strict, _ = lead_time(sets, REGION, coords, 1.0, first_step=0)
-    lax, _ = lead_time(sets, REGION, coords, 1.0, first_step=0, slack=1)
-    assert strict == 4
-    assert lax == 10
+    assert lead_time(sets, REGION, coords, 1.0, first_step=0) == (4, 4.0)
+    assert asked == [1000, 999, 998, 997, 996, 995]  # no step before the excursion is read
 
 
 def test_lead_time_monotone_in_region_size():

@@ -459,11 +459,18 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
     meta = np.frombuffer(json.dumps({"next_col": 5, "has_prev": False}).encode(), np.uint8)
     text = tmp_path / "text.ckpt"
     text.write_text("next_col=5\n")
+    empty = tmp_path / "empty.ckpt"
+    empty.write_bytes(b"")
+    array = tmp_path / "array.ckpt"
+    with open(array, "wb") as fh:
+        np.save(fh, prev_slid)
     truncated = tmp_path / "truncated.ckpt"
     truncated.write_bytes(npz("whole.ckpt", meta=meta).read_bytes()[:40])
     unreadable = [
         npz("old.ckpt", meta=meta),
         text,
+        empty,
+        array,
         truncated,
         npz("no_meta.ckpt", prev_slid=np.zeros(3)),
         npz("bad_json.ckpt", meta=np.frombuffer(b"{next_col", np.uint8)),
@@ -495,8 +502,9 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
     # the state rule of iter_run: past its first column a state holds the previous s-LID field
     unreadable.append(npz("no_prev_slid.ckpt", meta=as_meta(good)))
     for path in unreadable:
-        with pytest.raises(ConfigError, match=f"{path.name} is not in this layout"):
+        with pytest.raises(ConfigError, match=f"{path.name} is not in this layout") as exc:
             load_checkpoint(path)
+        assert "pickle" not in str(exc.value)  # numpy's text advises unpickling a foreign file
     back = load_checkpoint(npz("good.ckpt", meta=as_meta(good), prev_slid=prev_slid))
     assert (back.next_col, back.det_state.candidate_coord, back.det_state.hits) == (5, (1.0, 2.0), 1)
     assert back.events[0].location == (1.0, 2.0)
