@@ -63,7 +63,6 @@ from .pipeline import RunResult, iter_run, run_detection
 from .synthetic import (
     CreepScenarioSpec,
     generate_creep_scenario,
-    noise_only_spec,
     shipped_scenario_spec,
 )
 

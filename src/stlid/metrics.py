@@ -31,10 +31,10 @@ from .baselines import (
 )
 from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, fmt_float
 from .detection import DetectionConfig, default_epsilon
-from .errors import ConfigError, StlidError, require, require_int
+from .errors import ConfigError, DataError, StlidError, require, require_int
 from .fusion import FusionConfig
 from .lid import S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig
-from .pipeline import RunResult, run_detection
+from .pipeline import iter_run
 
 METHOD_NAMES = ("kmeans", "dbscan", "lof", "edq", "slid", "stlid")
 TOP_SET_SIZE = 10
@@ -143,23 +143,9 @@ class BaselineConfig:
         require("edq_levels", np.asarray(self.edq_levels, dtype=np.float64), "[0, 1]")
 
 
-# the RunResult arrays (steps, values, valid) each detector-based method reads
-RUN_ROWS = {
-    "slid": ("s_steps", "s_hist", "s_valid_hist"),
-    "stlid": ("st_steps", "st_hist", "st_valid_hist"),
-}
 # first evaluable column per method: two-means needs only displacement, the
 # detector a full st-LID field, the rest a velocity
 _FIRST_COL = {"kmeans": 0, "stlid": T_LID_FIRST_COL}
-
-
-def _run_rows(run: RunResult | None, name: str):
-    """(steps, values, valid) arrays ``name`` reads from ``run``."""
-    names = RUN_ROWS[name]
-    rows = [None if run is None else getattr(run, attr) for attr in names]
-    if rows[1] is None:
-        raise ConfigError(f"method {name!r} needs a run that kept {names[1]}")
-    return rows
 
 
 def method_result(
@@ -167,15 +153,9 @@ def method_result(
     dataset: MonitoringDataset,
     step: int,
     baseline_config: BaselineConfig | None = None,
-    run: RunResult | None = None,
-    threshold: float = 0.5,
 ) -> BaselineResult:
-    """One evaluated method's result at ``step``.
-
-    ``slid`` and ``stlid`` read the rows of a pipeline ``run``; the st-LID
-    detector's high-risk set is its valid points at or above ``threshold``,
-    in index order. Raises StlidError where the method is undefined.
-    """
+    """Baseline ``name``'s (kmeans, dbscan, lof or edq) result at ``step``;
+    StlidError where it is undefined. ``benchmark`` streams slid and stlid."""
     blc = baseline_config or BaselineConfig()
     if name == "kmeans":
         return kmeans2(dataset.displacement[:, dataset.column(step)], step=step)
@@ -189,16 +169,41 @@ def method_result(
         return lof(dataset.samples_at(step), blc.lof_k, blc.lof_cutoff, step=step)
     if name == "edq":
         return edq_select(dataset, blc.edq_levels, end_step=step)
-    if name not in RUN_ROWS:
-        raise ConfigError(f"unknown method {name!r}; valid: {', '.join(METHOD_NAMES)}")
-    steps, values, valid = _run_rows(run, name)
-    pos = np.flatnonzero(steps == step)
-    if len(pos) == 0:
-        raise ConfigError(f"the run holds no {name} field at step {step}")
-    if name == "slid":
-        return slid_result(values[pos[0]], step)
-    high = valid[pos[0]] & (values[pos[0]] >= threshold)
-    return BaselineResult("stlid", step, values[pos[0]], high, np.flatnonzero(high))
+    raise ConfigError(f"unknown method {name!r}; valid: {', '.join(METHOD_NAMES)}")
+
+
+def _streamed(names, dataset, tofs, threshold, **run_args):
+    """One ``iter_run`` stream to the last time of failure, read for the
+    detector methods ``names``: each one's (result, None) or (None, error) at
+    each time of failure, its top set at each step (None where undefined),
+    and the step seconds. The st-LID high set is its valid points at or above
+    ``threshold``, in index order."""
+    results = {m: {t: (None, ConfigError(f"the run holds no {m} field at step {t}"))
+                   for t in tofs} for m in names}
+    tops, seconds = {m: {} for m in names}, []
+    stop = max(*tofs, dataset.start_step + S_LID_FIRST_COL)  # no stop inside the warm-up
+    for rec in iter_run(dataset, stop_step=stop, **run_args):
+        seconds.append(rec.seconds)
+        for name in names:
+            fld = rec.s if name == "slid" else rec.st
+            if fld is None:
+                continue
+            try:
+                if name == "slid":
+                    res = slid_result(fld.values, rec.step)
+                else:
+                    high = fld.valid & (fld.values >= threshold)
+                    res = BaselineResult("stlid", rec.step, fld.values, high, np.flatnonzero(high))
+                # the detector keeps its full detection set, raw s-LID its top 10
+                # (a copy, so that no view keeps the step's whole ranking)
+                top = res.ranking[:TOP_SET_SIZE if name == "slid" else None].copy()
+                result = res, None
+            except StlidError as exc:
+                result, top = (None, exc), None
+            tops[name][rec.step] = top
+            if rec.step in tofs:
+                results[name][rec.step] = result
+    return results, tops, seconds
 
 
 def benchmark(
@@ -210,17 +215,18 @@ def benchmark(
     detection_config: DetectionConfig | None = None,
     baseline_config: BaselineConfig | None = None,
     parallel: int = 1,
-    run: RunResult | None = None,
     max_backscan: int | None = None,
 ) -> list[EvaluationReport]:
     """Evaluate each method's precision and lead time on every truth region.
 
-    A prior pipeline RunResult can be passed to avoid rerunning st-LID; it
-    must keep the fields the methods read (store="all" for slid, "all" or
-    "st" for stlid). Otherwise one run is executed with the given configs,
-    keeping only those fields. ``max_backscan`` caps how many steps before
-    each failure the lead-time scan reaches.
+    ``slid`` and ``stlid`` read one detector run with the given configs,
+    streamed up to the last time of failure: per step only the set the
+    lead-time scan reads is kept, and the full result only at each time of
+    failure. A baseline is computed at each step the scan reaches, which
+    ``max_backscan`` caps. DataError when the truth holds no region.
     """
+    if not truth.regions:
+        raise DataError("the truth holds no failure region")
     truth.validate_against(dataset)
     for m in methods:
         if m not in METHOD_NAMES:
@@ -229,48 +235,37 @@ def benchmark(
     baseline_config.validate()
     if max_backscan is not None:
         require_int("max_backscan", max_backscan, "[0, inf)")
-    needs_run = [m for m in methods if m in RUN_ROWS]
-    if needs_run and run is None:
-        run = run_detection(
-            dataset,
-            truth=truth,
-            lid_config=lid_config,
-            fusion_config=fusion_config,
-            detection_config=detection_config,
-            parallel=parallel,
-            store="all" if "slid" in needs_run else "st",
+    results, tops, seconds = {}, {}, []
+    if "slid" in methods or "stlid" in methods:
+        results, tops, seconds = _streamed(
+            [m for m in ("slid", "stlid") if m in methods], dataset,
+            {r.tof for r in truth.regions}, (detection_config or DetectionConfig()).threshold,
+            lid_config=lid_config, fusion_config=fusion_config,
+            detection_config=detection_config, parallel=parallel,
         )
-    for m in needs_run:  # fail before evaluating when the run lacks a method's rows
-        _run_rows(run, m)
 
-    det_threshold = (detection_config or DetectionConfig()).threshold
     reports = []
     for name in methods:
-        memo = {}
+        memo = results.get(name, {})  # the stream filled a detector's at every failure
 
         def result_at(step):
             # (result, None), or (None, the error) where the method is undefined at the step
             if step not in memo:
                 try:
-                    res = method_result(name, dataset, step, baseline_config, run, det_threshold)
-                    memo[step] = res, None
+                    memo[step] = method_result(name, dataset, step, baseline_config), None
                 except StlidError as exc:
                     memo[step] = None, exc
             return memo[step]
 
-        # the detector keeps its full detection set; baselines their top 10
-        top_size = None if name == "stlid" else TOP_SET_SIZE
-
         def top_set_at(step):
+            if name in tops:  # kept by the stream
+                return tops[name].get(step)
             res, _ = result_at(step)
-            return None if res is None else res.ranking[:top_size]
+            return None if res is None else res.ranking[:TOP_SET_SIZE]
 
         report = EvaluationReport(method=name)
-        if name == "stlid" and run.per_step_seconds is not None:
-            report.per_step_seconds = (
-                float(np.median(run.per_step_seconds)),
-                float(run.per_step_seconds.max()),
-            )
+        if name == "stlid":
+            report.per_step_seconds = float(np.median(seconds)), float(max(seconds))
         t0 = time.perf_counter()
         report.result, report.error = result_at(truth.regions[0].tof)
         report.timing_seconds = time.perf_counter() - t0

@@ -237,11 +237,3 @@ def shipped_scenario_spec(seed: int = 2024) -> CreepScenarioSpec:
         step_interval_minutes=2.5,
     )
 
-
-def noise_only_spec(seed: int = 77) -> CreepScenarioSpec:
-    """Control twin of the shipped scenario: same grid and noise, no failure."""
-    spec = shipped_scenario_spec(seed=seed)
-    spec.region = None
-    spec.time_of_failure = None
-    spec.onset_step = None
-    return spec

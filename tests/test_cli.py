@@ -633,24 +633,38 @@ def _benchmark_args(generated, *args):
     ]
 
 
-@pytest.mark.parametrize("methods, store", [("kmeans,stlid", "st"), ("kmeans,slid,stlid", "all")])
-def test_benchmark_makes_one_run_keeping_the_rows_it_reads(
-    generated, tmp_path, monkeypatch, methods, store
-):
-    stores = []
-    real = stlid.metrics.run_detection
+@pytest.mark.parametrize("methods", ["kmeans,stlid", "kmeans,slid,stlid"])
+def test_benchmark_streams_one_run_to_the_last_failure(generated, tmp_path, monkeypatch, methods):
+    stops = []
+    real = stlid.metrics.iter_run
 
     def counted(*args, **kwargs):
-        stores.append(kwargs["store"])
+        stops.append(kwargs["stop_step"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(stlid.metrics, "run_detection", counted)
+    monkeypatch.setattr(stlid.metrics, "iter_run", counted)
     methods_csv = tmp_path / "methods.csv"
     args = ["--methods", methods, "--max-backscan", "30", "--method-scores", str(methods_csv)]
     assert main(_benchmark_args(generated, *args)) == 0
-    assert stores == [store]
+    assert stops == [load_ground_truth(generated["truth"]).regions[0].tof]
     dumped = {row.split(",")[2] for row in methods_csv.read_text().splitlines()[1:]}
     assert dumped == set(methods.split(",")) - {"stlid"}
+
+
+def test_a_benchmark_against_a_truth_with_no_region_exits_2_before_any_output(tmp_path, capsys):
+    # a noise-only spec generates a header-only truth
+    spec = write_spec(tmp_path / "spec.cfg", grid_nx=10, grid_ny=8, num_steps=60,
+                      region=None, time_of_failure=None, onset_step=None)
+    files = {name: tmp_path / f"{name}.csv" for name in ("points", "series", "truth")}
+    assert main(["generate", str(spec), *(f"--{k}={v}" for k, v in files.items())]) == 0
+    assert files["truth"].read_text() == "label,xmin,ymin,xmax,ymax,tof\n"
+    capsys.readouterr()
+    outputs = [tmp_path / name for name in ("table.txt", "report.csv", "methods.csv")]
+    argv = ["benchmark", *(f"--{k}={v}" for k, v in files.items()), "--print-config",
+            *(f"--{flag}={path}" for flag, path in zip(("table", "csv", "method-scores"), outputs))]
+    for methods in ("kmeans", "slid,stlid"):
+        err = _refused(capsys, [*argv, f"--methods={methods}"], outputs, code=2)
+        assert "the truth holds no failure region" in err
 
 
 def test_benchmark_method_scores_of_undefined_method_exits_2(tmp_path, capsys):

@@ -12,11 +12,11 @@ EXPORTS = [
     "benchmark", "dbscan", "dbscan_labels", "default_epsilon", "edq_select",
     "format_lead", "fuse_all", "fused_slid", "gaussian_weights",
     "generate_creep_scenario", "iter_run", "kmeans2", "lead_time", "load_dataset",
-    "load_ground_truth", "lof", "lof_scores", "mle_lid", "noise_only_spec",
-    "observation_params", "precision", "prior_from_neighbors", "raw_slid_baseline",
-    "run_detection", "s_lid_all", "save_dataset", "save_ground_truth",
-    "shipped_scenario_spec", "sigmoid", "st_lid_field", "t_lid", "t_lid_field",
-    "update_detection", "write_baseline_scores_csv",
+    "load_ground_truth", "lof", "lof_scores", "mle_lid", "observation_params",
+    "precision", "prior_from_neighbors", "raw_slid_baseline", "run_detection",
+    "s_lid_all", "save_dataset", "save_ground_truth", "shipped_scenario_spec",
+    "sigmoid", "st_lid_field", "t_lid", "t_lid_field", "update_detection",
+    "write_baseline_scores_csv",
 ]
 
 

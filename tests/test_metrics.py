@@ -1,23 +1,37 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import stlid.lid
 import stlid.metrics
 from stlid import (
     BaselineConfig,
+    BaselineResult,
+    CreepScenarioSpec,
+    DetectionConfig,
     EvaluationReport,
     FailureRegion,
     GroundTruth,
     LidConfig,
+    MonitoringDataset,
     benchmark,
     format_lead,
+    generate_creep_scenario,
     lead_time,
     precision,
     run_detection,
 )
-from stlid.errors import ConfigError
-from stlid.metrics import METHOD_NAMES, report_csv, report_table
+from stlid.baselines import slid_result
+from stlid.errors import ConfigError, DataError, StlidError
+from stlid.lid import S_LID_FIRST_COL, T_LID_FIRST_COL
+from stlid.metrics import (
+    METHOD_NAMES, TOP_SET_SIZE, RegionEval, method_result, report_csv, report_table,
+)
+
+from conftest import make_dataset
 
 REGION = FailureRegion("r", 0.0, 0.0, 10.0, 10.0, 1000)
 TRUTH = GroundTruth([REGION])
@@ -177,18 +191,15 @@ def test_benchmark_rejects_unknown_method(small_scenario):
         benchmark(ds, truth, methods=("kmeans", "svm"))
 
 
-def test_benchmark_rejects_run_without_method_rows(grid_noise_dataset):
-    ds = grid_noise_dataset
-    truth = GroundTruth([FailureRegion("r", 0.0, 0.0, 4.0, 4.0, 30)])
-    lid = LidConfig(s=6)
-    lean = run_detection(ds, lid_config=lid, store="none")
-    st_only = run_detection(ds, lid_config=lid, store="st")
-    with pytest.raises(ConfigError, match="st_hist"):
-        benchmark(ds, truth, methods=("stlid",), run=lean)
-    with pytest.raises(ConfigError, match="s_hist"):
-        benchmark(ds, truth, methods=("slid",), run=st_only)
-    (report,) = benchmark(ds, truth, methods=("stlid",), run=st_only)
-    assert report.method == "stlid"
+def test_benchmark_refuses_a_truth_with_no_region_before_any_run(small_scenario, monkeypatch):
+    ds, _ = small_scenario
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the detector ran")
+
+    monkeypatch.setattr(stlid.metrics, "iter_run", no_run)
+    with pytest.raises(DataError, match="the truth holds no failure region"):
+        benchmark(ds, GroundTruth([]), methods=("kmeans", "slid", "stlid"))
 
 
 @pytest.mark.parametrize("kwargs, key", [
@@ -232,3 +243,127 @@ def test_benchmark_computes_each_step_once(small_scenario, monkeypatch):
 def test_report_has_no_recall_field():
     fields = {f.name for f in EvaluationReport.__dataclass_fields__.values()}
     assert "recall" not in fields
+
+
+# settings under which the detector leads the 12 x 10 scenario's failure
+DIFF_RUN = dict(lid_config=LidConfig(s=10), detection_config=DetectionConfig(threshold=0.45))
+
+
+def _reference_reports(ds, truth, max_backscan):
+    """Each method's (regions, result at the first failure, its error), as the
+    evaluation read a whole ``run_detection(store="all")`` run before the
+    benchmark streamed it: the detector results come from the history rows."""
+    run = run_detection(ds, store="all", **DIFF_RUN)
+    rows = {"slid": (run.s_steps, run.s_hist, run.s_valid_hist),
+            "stlid": (run.st_steps, run.st_hist, run.st_valid_hist)}
+
+    def result(name, step):
+        if name not in rows:
+            return method_result(name, ds, step)
+        steps, values, valid = rows[name]
+        pos = np.flatnonzero(steps == step)
+        if len(pos) == 0:
+            raise ConfigError(f"the run holds no {name} field at step {step}")
+        if name == "slid":
+            return slid_result(values[pos[0]], step)
+        high = valid[pos[0]] & (values[pos[0]] >= DIFF_RUN["detection_config"].threshold)
+        return BaselineResult("stlid", step, values[pos[0]], high, np.flatnonzero(high))
+
+    reference = {}
+    for name in METHOD_NAMES:
+        def at(step, name=name):
+            try:
+                return result(name, step), None
+            except StlidError as exc:
+                return None, exc
+
+        def top(step, name=name):
+            res, _ = at(step)
+            return None if res is None else res.ranking[:None if name == "stlid" else TOP_SET_SIZE]
+
+        regions = []
+        for region in truth.regions:
+            res, _ = at(region.tof)
+            det = np.empty(0, dtype=int) if res is None else np.flatnonzero(res.high_risk)
+            first_col = {"kmeans": 0, "stlid": T_LID_FIRST_COL}.get(name, S_LID_FIRST_COL)
+            first = ds.start_step + first_col
+            if max_backscan is not None:
+                first = max(first, region.tof - max_backscan)
+            lead = lead_time(top, region, ds.coords, ds.step_interval_minutes, first_step=first)
+            regions.append(RegionEval(region.label, *precision(ds.coords[det], truth), *lead))
+        reference[name] = regions, *at(truth.regions[0].tof)
+    return reference
+
+
+@pytest.fixture(scope="module")
+def twelve_by_ten():
+    """120 points x 120 steps from step 5, and the region that fails at column 100."""
+    spec = CreepScenarioSpec(
+        grid_nx=12, grid_ny=10, num_steps=120, noise_sd=0.08, region=(4.0, 3.0, 8.0, 7.0),
+        time_of_failure=100, onset_step=60, steady_rate=0.3, rate_floor=0.5,
+        bump_width=0.45, rate_jitter=0.06, slip_theta=0.0, seed=3,
+    )
+    ds, truth = generate_creep_scenario(spec)
+    shifted = MonitoringDataset(ds.points, ds.displacement, ds.step_interval_minutes, start_step=5)
+    return shifted, truth.regions[0]
+
+
+@pytest.mark.parametrize("max_backscan", [None, 0, 30])
+@pytest.mark.parametrize("case", ["two-regions", "before-st-lid", "first-step", "noise-grid"])
+def test_the_streamed_benchmark_equals_the_whole_run_evaluation(
+    twelve_by_ten, grid_noise_dataset, case, max_backscan
+):
+    ds, failure = twelve_by_ten
+    box = failure.xmin, failure.ymin, failure.xmax, failure.ymax
+    regions = {
+        "two-regions": [FailureRegion("failure", *box, 105), FailureRegion("wide", 3, 2, 9, 8, 85)],
+        "before-st-lid": [FailureRegion("failure", *box, 7)],  # st-LID starts at step 8
+        "first-step": [FailureRegion("failure", *box, 5)],
+        # raw s-LID's high sets outgrow its top 10 on noise, and the cut changes its lead
+        "noise-grid": [FailureRegion("all-but-the-top-row", 0, 0, 15, 14, 30)],
+    }[case]
+    if case == "noise-grid":
+        ds = grid_noise_dataset
+    truth = GroundTruth(regions)
+    reference = _reference_reports(ds, truth, max_backscan)
+    reports = benchmark(ds, truth, max_backscan=max_backscan, parallel=2, **DIFF_RUN)
+    assert [r.method for r in reports] == list(METHOD_NAMES)
+    for report in reports:
+        regions, result, error = reference[report.method]
+        assert report.regions == regions, report.method
+        assert (report.result is None) == (result is None), report.method
+        if result is not None:
+            for f in fields(BaselineResult):
+                got, want = getattr(report.result, f.name), getattr(result, f.name)
+                assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+        assert type(report.error) is type(error) and str(report.error) == str(error), report.method
+    if case == "before-st-lid":
+        assert str(reports[-1].error) == "the run holds no stlid field at step 7"
+    if case == "two-regions" and max_backscan != 0:  # each detector method leads the failure
+        assert all(r.regions[0].lead_steps > 0 for r in reports[-2:])
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_benchmark_holds_no_history_sized_array(parallel, monkeypatch):
+    # as test_pipeline's run-memory test: 32 KB tiles, full at both lengths,
+    # and the dataset is built before the trace starts; the failure is at the
+    # last step, so the run covers the whole dataset
+    monkeypatch.setattr(stlid.lid, "_TILE_CELLS", 4096)
+    n, steps = 400, 150
+    coords = [(float(i % 20), float(i // 20)) for i in range(n)]
+    peaks = []
+    for t in (steps, 2 * steps):
+        rng = np.random.default_rng(7)
+        ds = make_dataset(np.cumsum(rng.normal(0, 0.1, size=(n, t)), axis=1), coords=coords)
+        truth = GroundTruth([FailureRegion("r", 0.0, 0.0, 4.0, 4.0, t - 1)])
+        tracemalloc.start()
+        try:
+            reports = benchmark(ds, truth, methods=("slid", "stlid"), parallel=parallel)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [r.result.step for r in reports] == [t - 1, t - 1]
+    # one more n x steps float64 array would add n * steps * 8 bytes; the top
+    # sets kept per step (ten s-LID points, about 35 st-LID points here) add
+    # about 0.7 of the bound
+    assert peaks[1] - peaks[0] < n * steps * 8 / 4, peaks
