@@ -33,11 +33,9 @@ NORMALIZATION_MODES = ("raw", "zscore", "zscore-history")
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), elementwise on arrays."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -x, x))  # at most 1, so it never overflows
+    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

@@ -16,10 +16,12 @@ Two neighborhoods are used:
   space.
 * t-LID: neighbors of a point's current velocity among its own past
   velocities; all history records are candidates and the largest retained
-  distance is the denominator. The vectorized kernel reads the points'
-  displacement rows and differences them into one fixed 1 MB tile, so a
+  distance is the denominator. The vectorized kernel streams the points'
+  displacement rows through one fixed 1 MB tile: it copies the later
+  displacements into the tile and subtracts the earlier ones in place, so a
   call allocates O(tile) and no velocity matrix, however long the run has
-  grown.
+  grown. Each tile leaves only its rows' statistics (nonzero count, maximum,
+  log-sum), and the estimator runs once over the whole call.
 
 Zero distances (exact ties with the query) make ln undefined; the configured
 policy either drops them or floors them at a small epsilon. Fully degenerate
@@ -94,31 +96,44 @@ class LidField:
         return cls(step, values, valid)
 
 
-def _log_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``d``: the count of positive distances and, over them,
-    ``count * ln(d_max) - sum(ln d)`` (the MLE denominator and the fusion
-    observation rate). Zero distances add ``ln 1 = +0.0``; a row whose
-    distances overflowed to inf yields NaN.
-
-    Works in place on ``d``, a C-contiguous float64 scratch array the caller
-    owns.
-    """
-    count = np.count_nonzero(d, axis=1)
-    dmax = d.max(axis=1)
+def _row_stats(d: np.ndarray, nz: np.ndarray, count, dmax, logs) -> None:
+    """Per row of ``d``, into ``count``, ``dmax`` and ``logs``: the count of
+    nonzero distances (the byte sum of the mask ``nz``), the maximum, and the
+    sum of ln after the zeros are filled with 1 through the same mask, so each
+    adds ``ln 1 = +0.0``. ``d`` (C-contiguous float64) and ``nz`` (bool, of
+    its shape) are scratch arrays the caller owns."""
+    np.not_equal(d, 0.0, out=nz)
+    np.sum(nz.view(np.uint8), axis=1, out=count)
+    np.max(d, axis=1, out=dmax)
     if count.sum() < d.size:
-        d[d == 0.0] = 1.0
-    logs = np.log(d, out=d).sum(axis=1)
+        np.copyto(d, 1.0, where=np.logical_not(nz, out=nz))
+    np.sum(np.log(d, out=d), axis=1, out=logs)
+
+
+def _log_sum(count: np.ndarray, dmax: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """``count * ln(d_max) - sum(ln d)`` from the ``_row_stats`` of rows of
+    distances: the MLE denominator and the fusion observation rate. A row
+    whose distances overflowed to inf yields NaN."""
     with np.errstate(invalid="ignore"):  # inf - inf on overflowed distances
-        return count, count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs
+        return count * np.log(np.where(dmax > 0, dmax, 1.0)) - logs
 
 
-def _lid_in_place(d: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``lid_rows`` on a scratch array it may overwrite (see ``_log_sums``)."""
-    if config.zero_distance_policy == "floor":
-        np.maximum(d, config.epsilon_floor, out=d)
-    count, logsum = _log_sums(d)
+def _log_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``d``: the count of positive distances and, over them, the
+    ``_log_sum``; ``_row_stats`` takes the whole array as one tile, with a
+    mask of its own. Works in place on ``d``, a C-contiguous float64 scratch
+    array the caller owns."""
+    m = d.shape[0]
+    count, dmax, logs = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m)
+    _row_stats(d, np.empty(d.shape, dtype=bool), count, dmax, logs)
+    return count, _log_sum(count, dmax, logs)
+
+
+def _estimate(count: np.ndarray, logsum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The estimator ``count / logsum`` and its validity: at least two
+    positive distances and a positive log-sum. Invalid rows hold NaN."""
     valid = (count >= 2) & (logsum > 0.0)
-    values = np.full(d.shape[0], np.nan)
+    values = np.full(count.shape[0], np.nan)
     np.divide(count, logsum, out=values, where=valid)
     return values, valid
 
@@ -131,7 +146,10 @@ def lid_rows(distances: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.n
     reductions keep results bit-identical however the rows are chunked.
     ``distances`` is copied, never changed.
     """
-    return _lid_in_place(np.array(distances, dtype=np.float64, order="C"), config)
+    d = np.array(distances, dtype=np.float64, order="C")
+    if config.zero_distance_policy == "floor":
+        np.maximum(d, config.epsilon_floor, out=d)
+    return _estimate(*_log_sums(d))
 
 
 def mle_lid(distances, config: LidConfig | None = None) -> float:
@@ -231,10 +249,13 @@ def t_lid_rows(
     degenerate rows; callers fill sentinels at field level.
 
     The rows are streamed through one scratch tile of about ``_TILE_CELLS``
-    cells: each tile's velocities are differenced from the displacements
-    straight into it, then turned into distances, floored and reduced in
-    place, so a call allocates O(tile) and no velocity matrix, whatever the
-    history length. The result is bit-identical to estimating all rows of
+    cells. Each tile's velocities are formed in it by copying the later
+    displacements in and subtracting the earlier ones in place; they are
+    then turned into distances and floored in place, and ``_row_stats``
+    writes each row's count, maximum and log-sum into arrays of the call's
+    length. The estimator then runs once over those. So a call allocates
+    O(tile) plus O(rows) and no velocity matrix, whatever the history
+    length. The result is bit-identical to estimating all rows of
     ``np.diff(displacement_block, axis=1)`` at once.
 
     Pass displacements, not velocities: a velocity history has a valid
@@ -244,17 +265,20 @@ def t_lid_rows(
     h -= 1
     per_tile = max(1, _TILE_CELLS // max(h, 1))
     tile = np.empty((min(per_tile, m), h))
-    values = np.empty(m)
-    valid = np.empty(m, dtype=bool)
+    nonzero = np.empty(tile.shape, dtype=bool)
+    count, dmax, logs = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m)
     for lo in range(0, m, per_tile):
         hi = min(lo + per_tile, m)
         d = tile[: hi - lo]
         block = displacement_block[lo:hi]
-        np.subtract(block[:, 1:], block[:, :-1], out=d, dtype=np.float64)
+        d[...] = block[:, 1:]
+        np.subtract(d, block[:, :-1], out=d)
         np.subtract(d, queries[lo:hi, None], out=d)
         np.abs(d, out=d)
-        values[lo:hi], valid[lo:hi] = _lid_in_place(d, config)
-    return values, valid
+        if config.zero_distance_policy == "floor":
+            np.maximum(d, config.epsilon_floor, out=d)
+        _row_stats(d, nonzero[: hi - lo], count[lo:hi], dmax[lo:hi], logs[lo:hi])
+    return _estimate(count, _log_sum(count, dmax, logs))
 
 
 def t_lid_field(

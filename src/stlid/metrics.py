@@ -176,14 +176,14 @@ def _streamed(names, dataset, tofs, threshold, **run_args):
     """One ``iter_run`` stream to the last time of failure, read for the
     detector methods ``names``: each one's (result, None) or (None, error) at
     each time of failure, its top set at each step (None where undefined),
-    and the step seconds. The st-LID high set is its valid points at or above
-    ``threshold``, in index order."""
+    and each step's seconds. The st-LID high set is its valid points at or
+    above ``threshold``, in index order."""
     results = {m: {t: (None, ConfigError(f"the run holds no {m} field at step {t}"))
                    for t in tofs} for m in names}
-    tops, seconds = {m: {} for m in names}, []
+    tops, seconds = {m: {} for m in names}, {}
     stop = max(*tofs, dataset.start_step + S_LID_FIRST_COL)  # no stop inside the warm-up
     for rec in iter_run(dataset, stop_step=stop, **run_args):
-        seconds.append(rec.seconds)
+        seconds[rec.step] = rec.seconds
         for name in names:
             fld = rec.s if name == "slid" else rec.st
             if fld is None:
@@ -235,7 +235,7 @@ def benchmark(
     baseline_config.validate()
     if max_backscan is not None:
         require_int("max_backscan", max_backscan, "[0, inf)")
-    results, tops, seconds = {}, {}, []
+    results, tops, seconds = {}, {}, {}
     if "slid" in methods or "stlid" in methods:
         results, tops, seconds = _streamed(
             [m for m in ("slid", "stlid") if m in methods], dataset,
@@ -265,10 +265,13 @@ def benchmark(
 
         report = EvaluationReport(method=name)
         if name == "stlid":
-            report.per_step_seconds = float(np.median(seconds)), float(max(seconds))
+            steps = list(seconds.values())
+            report.per_step_seconds = float(np.median(steps)), float(max(steps))
         t0 = time.perf_counter()
         report.result, report.error = result_at(truth.regions[0].tof)
-        report.timing_seconds = time.perf_counter() - t0
+        report.timing_seconds = (
+            seconds.get(truth.regions[0].tof) if name in tops else time.perf_counter() - t0
+        )
         for region in truth.regions:
             res, _ = result_at(region.tof)
             det = np.empty(0, dtype=int) if res is None else np.flatnonzero(res.high_risk)

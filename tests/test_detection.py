@@ -33,6 +33,29 @@ def test_sigmoid_extreme_arguments():
     assert not math.isnan(sigmoid(-800.0)) and not math.isnan(sigmoid(800.0))
 
 
+def two_branch_sigmoid(x):
+    """The logistic function as two fancy-indexed branches, each exp only of
+    non-positive arguments."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_the_two_branch_formula_bitwise():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 700.0, -700.0, 800.0, -800.0])
+    rng = np.random.default_rng(3)
+    for x in (special, rng.normal(scale=30.0, size=1000), rng.normal(size=(7, 5))):
+        assert sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+    for x in special:
+        got = sigmoid(np.array(x))  # a 0-d input gives a Python float
+        assert type(got) is float
+        assert np.float64(got).tobytes() == two_branch_sigmoid(x).tobytes()
+
+
 def test_zscore_basics():
     assert np.array_equal(zscore(np.array([3.0, 3.0, 3.0])), np.zeros(3))
     v = np.array([1.0, 2.0, 3.0, 10.0])

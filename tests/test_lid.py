@@ -201,6 +201,28 @@ def test_t_lid_rows_tiles_match_the_whole_block_formula(monkeypatch, policy, h):
     assert not valid[1::4].any()
 
 
+@pytest.mark.parametrize("policy", ["drop", "floor"])
+def test_t_lid_rows_fills_a_zero_only_the_last_row_of_a_tile_holds(monkeypatch, policy):
+    monkeypatch.setattr(lid, "_TILE_CELLS", TILE)
+    h = 6
+    per_tile = TILE // h
+    cfg = LidConfig(zero_distance_policy=policy)
+    rng = np.random.default_rng(21)
+    wide = rng.normal(size=(2 * per_tile + 2, h + 3))  # the last tile is partial
+    block = wide[:, : h + 1]
+    queries = wide[:, h + 2] - wide[:, h + 1]
+    tied = [per_tile - 1, 2 * per_tile]  # the first tile's last row, the last tile's first
+    for row, j in zip(tied, (3, 0)):
+        queries[row] = block[row, j + 1] - block[row, j]  # one velocity equals the query
+    distances = np.abs(np.diff(block, axis=1) - queries[:, None])
+    assert (np.flatnonzero((distances == 0.0).any(axis=1)) == tied).all()
+    values, valid = t_lid_rows(block, queries, cfg)
+    want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries, cfg)
+    assert values.tobytes() == want_values.tobytes()
+    assert valid.tobytes() == want_valid.tobytes()
+    assert valid.all()
+
+
 def masked_log_sums(d):
     """``_log_sums`` written out with a masked log and ``count_nonzero`` over
     every row."""

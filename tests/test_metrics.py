@@ -223,6 +223,30 @@ def test_benchmark_reports_the_error_of_an_undefined_method(grid_noise_dataset):
     assert lof_report.result is not None and lof_report.error is None
 
 
+def test_benchmark_times_the_detectors_by_their_step_at_the_first_failure(
+    grid_noise_dataset, monkeypatch
+):
+    ds = grid_noise_dataset
+    # the first region fails before the second, so the stream runs past it
+    truth = GroundTruth([FailureRegion("a", 0.0, 0.0, 4.0, 4.0, 25),
+                         FailureRegion("b", 0.0, 0.0, 4.0, 4.0, 30)])
+    records = []
+    real = stlid.metrics.iter_run
+
+    def recorded(*args, **kwargs):
+        for rec in real(*args, **kwargs):
+            records.append(rec)
+            yield rec
+
+    monkeypatch.setattr(stlid.metrics, "iter_run", recorded)
+    reports = benchmark(ds, truth, methods=("slid", "stlid", "kmeans"), max_backscan=3)
+    seconds = {rec.step: rec.seconds for rec in records}
+    assert max(seconds) == 30
+    slid_report, stlid_report, kmeans_report = reports
+    assert slid_report.timing_seconds == stlid_report.timing_seconds == seconds[25]
+    assert kmeans_report.timing_seconds is not None and kmeans_report.timing_seconds >= 0.0
+
+
 def test_benchmark_computes_each_step_once(small_scenario, monkeypatch):
     ds, truth = small_scenario
     calls = Counter()
