@@ -293,23 +293,21 @@ def _load_series_fast(points: list[MonitoredPoint], series_file):
     Returns ``(matrix, start_step)``, or ``None`` for any file it does not
     fully accept: a header other than the exact one, a cell numpy cannot
     parse, or rows that do not cover every (point, step) cell exactly once
-    with a finite value. Only ASCII files reach numpy: its loadtxt can crash
-    the interpreter on some non-ASCII cells (U+100000 in an int column on
-    numpy 2.4). ``comments=None`` keeps ``#`` an ordinary (invalid)
-    character, and warnings are errors so that numpy releases which parse
-    ``1.0`` as an int with only a DeprecationWarning fall back too.
+    with a finite value. The parse decodes as ASCII, so that a non-ASCII
+    byte is a ValueError before numpy's tokenizer can crash on it (U+100000
+    in an int column, numpy 2.4). ``comments=None`` keeps ``#`` an ordinary
+    (invalid) character, and warnings are errors so that numpy releases
+    which parse ``1.0`` as an int with only a DeprecationWarning fall back too.
     """
     with open(series_file, "rb") as fh:
         header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
         if header != ",".join(SERIES_HEADER).encode():
             return None
-        if not all(block.isascii() for block in iter(lambda: fh.read(1 << 20), b"")):
-            return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(
-                series_file, delimiter=",", skiprows=1, ndmin=1, comments=None,
+                series_file, delimiter=",", skiprows=1, ndmin=1, comments=None, encoding="ascii",
                 dtype=[("id", np.int64), ("t", np.int64), ("d", np.float64)],
             )
         point_ids = np.array([p.id for p in points], dtype=np.int64)
@@ -318,16 +316,17 @@ def _load_series_fast(points: list[MonitoredPoint], series_file):
     n = len(points)
     if len(rows) == 0 or len(rows) % n or not np.all(np.isfinite(rows["d"])):
         return None
+    t, lo = len(rows) // n, int(rows["t"].min())
+    if int(rows["t"].max()) - lo >= t:
+        return None
     order = np.argsort(point_ids)
-    pos = np.minimum(np.searchsorted(point_ids[order], rows["id"]), n - 1)
-    if not np.array_equal(point_ids[order][pos], rows["id"]):
+    flat = np.searchsorted(point_ids[order], rows["id"])  # the one row-length index
+    if not np.array_equal(np.take(point_ids[order], flat, mode="clip"), rows["id"]):
         return None
-    t = len(rows) // n
-    lo = int(rows["t"].min())
-    rel = rows["t"] - lo  # wraps negative on int64 overflow
-    if np.any(rel < 0) or np.any(rel >= t):
-        return None
-    flat = order[pos] * t + rel
+    np.take(order, flat, out=flat, mode="clip")  # each row's point, then its cell
+    flat *= t
+    flat += rows["t"]
+    flat -= lo  # exact modulo 2**64, as every true cell lies in [0, n*t)
     covered = np.zeros(n * t, dtype=bool)
     covered[flat] = True
     if not covered.all():  # n*t rows cover n*t cells: no duplicate, no gap

@@ -185,6 +185,20 @@ def test_dbscan_high_risk_rule():
     assert not res.high_risk[:12].any()
 
 
+def test_dbscan_all_noise_ranks_every_point_by_distance_to_the_mean():
+    # no point has min_pts neighbours within eps: no cluster, so every point
+    # is high risk, ranked by distance to the mean of all, ties toward the
+    # lower index. Before the shift the mean is (0.5, 0), and the distances
+    # are 3.5, 2.5, sqrt(16.25), sqrt(16.25), 0.5 and 2.5
+    x = np.array([[-3.0, 0.0], [3.0, 0.0], [0.0, 4.0], [0.0, -4.0], [0.0, 0.0], [3.0, 0.0]])
+    x += (1.0, 2.0)
+    assert (dbscan_labels(x, eps=0.5, min_pts=3) == -1).all()
+    res = dbscan(x, eps=0.5, min_pts=3, step=7)
+    assert res.step == 7 and res.high_risk.all()
+    assert res.likelihood.tolist() == [1.0] * 6
+    assert res.ranking.tolist() == [4, 1, 5, 0, 2, 3]
+
+
 def test_dbscan_matches_reference_randomized():
     rng = np.random.default_rng(5)
     for _ in range(25):

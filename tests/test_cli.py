@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import tracemalloc
+import typing
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -765,6 +766,34 @@ def test_validate_kinds(generated, tmp_path, capsys):
         assert f"{bad}:2:" in err and column in err, err
 
 
+def test_validate_accepts_what_detect_writes_and_refuses_st_lid_outside_0_1(
+    generated, tmp_path, capsys
+):
+    scores, events = tmp_path / "scores.csv", tmp_path / "events.csv"
+    assert main([
+        "detect", "--points", str(generated["points"]), "--series", str(generated["series"]),
+        "--set", "lid.s=8", "--set", "fusion.k=4", "--set", "detection.n=3",
+        "--scores", str(scores), "--events", str(events),
+    ]) == 0
+    assert len(events.read_text().splitlines()) == 3  # two event rows
+    capsys.readouterr()
+    for kind, path in (("scores", scores), ("events", events)):
+        assert main(["validate", kind, str(path)]) == 0
+        assert capsys.readouterr().out == f"{kind} file {path}: OK\n"
+
+    # the second data row of each file, its st_lid cell set to 1.5
+    for kind, path, col in (("scores", scores, 5), ("events", events, 4)):
+        lines = path.read_text().splitlines()[:3]
+        cells = lines[-1].split(",")
+        cells[col] = "1.5"
+        lines[-1] = ",".join(cells)
+        bad = tmp_path / f"bad_{kind}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", kind, str(bad)]) == 2, kind
+        out, err = capsys.readouterr()
+        assert out == "" and f"{bad}:{len(lines)}: st_lid outside [0, 1]" in err, err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["detect"]) == 1  # missing required arguments
     assert main([]) == 1
@@ -970,6 +999,65 @@ def test_an_out_of_range_setting_exits_3_before_any_output(
     argv, outputs = _run_argv(command, example, tmp_path)
     err = _refused(capsys, [*argv, "--print-config", "--set", f"{key}={value}"], outputs)
     assert key.rpartition(".")[2] in err
+
+
+# each config key whose type admits a string: a word it does not know is refused
+STRING_SETTINGS = (
+    "lid.zero_distance_policy", "fusion.bandwidth", "fusion.weight_space", "detection.normalization",
+)
+
+
+def test_the_string_table_covers_every_string_key():
+    from stlid.cli import _setting_types
+
+    admits_str = [
+        key for key, tp in _setting_types().items() if str in (tp, *typing.get_args(tp))
+    ]
+    assert list(STRING_SETTINGS) == admits_str
+
+
+@pytest.mark.parametrize("command", ["detect", "monitor", "benchmark"])
+@pytest.mark.parametrize("key", STRING_SETTINGS)
+def test_an_unknown_word_setting_exits_3_before_any_output(example, tmp_path, capsys, command, key):
+    argv, outputs = _run_argv(command, example, tmp_path)
+    err = _refused(capsys, [*argv, "--print-config", "--set", f"{key}=sideways"], outputs)
+    assert key.rpartition(".")[2] in err and "sideways" in err
+
+
+def _malformed_argv(case, example, tmp_path):
+    """(argv, output paths, the refusal's words) of one malformed command line or input file."""
+    if case == "set-without-equals":
+        argv, outputs = _run_argv("detect", example, tmp_path)
+        return [*argv, "--print-config", "--set", "lid.s"], outputs, "--set expects key=value"
+    if case == "config-line-without-equals":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# a comment\nlid.s 7\n")
+        argv, outputs = _run_argv("monitor", example, tmp_path)
+        return [*argv, "--print-config", f"--config={cfg}"], outputs, f"{cfg}:2: expected key=value"
+    if case == "spec-without-grid_nx":
+        spec = write_spec(tmp_path / "spec.cfg")
+        spec.write_text("".join(
+            line for line in spec.read_text().splitlines(True) if not line.startswith("grid_nx=")
+        ))
+        outputs = [tmp_path / f"{name}.csv" for name in ("points", "series", "truth")]
+        argv = ["generate", str(spec), *(f"--{p.stem}={p}" for p in outputs)]
+        return argv, outputs, "missing scenario fields: grid_nx"
+    if case == "benchmark-without-truth":
+        argv, outputs = _run_argv(
+            "benchmark", {k: v for k, v in example.items() if k != "truth"}, tmp_path
+        )
+        return [*argv, "--print-config"], outputs, "benchmark needs --truth"
+    assert case == "validate-dataset-without-series"
+    return ["validate", "dataset", str(example["points"])], [], "needs PATH (points) and --series"
+
+
+@pytest.mark.parametrize("case", [
+    "set-without-equals", "config-line-without-equals", "spec-without-grid_nx",
+    "benchmark-without-truth", "validate-dataset-without-series",
+])
+def test_a_malformed_command_or_file_exits_3_before_any_output(example, tmp_path, capsys, case):
+    argv, outputs, words = _malformed_argv(case, example, tmp_path)
+    assert words in _refused(capsys, argv, outputs)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -345,3 +346,84 @@ def test_well_formed_files_take_the_fast_path(tmp_path, monkeypatch):
     back = load_dataset(tmp_path / "p.csv", tmp_path / "t.csv")
     assert back.start_step == -4
     assert np.array_equal(back.displacement, ds.displacement)
+
+
+def _series_outcome(tmp_path, lines, ids):
+    """Both readers' outcome on a series file of ``lines`` for points
+    ``ids``; the test fails unless they are equal."""
+    pts, ser = tmp_path / "p.csv", tmp_path / "s.csv"
+    pts.write_text("id,x,y\n" + "".join(f"{pid},{k},0\n" for k, pid in enumerate(ids)))
+    ser.write_text("".join(line + "\n" for line in lines))
+    got = _outcome(load_dataset, pts, ser)
+    assert got == _outcome(_load_by_rows, pts, ser)
+    return got
+
+
+def test_canonical_and_near_canonical_files_match_the_row_reader(tmp_path):
+    ids = [9, 3, 7, 1]
+    ds = make_dataset(np.random.default_rng(1).normal(size=(4, 6)), ids=ids, start_step=-2)
+    save_dataset(ds, tmp_path / "p.csv", tmp_path / "s.csv")
+    header, *rows = (tmp_path / "s.csv").read_text().splitlines()  # in save_dataset's order
+    shuffled = [rows[k] for k in np.random.default_rng(1).permutation(len(rows))]
+    swapped = rows.copy()
+    swapped[5], swapped[6] = swapped[6], swapped[5]
+    late = rows.copy()
+    late[-1] = f"{ids[-1]},{ds.last_step + 1},0.5"  # one step past the others' range
+    for lines, loads in [
+        (rows, True), (shuffled, True), (swapped, True),
+        (rows[:7] + rows[8:], False),  # one missing row
+        (rows[:7] + rows[6:], False),  # one duplicated row
+        (late, False),
+    ]:
+        got = _series_outcome(tmp_path, [header, *lines], ids)
+        assert (got[-1] == ds.displacement.tobytes()) == loads, got
+
+
+@pytest.mark.parametrize("ids, steps_of", [
+    ([4, 2], lambda pid: range(-2**63, -2**63 + 3)),  # starts at the int64 minimum
+    ([4, 2], lambda pid: range(2**63 - 3, 2**63)),  # ends at the int64 maximum
+    ([4, 2], lambda pid: [-2**63, 2**63 - 1]),  # spans all of int64
+    ([4, 2], lambda pid: [-2**63, 2**63 - 1 if pid == 2 else -2**63 + 1]),
+    ([4, 2], lambda pid: range(2**63 - 2, 2**63 + 1)),  # ends past it
+    ([4], lambda pid: [2**63 - 1, -2**63]),
+])
+def test_steps_at_the_int64_edges_match_the_row_reader(tmp_path, ids, steps_of):
+    # the in-place cell index wraps here: it must still come out exact, or
+    # the file must be refused exactly as the row reader refuses it
+    lines = [f"{pid},{s},{s % 5}.5" for pid in ids for s in steps_of(pid)]
+    _series_outcome(tmp_path, [",".join(SERIES_HEADER), *lines], ids)
+
+
+def test_int64_edge_steps_load_on_the_fast_path(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fell back to the row reader")
+
+    monkeypatch.setattr(stlid.data, "_load_series_rows", refuse)
+    for start in (-2**63, 2**63 - 3):
+        lines = [f"{pid},{start + c},{c}.5" for pid in (4, 2) for c in range(3)]
+        got = _series_outcome(tmp_path, [",".join(SERIES_HEADER), *lines], [4, 2])
+        assert got[1] == start and got[2] == (2, 3)
+
+
+@pytest.mark.parametrize("lines", [[",".join(SERIES_HEADER)], []], ids=["header-only", "empty"])
+def test_a_series_file_without_rows_matches_the_row_reader(tmp_path, lines):
+    got = _series_outcome(tmp_path, lines, [1, 2])
+    assert got[0] in (ConsistencyError, ParseError)
+
+
+def test_the_fast_path_holds_no_more_than_its_rows_and_one_index(tmp_path):
+    # np.loadtxt's structured rows take 24 bytes a row; beyond them the fast
+    # path keeps one int64 cell index, its check's gather, a cover mask and
+    # the matrix, which it fills after the check's gather is freed
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.normal(size=(500, 600)), ids=rng.permutation(500), start_step=5)
+    save_dataset(ds, tmp_path / "p.csv", tmp_path / "s.csv")
+    points = load_points(tmp_path / "p.csv")
+    tracemalloc.start()
+    try:
+        matrix, start = stlid.data._load_series_fast(points, tmp_path / "s.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start == 5 and np.array_equal(matrix, ds.displacement)
+    assert peak / ds.displacement.size < 48, peak / ds.displacement.size
