@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSettings:
     lid: LidConfig = field(default_factory=LidConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -65,11 +65,7 @@ class RunSettings:
     parallel: int = 1
     step_interval_minutes: float = 2.5
 
-    def validate(self):
-        for f in fields(self):
-            section = getattr(self, f.name)
-            if is_dataclass(section):
-                section.validate()
+    def __post_init__(self):
         require_int("parallel", self.parallel, "[1, inf)")
         require("step_interval_minutes", self.step_interval_minutes, "(0, inf)")
 
@@ -133,7 +129,6 @@ def parse_kv_file(path) -> dict:
 
 
 def build_settings(file_values: dict | None, overrides: list[str] | None) -> RunSettings:
-    settings = RunSettings()
     setting_types = _setting_types()
     merged = dict(file_values or {})
     for item in overrides or []:
@@ -141,6 +136,7 @@ def build_settings(file_values: dict | None, overrides: list[str] | None) -> Run
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         merged[key.strip()] = val.strip()
+    sections = {}  # section name ("" for a plain field) -> {field: value}
     for key, raw in merged.items():
         if key not in setting_types:
             raise ConfigError(f"unknown config key {key!r}")
@@ -149,9 +145,11 @@ def build_settings(file_values: dict | None, overrides: list[str] | None) -> Run
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
         section, _, name = key.rpartition(".")
-        setattr(getattr(settings, section) if section else settings, name, val)
-    settings.validate()
-    return settings
+        sections.setdefault(section, {})[name] = val
+    # every key is cast before any section is made, and the sections are made in field order
+    made = {name: tp(**sections.get(name, {}))
+            for name, tp in _field_types(RunSettings).items() if is_dataclass(tp)}
+    return RunSettings(**made, **sections.get("", {}))
 
 
 def format_settings(settings: RunSettings) -> str:

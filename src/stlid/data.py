@@ -339,11 +339,10 @@ def _load_series_fast(points: list[MonitoredPoint], series_file):
 def _load_series_rows(points: list[MonitoredPoint], series_file):
     """The row-by-row series reader: ``(matrix, start_step)``, or the
     documented error with its line number."""
-    index = {p.id: k for k, p in enumerate(points)}
-    per_point: dict[int, dict[int, float]] = {p.id: {} for p in points}
+    per_point: dict[int, dict[int, float]] = {p.id: {} for p in points}  # in points order
     for line_no, row in _read_rows(series_file, SERIES_HEADER):
         pid = _parse_int(series_file, line_no, row[0], "id")
-        if pid not in index:
+        if pid not in per_point:
             raise ConsistencyError(
                 f"{series_file}:{line_no}: series references unknown point id {pid}"
             )
@@ -356,25 +355,20 @@ def _load_series_rows(points: list[MonitoredPoint], series_file):
             series_file, line_no, row[2], "displacement", point_id=pid, step=t
         )
 
-    step_sets = {pid: sorted(steps) for pid, steps in per_point.items()}
-    ref_ids = [p.id for p in points]
-    ref_steps = step_sets[ref_ids[0]]
-    if not ref_steps:
+    ref_id = points[0].id
+    ref = per_point[ref_id]
+    if not ref:
         raise ConsistencyError(f"{series_file}: no series rows")
-    lo, hi = ref_steps[0], ref_steps[-1]
-    if ref_steps != list(range(lo, hi + 1)):
-        raise ConsistencyError(
-            f"{series_file}: steps for point id {ref_ids[0]} are not contiguous"
-        )
-    n, t = len(points), len(ref_steps)
-    matrix = np.empty((n, t), dtype=np.float64)
-    for pid, steps in step_sets.items():
-        if steps != ref_steps:
+    lo, hi = min(ref), max(ref)
+    if hi - lo + 1 != len(ref):  # a point's steps are distinct, so only a gap lengthens the span
+        raise ConsistencyError(f"{series_file}: steps for point id {ref_id} are not contiguous")
+    matrix = np.empty((len(points), len(ref)), dtype=np.float64)
+    for row, (pid, steps) in zip(matrix, per_point.items()):
+        if steps.keys() != ref.keys():
             raise ConsistencyError(
-                f"{series_file}: point id {pid} covers different steps than point id {ref_ids[0]}"
+                f"{series_file}: point id {pid} covers different steps than point id {ref_id}"
             )
-        row = per_point[pid]
-        matrix[index[pid], :] = [row[s] for s in ref_steps]
+        row[:] = [steps[s] for s in range(lo, hi + 1)]
     return matrix, lo
 
 

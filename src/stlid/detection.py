@@ -50,17 +50,17 @@ def zscore(values: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / sd
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionConfig:
-    """Alarm parameters. ``epsilon`` of None derives 2x the median
-    nearest-neighbor spacing of the monitored grid at run time."""
+    """Alarm parameters, checked when made. ``epsilon`` of None derives 2x
+    the median nearest-neighbor spacing of the monitored grid at run time."""
 
     n: int = 10
     epsilon: float | None = None
     threshold: float = 0.5
     normalization: str = "zscore"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         require_int("persistence length n", self.n, "[1, inf)")
         if self.epsilon is not None:
             require("epsilon", self.epsilon, "(0, inf)")
@@ -108,7 +108,6 @@ def st_lid_field(
     two records get a neutral score of zero.
     """
     config = config or DetectionConfig()
-    config.validate()
     s = np.asarray(fused_slids, dtype=np.float64)
     t = np.asarray(t_lids, dtype=np.float64)
     if s.shape != t.shape:
@@ -179,7 +178,6 @@ def update_detection(
     """Advance the persistence tracker by one step, in place. Returns the
     step's decision and the alarm event if the chain just reached n
     qualifying steps."""
-    config.validate()
     if config.epsilon is None:
         raise ConfigError("epsilon must be resolved before detection updates")
     coords = np.asarray(coords, dtype=np.float64)

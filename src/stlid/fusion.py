@@ -48,9 +48,9 @@ class GammaParams:
         return self.alpha / self.beta
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionConfig:
-    """Spatial pooling configuration.
+    """Spatial pooling configuration, checked when made.
 
     ``bandwidth`` is either the string "median" (per-query median distance to
     its k neighbors, adaptive and scale-free across site geometries) or a
@@ -67,7 +67,7 @@ class FusionConfig:
     variance_floor: float = 1e-6
     weight_space: str = "physical"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         require_int("spatial neighborhood size k", self.k, "[1, inf)")
         if self.obs_k is not None:
             require_int("observation neighborhood size obs_k", self.obs_k, "[1, inf)")
@@ -223,8 +223,6 @@ def fuse_all(
     """
     config = config or FusionConfig()
     lid_config = lid_config or LidConfig()
-    config.validate()
-    lid_config.validate()
     c = dataset.column(step)
     if c == S_LID_FIRST_COL:
         return s_lid_all(dataset, step, lid_config)

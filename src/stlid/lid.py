@@ -55,15 +55,15 @@ S_LID_FIRST_COL = 1
 T_LID_FIRST_COL = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class LidConfig:
-    """Neighborhood size and zero-distance handling for the estimators."""
+    """Neighborhood size and zero-distance handling for the estimators, checked when made."""
 
     s: int = DEFAULT_S
     zero_distance_policy: str = "drop"  # "drop" | "floor"
     epsilon_floor: float = 1e-12
 
-    def validate(self) -> None:
+    def __post_init__(self):
         require_int("neighborhood size s", self.s, "[2, inf)")
         if self.zero_distance_policy not in ("drop", "floor"):
             raise ConfigError(
@@ -160,7 +160,6 @@ def mle_lid(distances, config: LidConfig | None = None) -> float:
     all retained distances are equal (zero log-sum).
     """
     config = config or LidConfig()
-    config.validate()
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 1 or d.size < 2:
         raise InsufficientNeighborsError("need at least 2 neighbor distances")
@@ -209,7 +208,6 @@ def s_lid_all(
     """s-LID of every point's kinematic sample at ``step`` (velocity required,
     so step must be at least start_step + S_LID_FIRST_COL)."""
     config = config or LidConfig()
-    config.validate()
     dist, _ = knn(dataset.samples_at(step), config.s)
     return LidField.filled(step, *lid_rows(dist, config))
 
@@ -222,7 +220,6 @@ def t_lid(velocity_history, config: LidConfig | None = None) -> float:
     history leaves no positive distances and raises InsufficientNeighborsError.
     """
     config = config or LidConfig()
-    config.validate()
     v = np.asarray(velocity_history, dtype=np.float64)
     if v.ndim != 1 or v.size < 3:
         raise InsufficientNeighborsError(
@@ -290,7 +287,6 @@ def t_lid_field(
     start_step + T_LID_FIRST_COL.
     """
     config = config or LidConfig()
-    config.validate()
     c = dataset.column(step)
     if c < T_LID_FIRST_COL:
         raise ConfigError(

@@ -33,7 +33,7 @@ from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, 
 from .detection import DetectionConfig, default_epsilon
 from .errors import ConfigError, DataError, StlidError, require, require_int
 from .fusion import FusionConfig
-from .lid import S_LID_FIRST_COL, T_LID_FIRST_COL, LidConfig
+from .lid import S_LID_FIRST_COL, LidConfig
 from .pipeline import iter_run
 
 METHOD_NAMES = ("kmeans", "dbscan", "lof", "edq", "slid", "stlid")
@@ -122,9 +122,9 @@ class EvaluationReport:
         raise KeyError(label)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
-    """Knobs for the comparison methods used by the benchmark."""
+    """Knobs for the comparison methods used by the benchmark, checked when made."""
 
     dbscan_eps: float | None = None  # None: 2x median kinematic NN spacing per step
     dbscan_min_pts: int = 4
@@ -132,7 +132,7 @@ class BaselineConfig:
     lof_cutoff: float = 1.5
     edq_levels: tuple = DEFAULT_EDQ_LEVELS
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.dbscan_eps is not None:
             require("dbscan_eps", self.dbscan_eps, "(0, inf)")
         require_int("dbscan_min_pts", self.dbscan_min_pts, "[1, inf)")
@@ -141,11 +141,6 @@ class BaselineConfig:
         if not self.edq_levels:
             raise ConfigError("edq_levels must hold at least one level")
         require("edq_levels", np.asarray(self.edq_levels, dtype=np.float64), "[0, 1]")
-
-
-# first evaluable column per method: two-means needs only displacement, the
-# detector a full st-LID field, the rest a velocity
-_FIRST_COL = {"kmeans": 0, "stlid": T_LID_FIRST_COL}
 
 
 def method_result(
@@ -232,7 +227,6 @@ def benchmark(
         if m not in METHOD_NAMES:
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHOD_NAMES)}")
     baseline_config = baseline_config or BaselineConfig()
-    baseline_config.validate()
     if max_backscan is not None:
         require_int("max_backscan", max_backscan, "[0, inf)")
     results, tops, seconds = {}, {}, {}
@@ -276,7 +270,8 @@ def benchmark(
             res, _ = result_at(region.tof)
             det = np.empty(0, dtype=int) if res is None else np.flatnonzero(res.high_risk)
             prec, correct, total = precision(dataset.coords[det], truth)
-            first = dataset.start_step + _FIRST_COL.get(name, S_LID_FIRST_COL)
+            # every scan ends by itself at the first step where its method is undefined
+            first = dataset.start_step
             if max_backscan is not None:
                 first = max(first, region.tof - max_backscan)
             steps, minutes = lead_time(

@@ -194,9 +194,6 @@ def iter_run(
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
     detection_config = _resolved_detection(dataset, detection_config)
-    lid_config.validate()
-    fusion_config.validate()
-    detection_config.validate()
     require_int("parallelism degree", parallel, "[1, inf)")
     n = dataset.num_points
     nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)

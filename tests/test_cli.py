@@ -766,6 +766,23 @@ def test_validate_kinds(generated, tmp_path, capsys):
         assert f"{bad}:2:" in err and column in err, err
 
 
+@pytest.mark.parametrize("kind, points, series, words", [
+    ("points", "id,x,y\n", None, "no points"),
+    ("dataset", "id,x,y\n0,0,0\n", f"id,t,displacement\n0,{-2**63},0.5\n0,{2**63 - 1},1.5\n",
+     "steps for point id 0 are not contiguous"),
+], ids=["points-without-points", "steps-spanning-int64"])
+def test_validate_refuses_a_file_with_a_data_error(tmp_path, capsys, kind, points, series, words):
+    pts = tmp_path / "p.csv"
+    pts.write_text(points)
+    argv = ["validate", kind, str(pts)]
+    if series is not None:
+        (tmp_path / "s.csv").write_text(series)
+        argv += ["--series", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and words in err, err
+
+
 def test_validate_accepts_what_detect_writes_and_refuses_st_lid_outside_0_1(
     generated, tmp_path, capsys
 ):

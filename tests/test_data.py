@@ -405,6 +405,13 @@ def test_int64_edge_steps_load_on_the_fast_path(tmp_path, monkeypatch):
         assert got[1] == start and got[2] == (2, 3)
 
 
+def test_steps_spanning_all_of_int64_are_not_contiguous(tmp_path):
+    # the span is checked by arithmetic on the steps, never by listing it
+    pts, ser = write_files(tmp_path, ["0,0,0"], [f"0,{-2**63},0.5", f"0,{2**63 - 1},1.5"])
+    with pytest.raises(ConsistencyError, match="steps for point id 0 are not contiguous"):
+        load_dataset(pts, ser)
+
+
 @pytest.mark.parametrize("lines", [[",".join(SERIES_HEADER)], []], ids=["header-only", "empty"])
 def test_a_series_file_without_rows_matches_the_row_reader(tmp_path, lines):
     got = _series_outcome(tmp_path, lines, [1, 2])

@@ -300,7 +300,7 @@ def test_fusion_config_validation():
             FusionConfig(bandwidth=bad).validate()
         with pytest.raises(ConfigError, match="variance_floor"):
             FusionConfig(variance_floor=bad).validate()
-    FusionConfig(bandwidth=2.0, obs_k=3).validate()
+    FusionConfig(bandwidth=2.0, obs_k=3)
 
 
 def test_gamma_params_invariants():

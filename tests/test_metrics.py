@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -204,13 +205,14 @@ def test_benchmark_refuses_a_truth_with_no_region_before_any_run(small_scenario,
 
 @pytest.mark.parametrize("kwargs, key", [
     ({"max_backscan": -1}, "max_backscan"),
-    ({"baseline_config": BaselineConfig(dbscan_eps=0.0)}, "dbscan_eps"),
-    ({"baseline_config": BaselineConfig(edq_levels=())}, "edq_levels"),
+    ({"baseline_config": partial(BaselineConfig, dbscan_eps=0.0)}, "dbscan_eps"),
+    ({"baseline_config": partial(BaselineConfig, edq_levels=())}, "edq_levels"),
 ])
 def test_benchmark_rejects_bad_settings(grid_noise_dataset, kwargs, key):
     truth = GroundTruth([FailureRegion("r", 0.0, 0.0, 4.0, 4.0, 30)])
     with pytest.raises(ConfigError, match=key):
-        benchmark(grid_noise_dataset, truth, methods=("kmeans",), **kwargs)
+        made = {k: v() if callable(v) else v for k, v in kwargs.items()}  # a config refuses when made
+        benchmark(grid_noise_dataset, truth, methods=("kmeans",), **made)
 
 
 def test_benchmark_reports_the_error_of_an_undefined_method(grid_noise_dataset):
@@ -317,6 +319,15 @@ def _reference_reports(ds, truth, max_backscan):
             regions.append(RegionEval(region.label, *precision(ds.coords[det], truth), *lead))
         reference[name] = regions, *at(truth.regions[0].tof)
     return reference
+
+
+def test_every_lead_scan_starts_at_the_first_step():
+    # two-means and EDQ read displacement only, so both are defined from the
+    # first step; with every point inside the region both lead back to it
+    ds = make_dataset(np.random.default_rng(0).normal(size=(3, 8)))
+    truth = GroundTruth([FailureRegion("r", -1.0, -1.0, 3.0, 1.0, 6)])
+    reports = benchmark(ds, truth, methods=("kmeans", "edq"))
+    assert [rep.region("r").lead_steps for rep in reports] == [6, 6]
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import json
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -253,13 +253,27 @@ def test_a_bad_config_is_reported_before_a_bad_stop_step(grid_noise_dataset):
     ds = grid_noise_dataset
     with pytest.raises(DataError):
         run_detection(ds, stop_step=10_000, **SMALL)
-    bad = dict(lid_config=LidConfig(s=1), fusion_config=FusionConfig(k=4))
+    def bad():
+        return dict(lid_config=LidConfig(s=1), fusion_config=FusionConfig(k=4))
+
     for stop in (0, 10_000):
         for store in ("all", "none"):
             with pytest.raises(ConfigError, match="neighborhood size s"):
-                run_detection(ds, stop_step=stop, store=store, **bad)
+                run_detection(ds, stop_step=stop, store=store, **bad())
         with pytest.raises(ConfigError, match="neighborhood size s"):
-            iter_run(ds, stop_step=stop, **bad)
+            iter_run(ds, stop_step=stop, **bad())
+
+
+def test_a_config_cannot_change_under_a_running_stream(grid_noise_dataset):
+    # with epsilon given the run holds the caller's config itself, so an
+    # assignment after the call would reach the steps still to come
+    ds = grid_noise_dataset
+    config = DetectionConfig(epsilon=2.0, n=3)
+    records = iter_run(ds, **SMALL, detection_config=config)
+    with pytest.raises(FrozenInstanceError):
+        config.n = 0
+    same = iter_run(ds, **SMALL, detection_config=DetectionConfig(epsilon=2.0, n=3))
+    assert [rec.decision for rec in records] == [rec.decision for rec in same]
 
 
 def test_checkpoint_resume_matches_uninterrupted(grid_noise_dataset, tmp_path):
