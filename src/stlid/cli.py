@@ -33,6 +33,7 @@ from .data import (
     load_points,
     replacing,
     save_ground_truth,
+    utf8_lines,
 )
 from .detection import DetectionConfig
 from .errors import ConfigError, DataError, StlidError, require, require_int
@@ -116,15 +117,15 @@ def _cast(tp, raw: str):
 
 def parse_kv_file(path) -> dict:
     values = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {text!r}")
-            key, val = text.split("=", 1)
-            values[key.strip()] = val.strip()
+    lines = utf8_lines(path, lambda p, line_no, msg: ConfigError(f"{p}:{line_no}: {msg}"))
+    for line_no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {text!r}")
+        key, val = text.split("=", 1)
+        values[key.strip()] = val.strip()
     return values
 
 

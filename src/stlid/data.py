@@ -232,23 +232,38 @@ class GroundTruth:
 # ---------------------------------------------------------------------------
 
 
+def utf8_lines(path, error=ParseError):
+    """The lines of the file at ``path``, split where text mode splits them
+    (at ``\\n``, ``\\r\\n`` or ``\\r``) and each decoded as UTF-8 on its own, so
+    that a byte which is not UTF-8 raises ``error(path, line_no, message)``
+    naming its line; text mode decodes in chunks and would name another."""
+    with open(path, "rb") as fh:
+        line_no = 0
+        for chunk in fh:
+            for raw in chunk.splitlines(keepends=True):
+                line_no += 1
+                try:
+                    yield raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(path, line_no, f"byte {raw[exc.start]:#04x} is not UTF-8") from None
+
+
 def _read_rows(path, expected_header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file") from None
-        if tuple(h.strip() for h in header) != expected_header:
-            raise ParseError(
-                path, 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(path, line_no, f"expected {len(expected_header)} fields, got {len(row)}")
-            yield line_no, row
+    reader = csv.reader(utf8_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(path, 1, "empty file") from None
+    if tuple(h.strip() for h in header) != expected_header:
+        raise ParseError(
+            path, 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(expected_header):
+            raise ParseError(path, line_no, f"expected {len(expected_header)} fields, got {len(row)}")
+        yield line_no, row
 
 
 def _parse_int(path, line_no, text, what):

@@ -5,9 +5,8 @@ multiplied, so a point scores high only when it is outlying in both the
 spatial and the temporal sense. Raw LID values are strictly positive, which
 keeps every sigmoid above 0.5 and the product above 0.25; the default
 therefore z-scores each family across the points of the step first, making
-the fixed 0.5 alarm threshold meaningful. ``raw`` mode applies the sigmoids
-directly and ``zscore-history`` normalizes each point's t-LID against its own
-running history instead of the cross-section.
+the fixed 0.5 alarm threshold meaningful; ``raw`` mode applies the sigmoids
+directly. Neither mode carries state from one step to the next.
 
 An alarm fires when the field's argmax stays inside a small epsilon-ball and
 at or above the threshold for n consecutive steps. The ball center slides to
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, require, require_int
 from .lid import LidField, knn
 
-NORMALIZATION_MODES = ("raw", "zscore", "zscore-history")
+NORMALIZATION_MODES = ("raw", "zscore")
 
 
 def sigmoid(x):
@@ -99,30 +98,17 @@ def st_lid_field(
     config: DetectionConfig | None = None,
     step: int = 0,
     valid=None,
-    t_history_stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StLidField:
-    """Combine fused s-LID and t-LID scores into per-point probabilities.
-
-    For ``zscore-history`` normalization, ``t_history_stats`` must supply each
-    point's running (mean, std) of past t-LID values; points with fewer than
-    two records get a neutral score of zero.
-    """
+    """Combine one step's fused s-LID and t-LID scores into per-point
+    probabilities."""
     config = config or DetectionConfig()
     s = np.asarray(fused_slids, dtype=np.float64)
     t = np.asarray(t_lids, dtype=np.float64)
     if s.shape != t.shape:
         raise ValueError(f"score families differ in length: {s.shape} vs {t.shape}")
-    if config.normalization == "raw":
-        s_norm, t_norm = s, t
-    elif config.normalization == "zscore":
-        s_norm, t_norm = zscore(s), zscore(t)
-    else:
-        if t_history_stats is None:
-            raise ConfigError("zscore-history normalization needs t_history_stats")
-        mean, sd = t_history_stats
-        t_norm = np.where(sd > 0, (t - mean) / np.where(sd > 0, sd, 1.0), 0.0)
-        s_norm = zscore(s)
-    values = sigmoid(s_norm) * sigmoid(t_norm)
+    if config.normalization == "zscore":
+        s, t = zscore(s), zscore(t)
+    values = sigmoid(s) * sigmoid(t)
     if valid is None:
         valid = np.ones(s.shape, dtype=bool)
     return StLidField(step=step, values=values, valid=valid)

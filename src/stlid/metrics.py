@@ -138,9 +138,15 @@ class BaselineConfig:
         require_int("dbscan_min_pts", self.dbscan_min_pts, "[1, inf)")
         require_int("lof_k", self.lof_k, "[1, inf)")
         require("lof_cutoff", self.lof_cutoff)
-        if not self.edq_levels:
-            raise ConfigError("edq_levels must hold at least one level")
-        require("edq_levels", np.asarray(self.edq_levels, dtype=np.float64), "[0, 1]")
+        try:
+            levels = np.asarray(self.edq_levels, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError(f"edq_levels must be numbers, got {self.edq_levels!r}") from None
+        if levels.ndim != 1 or not levels.size:
+            raise ConfigError("edq_levels must hold at least one level, as a flat sequence")
+        require("edq_levels", levels, "[0, 1]")
+        # stored as a tuple, so no caller can change the levels after this check
+        object.__setattr__(self, "edq_levels", tuple(levels.tolist()))
 
 
 def method_result(

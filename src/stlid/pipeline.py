@@ -68,21 +68,12 @@ class StepRecord:
 @dataclass
 class PipelineState:
     """Resumable between-step state, advanced in place by ``iter_run``;
-    everything else is derived from the immutable dataset. ``t_mean`` and
-    ``t_m2`` are each point's running t-LID mean and M2 under ``zscore-history``;
-    their count follows from ``next_col``."""
+    everything else is derived from the immutable dataset."""
 
     next_col: int = S_LID_FIRST_COL
     prev_slid: np.ndarray | None = None
     det_state: DetectionState = field(default_factory=DetectionState)
     events: list = field(default_factory=list)
-    t_mean: np.ndarray | None = None
-    t_m2: np.ndarray | None = None
-
-
-# the per-point arrays of a PipelineState, each None until first set, and the
-# range of their values: s-LID is positive, a sum of squares non-negative
-_STATE_ARRAYS = {"prev_slid": "(0, inf)", "t_mean": "(-inf, inf)", "t_m2": "[0, inf)"}
 
 
 @dataclass
@@ -138,9 +129,9 @@ def _check_state(state: PipelineState) -> PipelineState:
     """``state``, loaded or passed, if a run can resume it; else ConfigError.
     Its fields hold the JSON types ``save_checkpoint`` writes (a bool is no
     int, a coordinate a pair of numbers, ``det_state`` a DetectionState or
-    None for a fresh tracker, ``events`` a list of DetectionEvents), each set
-    array is 1-D float64 within its range, ``prev_slid`` is set past the
-    first velocity column, and t_mean and t_m2 go together."""
+    None for a fresh tracker, ``events`` a list of DetectionEvents), and
+    ``prev_slid`` is a positive 1-D float64 array, set past the first velocity
+    column."""
     def pair(v):
         return type(v) is tuple and len(v) == 2 and all(type(a) in (int, float) for a in v)
 
@@ -154,18 +145,14 @@ def _check_state(state: PipelineState) -> PipelineState:
              and pair(e.location) and type(e.value) in (int, float) for e in state.events]
     if not all(good):
         raise ConfigError("a field of the state or of one of its events has another type")
-    for name, interval in _STATE_ARRAYS.items():
-        arr = getattr(state, name)
-        if arr is None:
-            continue
+    arr = state.prev_slid
+    if arr is not None:
         if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.dtype != np.float64:
-            raise ConfigError(f"state {name} is no 1-D float64 array: {type(arr).__name__} "
+            raise ConfigError(f"state prev_slid is no 1-D float64 array: {type(arr).__name__} "
                               f"{np.shape(arr)} {getattr(arr, 'dtype', '')}")
-        require(f"state {name}", arr, interval)
-    if state.next_col > S_LID_FIRST_COL and state.prev_slid is None:
+        require("state prev_slid", arr, "(0, inf)")
+    elif state.next_col > S_LID_FIRST_COL:
         raise ConfigError(f"state resumes at column {state.next_col} but holds no prev_slid")
-    if (state.t_mean is None) != (state.t_m2 is None):
-        raise ConfigError("state sets only some of t_mean and t_m2")
     return state
 
 
@@ -187,9 +174,8 @@ def iter_run(
     bit-identical for every degree. ``stop_step`` ends the run after that
     external step. ``state``, checked by ``_check_state``, is updated in
     place after every step, so saving it at any point makes the run
-    resumable from the next step. It must also fit the run: each array holds
-    one value per point, ``next_col`` lies within the dataset, and under
-    ``zscore-history`` t-LID statistics are held past the first t-LID column.
+    resumable from the next step. It must also fit the run: ``prev_slid``
+    holds one value per point, and ``next_col`` lies within the dataset.
     """
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
@@ -206,15 +192,9 @@ def iter_run(
 
     state = _check_state(PipelineState() if state is None else state)
     require("state next_col", state.next_col, f"[{S_LID_FIRST_COL}, {dataset.num_steps}]")
-    for name in _STATE_ARRAYS:
-        arr = getattr(state, name)
-        if arr is not None and len(arr) != n:
-            raise ConfigError(f"state {name} holds {len(arr)} values; the dataset has {n} points")
-    history = detection_config.normalization == "zscore-history"
-    if history and state.t_mean is None and state.next_col > T_LID_FIRST_COL:
-        raise ConfigError(f"state resumes at column {state.next_col} but holds no t-LID statistics")
-    if history and state.t_mean is None:
-        state.t_mean, state.t_m2 = np.zeros(n), np.zeros(n)
+    if state.prev_slid is not None and len(state.prev_slid) != n:
+        raise ConfigError(f"state prev_slid holds {len(state.prev_slid)} values; "
+                          f"the dataset has {n} points")
     if state.det_state is None:
         state.det_state = DetectionState()
 
@@ -258,22 +238,12 @@ def iter_run(
 
                 st = decision = event = None
                 if t_field is not None:
-                    t_stats = None
-                    if history:
-                        count = col - T_LID_FIRST_COL + 1  # t-LID fields seen so far
-                        delta = t_field.values - state.t_mean
-                        state.t_mean += delta / count
-                        state.t_m2 += delta * (t_field.values - state.t_mean)
-                        sd = np.sqrt(state.t_m2 / count) if count >= 2 else np.zeros(n)
-                        t_stats = (state.t_mean, sd)
-
                     st = st_lid_field(
                         fused_field.values,
                         t_field.values,
                         detection_config,
                         step=step,
                         valid=fused_field.valid & t_field.valid,
-                        t_history_stats=t_stats,
                     )
                     decision, event = update_detection(
                         state.det_state, st, dataset.coords, detection_config, dataset.ids
@@ -391,14 +361,14 @@ def run_detection(
 
 
 def save_checkpoint(path, state: PipelineState) -> None:
-    """Write ``state`` to ``path``: its set arrays, plus a JSON record of
-    ``next_col``, the tracker fields and the events."""
+    """Write ``state`` to ``path``: its ``prev_slid`` once set, plus a JSON
+    record of ``next_col``, the tracker fields and the events."""
     meta = {
         "next_col": state.next_col,
         **vars(state.det_state),
         "events": [vars(e) for e in state.events],
     }
-    arrays = {k: getattr(state, k) for k in _STATE_ARRAYS if getattr(state, k) is not None}
+    arrays = {} if state.prev_slid is None else {"prev_slid": state.prev_slid}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     # np.savez given a name appends ".npz" when it lacks one, so write through an open file
     with replacing(path, "wb") as fh:
@@ -410,19 +380,20 @@ def load_checkpoint(path) -> PipelineState:
     file is no ``.npz`` archive, lacks a field of that layout or holds a
     state ``_check_state`` refuses, OSError when it cannot be opened. Other
     keys, such as the per-step tracker history, the candidate id and the
-    t-LID count that earlier versions wrote, are ignored. The file is opened
-    as a zip archive only: ``np.load`` would try any other file as a pickle
-    and advise unpickling it."""
+    t-LID count, mean and M2 that earlier versions wrote, are ignored. The
+    file is opened as a zip archive only: ``np.load`` would try any other
+    file as a pickle and advise unpickling it."""
     try:
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as npz:
             meta = json.loads(bytes(npz["meta"]).decode())
-            arrays = {name: npz[name] if name in npz else None for name in _STATE_ARRAYS}
+            prev_slid = npz["prev_slid"] if "prev_slid" in npz else None
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
         # JSON turned the coordinate tuples into lists
         xy = det.candidate_coord
         det.candidate_coord = None if xy is None else tuple(xy)
         events = [DetectionEvent(**{**e, "location": tuple(e["location"])}) for e in meta["events"]]
-        state = PipelineState(next_col=meta["next_col"], det_state=det, events=events, **arrays)
+        state = PipelineState(next_col=meta["next_col"], prev_slid=prev_slid, det_state=det,
+                              events=events)
         return _check_state(state)
     except (ConfigError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None

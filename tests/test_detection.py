@@ -117,15 +117,6 @@ def test_st_field_zscore_affine_invariance():
     assert np.allclose(a, b, atol=1e-9)
 
 
-def test_st_field_history_mode_needs_stats():
-    cfg = DetectionConfig(normalization="zscore-history")
-    with pytest.raises(ConfigError):
-        st_lid_field(np.ones(3), np.ones(3), cfg)
-    stats = (np.zeros(3), np.ones(3))
-    fld = st_lid_field(np.ones(3), np.array([0.0, 1.0, 2.0]), cfg, t_history_stats=stats)
-    assert fld.values[2] > fld.values[1] > fld.values[0]
-
-
 def test_default_epsilon_grid():
     coords = np.array([(i % 4, i // 4) for i in range(16)], dtype=float)
     assert default_epsilon(coords) == pytest.approx(2.0, rel=1e-12)
@@ -133,19 +124,20 @@ def test_default_epsilon_grid():
 
 def test_detection_config_validation():
     with pytest.raises(ConfigError):
-        DetectionConfig(n=0).validate()
+        DetectionConfig(n=0)
     with pytest.raises(ConfigError):
-        DetectionConfig(threshold=1.0).validate()
+        DetectionConfig(threshold=1.0)
     with pytest.raises(ConfigError):
-        DetectionConfig(epsilon=-1.0).validate()
+        DetectionConfig(epsilon=-1.0)
     for bad in (0.0, math.nan, math.inf):  # no distance lies within a NaN ball
         with pytest.raises(ConfigError, match="epsilon"):
-            DetectionConfig(epsilon=bad).validate()
+            DetectionConfig(epsilon=bad)
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="threshold"):
-            DetectionConfig(threshold=bad).validate()
-    with pytest.raises(ConfigError):
-        DetectionConfig(normalization="minmax").validate()
+            DetectionConfig(threshold=bad)
+    for bad in ("minmax", "zscore-history"):  # st-LID carries no per-point history
+        with pytest.raises(ConfigError, match="normalization"):
+            DetectionConfig(normalization=bad)
 
 
 # ---------------------------------------------------------------------------

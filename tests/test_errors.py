@@ -36,13 +36,13 @@ POINTS = np.random.default_rng(0).normal(size=(30, 2))
 # every integer setting and argument, each as a call that checks the value
 # ``v`` given for it; a passed state's integers are checked by _check_state
 INTEGER_CHECKS = {
-    "s": lambda v, ds, truth: LidConfig(s=v).validate(),
-    "k": lambda v, ds, truth: FusionConfig(k=v).validate(),
-    "obs_k": lambda v, ds, truth: FusionConfig(obs_k=v).validate(),
-    "n": lambda v, ds, truth: DetectionConfig(n=v).validate(),
-    "dbscan_min_pts": lambda v, ds, truth: BaselineConfig(dbscan_min_pts=v).validate(),
-    "lof_k": lambda v, ds, truth: BaselineConfig(lof_k=v).validate(),
-    "parallel setting": lambda v, ds, truth: RunSettings(parallel=v).validate(),
+    "s": lambda v, ds, truth: LidConfig(s=v),
+    "k": lambda v, ds, truth: FusionConfig(k=v),
+    "obs_k": lambda v, ds, truth: FusionConfig(obs_k=v),
+    "n": lambda v, ds, truth: DetectionConfig(n=v),
+    "dbscan_min_pts": lambda v, ds, truth: BaselineConfig(dbscan_min_pts=v),
+    "lof_k": lambda v, ds, truth: BaselineConfig(lof_k=v),
+    "parallel setting": lambda v, ds, truth: RunSettings(parallel=v),
     "iter_run parallel": lambda v, ds, truth: iter_run(ds, parallel=v),
     "max_backscan": lambda v, ds, truth: benchmark(ds, truth, methods=("kmeans",), max_backscan=v),
     **{
@@ -89,6 +89,21 @@ def test_a_run_config_is_frozen_and_checked_when_made(name):
         setattr(config, field, bad)
     with pytest.raises(ConfigError, match=message):
         replace(config, **{field: bad})
+
+
+def test_edq_levels_are_kept_as_a_tuple_of_floats_the_caller_cannot_change():
+    levels = [0.5]
+    config = BaselineConfig(edq_levels=levels)
+    levels.append(7.0)  # the config checked and kept its own copy
+    assert config.edq_levels == (0.5,) and type(config.edq_levels[0]) is float
+
+
+def test_edq_levels_may_be_an_array():
+    # numpy's "truth value of an array is ambiguous" ValueError used to escape
+    assert BaselineConfig(edq_levels=np.array([0.5, 0.6])).edq_levels == (0.5, 0.6)
+    for bad in (np.array([0.5, 1.5]), np.array([[0.5]]), np.array([]), ["high"]):
+        with pytest.raises(ConfigError, match="edq_levels"):
+            BaselineConfig(edq_levels=bad)
 
 
 def _header_only_points(tmp_path):

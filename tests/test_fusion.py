@@ -287,19 +287,19 @@ def test_fuse_rows_leaves_its_distances_unchanged():
 
 def test_fusion_config_validation():
     with pytest.raises(ConfigError):
-        FusionConfig(k=0).validate()
+        FusionConfig(k=0)
     with pytest.raises(ConfigError):
-        FusionConfig(bandwidth=-1.0).validate()
+        FusionConfig(bandwidth=-1.0)
     with pytest.raises(ConfigError):
-        FusionConfig(bandwidth="adaptive").validate()
+        FusionConfig(bandwidth="adaptive")
     with pytest.raises(ConfigError):
-        FusionConfig(weight_space="cartesian").validate()
+        FusionConfig(weight_space="cartesian")
     # NaN passes a plain "<= 0" check
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="bandwidth"):
-            FusionConfig(bandwidth=bad).validate()
+            FusionConfig(bandwidth=bad)
         with pytest.raises(ConfigError, match="variance_floor"):
-            FusionConfig(variance_floor=bad).validate()
+            FusionConfig(variance_floor=bad)
     FusionConfig(bandwidth=2.0, obs_k=3)
 
 

@@ -356,10 +356,10 @@ def test_s_lid_config_errors():
     with pytest.raises(ConfigError):
         s_lid_all(ds, 1, LidConfig(s=5))
     with pytest.raises(ConfigError):
-        LidConfig(s=1).validate()
+        LidConfig(s=1)
     for bad in (0.0, -1e-12, math.nan, math.inf):
         with pytest.raises(ConfigError, match="epsilon_floor"):
-            LidConfig(epsilon_floor=bad).validate()
+            LidConfig(epsilon_floor=bad)
 
 
 # ---------------------------------------------------------------------------

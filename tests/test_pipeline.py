@@ -23,7 +23,6 @@ from stlid import (
     t_lid_field,
 )
 from stlid import lid
-from stlid.detection import st_lid_field
 from stlid.errors import ConfigError, DataError
 from stlid.pipeline import (
     PipelineState,
@@ -175,21 +174,6 @@ def test_every_field_fills_its_invalid_points_with_the_largest_valid_value(grid_
         assert 0 < fld.valid.sum() < ds.num_points
         assert np.all(fld.values[~fld.valid] == fld.values[fld.valid].max())
     assert not rec.t.valid[20] and not rec.s.valid[:8].any()
-
-
-def test_history_normalization_follows_the_running_statistics_of_every_t_lid_field(
-    grid_noise_dataset,
-):
-    cfg = DetectionConfig(normalization="zscore-history")
-    res = run_detection(grid_noise_dataset, detection_config=cfg, **SMALL)
-    lag = lid.T_LID_FIRST_COL - lid.S_LID_FIRST_COL  # fused rows start before t-LID rows
-    for row in range(len(res.st_steps)):
-        past = res.t_hist[: row + 1]  # this step's t-LID field and every earlier one
-        want = st_lid_field(
-            res.fused_hist[row + lag], res.t_hist[row], cfg,
-            t_history_stats=(past.mean(axis=0), past.std(axis=0)),
-        )
-        assert np.allclose(res.st_hist[row], want.values, rtol=1e-9, atol=1e-12), row
 
 
 def test_fields_match_standalone_functions(grid_noise_dataset):
@@ -345,10 +329,10 @@ def test_checkpoint_meta_holds_only_the_bounded_state(grid_noise_dataset, tmp_pa
 def test_checkpoint_of_the_earlier_layout_resumes_to_the_uninterrupted_run(
     grid_noise_dataset, tmp_path
 ):
-    # earlier versions also wrote the argmax id to the meta record and a
-    # per-point t-LID count, which now follows from next_col
+    # earlier versions also wrote the argmax id to the meta record, and each
+    # point's t-LID count, mean and M2, which a stateless st-LID does not read
     ds = grid_noise_dataset
-    zscore = DetectionConfig(normalization="zscore-history", n=2)
+    zscore = DetectionConfig(normalization="zscore", n=2)
     straight = run_detection(ds, detection_config=zscore, **SMALL)
     assert straight.events  # the resumed tracker and event list are exercised
     state = PipelineState()
@@ -365,8 +349,8 @@ def test_checkpoint_of_the_earlier_layout_resumes_to_the_uninterrupted_run(
             fh,
             prev_slid=state.prev_slid,
             t_count=np.full(ds.num_points, float(state.next_col - lid.T_LID_FIRST_COL)),
-            t_mean=state.t_mean,
-            t_m2=state.t_m2,
+            t_mean=np.full(ds.num_points, 1.5),
+            t_m2=np.full(ds.num_points, -1.0),  # no M2 is negative: the key is not read
             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         )
     resumed = load_checkpoint(tmp_path / "old.npz")
@@ -395,53 +379,33 @@ def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
 
 def test_resume_rejects_state_without_its_carried_fields(grid_noise_dataset):
     ds = grid_noise_dataset
-    zscore = DetectionConfig(normalization="zscore-history")
+    zscore = DetectionConfig(normalization="zscore")
     state = PipelineState()
     for _ in iter_run(ds, **SMALL, detection_config=zscore, stop_step=20, state=state):
         pass
     with pytest.raises(ConfigError, match="holds no prev_slid"):
-        iter_run(ds, **SMALL, state=replace(state, prev_slid=None))
-    for name in ("t_mean", "t_m2"):
-        with pytest.raises(ConfigError, match="only some of t_mean and t_m2"):
-            iter_run(ds, **SMALL, detection_config=zscore, state=replace(state, **{name: None}))
-    # a state that kept no t-LID statistics past their first column, such as
-    # one of a run under another normalization, cannot continue them
-    no_stats = [replace(state, t_mean=None, t_m2=None)]
-    other = PipelineState()
-    for _ in iter_run(ds, **SMALL, stop_step=ds.start_step + lid.T_LID_FIRST_COL, state=other):
-        pass
-    no_stats.append(other)
-    for bad in no_stats:
-        with pytest.raises(ConfigError, match="holds no t-LID statistics"):
-            iter_run(ds, **SMALL, detection_config=zscore, state=bad)
-    # before the first t-LID field there is nothing to continue: they start at zero
-    early = PipelineState()
-    for _ in iter_run(ds, **SMALL, stop_step=ds.start_step + lid.T_LID_FIRST_COL - 1, state=early):
-        pass
-    assert next(iter_run(ds, **SMALL, detection_config=zscore, state=early)).st is not None
-    # the rejected runs left the state as it was
+        iter_run(ds, **SMALL, detection_config=zscore, state=replace(state, prev_slid=None))
+    # the rejected run left the state as it was
     assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
 
 
-@pytest.mark.parametrize("name, bad", [
-    ("prev_slid", lambda a: a.astype(np.int64)),
-    ("prev_slid", lambda a: np.where(np.arange(a.size) == 7, np.nan, a)),
-    ("prev_slid", lambda a: -a),
-    ("prev_slid", lambda a: np.zeros_like(a)),
-    ("t_mean", lambda a: np.full_like(a, np.inf)),
-    ("t_m2", lambda a: a - a.max() - 1.0),
-    ("t_m2", lambda a: a.astype(np.float32)),
-    ("t_m2", lambda a: list(a)),
-], ids=["int", "nan", "negative", "zero", "inf-mean", "negative-m2", "float32", "list"])
-def test_resume_rejects_state_arrays_outside_their_range(grid_noise_dataset, name, bad):
+@pytest.mark.parametrize("bad", [
+    lambda a: a.astype(np.int64),
+    lambda a: np.where(np.arange(a.size) == 7, np.nan, a),
+    lambda a: -a,
+    lambda a: np.zeros_like(a),
+    lambda a: a.astype(np.float32),
+    lambda a: list(a),
+], ids=["int", "nan", "negative", "zero", "float32", "list"])
+def test_resume_rejects_state_arrays_outside_their_range(grid_noise_dataset, bad):
     # a prior from a truncated, NaN or negative field would run on silently
     ds = grid_noise_dataset
-    zscore = DetectionConfig(normalization="zscore-history")
+    zscore = DetectionConfig(normalization="zscore")
     state = PipelineState()
     for _ in iter_run(ds, **SMALL, detection_config=zscore, stop_step=20, state=state):
         pass
-    broken = replace(state, **{name: bad(getattr(state, name))})
-    with pytest.raises(ConfigError, match=f"state {name}"):
+    broken = replace(state, prev_slid=bad(state.prev_slid))
+    with pytest.raises(ConfigError, match="state prev_slid"):
         iter_run(ds, **SMALL, detection_config=zscore, state=broken)
     # the rejected run left the state's shared parts as they were
     assert next(iter_run(ds, **SMALL, detection_config=zscore, state=state)).step == 21
@@ -532,7 +496,7 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
         with pytest.raises(ConfigError, match="has another type"):
             iter_run(grid_noise_dataset, **SMALL, state=state)
         assert (state.next_col, state.det_state, state.events) == kept[:3]
-        assert state.prev_slid is kept[3] and state.t_mean is None and state.t_m2 is None
+        assert state.prev_slid is kept[3]
 
     def passed(v):  # a loaded state holds its coordinates as tuples
         return tuple(v) if type(v) is list else v
@@ -548,14 +512,6 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
             refused(replace(back, events=[replace(back.events[0], **{name: v})]))
     refused(replace(back, det_state=replace(back.det_state, hits=0.5, fired="no")))
     assert next(iter_run(grid_noise_dataset, **SMALL, state=back)).step == 5
-
-
-def test_history_normalization_mode(grid_noise_dataset):
-    cfg = DetectionConfig(normalization="zscore-history")
-    res = run_detection(grid_noise_dataset, detection_config=cfg, store="st", **SMALL)
-    default = run_detection(grid_noise_dataset, store="st", **SMALL)
-    assert res.st_hist.shape == default.st_hist.shape
-    assert not np.array_equal(res.st_hist, default.st_hist)
 
 
 def test_raw_normalization_floor(grid_noise_dataset):

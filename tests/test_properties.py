@@ -52,7 +52,7 @@ def test_run_bit_identical_across_parallel_degrees(ds, policy):
 @given(
     ds=tied_datasets(),
     split=st.floats(0.0, 1.0),
-    normalization=st.sampled_from(["zscore", "zscore-history"]),
+    normalization=st.sampled_from(["zscore", "raw"]),
 )
 def test_resumed_run_equals_uninterrupted(ds, split, normalization):
     cfg = dict(
@@ -165,7 +165,7 @@ def degenerate_datasets(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=degenerate_datasets(), normalization=st.sampled_from(["zscore", "zscore-history"]))
+@given(data=degenerate_datasets(), normalization=st.sampled_from(["zscore", "raw"]))
 def test_degenerate_inputs_are_flagged_and_never_nan(data, normalization):
     kind, ds, s_deg, t_deg = data
     res = run_detection(
@@ -181,7 +181,7 @@ def test_degenerate_inputs_are_flagged_and_never_nan(data, normalization):
     assert not res.st_valid_hist[:, s_deg | t_deg].any(), kind
 
 
-@pytest.mark.parametrize("normalization", ["zscore", "zscore-history"])
+@pytest.mark.parametrize("normalization", ["zscore", "raw"])
 def test_too_small_or_collapsed_grids_raise_stlid_errors(normalization):
     cfg = dict(
         lid_config=LidConfig(s=4),
