@@ -13,7 +13,8 @@ save/load round-trips are bit-exact):
 * points CSV:       header ``id,x,y``, one row per monitored point
 * series CSV:       header ``id,t,displacement``, long format, rows in any
   order; steps must be contiguous per point and identical across points
-* ground-truth CSV: header ``label,xmin,ymin,xmax,ymax,tof``
+* ground-truth CSV: header ``label,xmin,ymin,xmax,ymax,tof``, one row per
+  region; labels are unique
 
 The detector's score dump and event log are checked here too. Each header
 lives in one ``*_HEADER`` constant that the reader, the writer and the check
@@ -252,18 +253,20 @@ def _read_rows(path, expected_header):
     reader = csv.reader(utf8_lines(path))
     try:
         header = next(reader)
+        if tuple(h.strip() for h in header) != expected_header:
+            raise ParseError(
+                path, 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(expected_header):
+                raise ParseError(path, line_no, f"expected {len(expected_header)} fields, got {len(row)}")
+            yield line_no, row
     except StopIteration:
         raise ParseError(path, 1, "empty file") from None
-    if tuple(h.strip() for h in header) != expected_header:
-        raise ParseError(
-            path, 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-        )
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(expected_header):
-            raise ParseError(path, line_no, f"expected {len(expected_header)} fields, got {len(row)}")
-        yield line_no, row
+    except csv.Error as exc:  # a cell over the field size limit, say
+        raise ParseError(path, reader.line_num, str(exc)) from None
 
 
 def _parse_int(path, line_no, text, what):
@@ -434,6 +437,8 @@ def save_dataset(dataset: MonitoringDataset, points_file, series_file) -> None:
 def load_ground_truth(path) -> GroundTruth:
     regions = []
     for line_no, row in _read_rows(path, TRUTH_HEADER):
+        if any(r.label == row[0] for r in regions):  # lead times are keyed by label
+            raise ConsistencyError(f"{path}:{line_no}: duplicate region label {row[0]!r}")
         vals = [_parse_float(path, line_no, row[k], name)
                 for k, name in ((1, "xmin"), (2, "ymin"), (3, "xmax"), (4, "ymax"))]
         tof = _parse_int(path, line_no, row[5], "tof")

@@ -5,15 +5,17 @@ neighbors are pooled into a Gamma prior: Gaussian-kernel weights (closer
 neighbors count more) give a weighted mean and variance, which map to shape
 ``alpha_p = mu^2 / var`` and rate ``beta_p = mu / var``. The current step
 contributes an observation in the same conjugate family from the query's
-kinematic neighbor distances::
+``s`` kinematic neighbor distances, the s-LID estimator's own neighbors::
 
-    alpha_o = k,   beta_o = sum(ln(d_k / d_i))  >= 0
+    alpha_o = m,   beta_o = sum(ln(d_s / d_i))  >= 0
 
-so the posterior mean ``(alpha_p + alpha_o) / (beta_p + beta_o)`` is the fused
-s-LID. Note beta_o equals the log-sum in the MLE estimator, so with a flat
-prior the fused value reduces to the raw estimate; a confident prior from a
-homogeneous neighborhood (tiny variance, huge beta_p) pins the posterior to
-the neighborhood mean, which is what suppresses isolated noisy spikes.
+where ``m`` is the count of positive distances among those ``s`` and the sum
+runs over them, so the posterior mean ``(alpha_p + alpha_o) / (beta_p + beta_o)``
+is the fused s-LID. Note beta_o equals the log-sum in the MLE estimator, so
+with a flat prior the fused value reduces to the raw estimate; a confident
+prior from a homogeneous neighborhood (tiny variance, huge beta_p) pins the
+posterior to the neighborhood mean, which is what suppresses isolated noisy
+spikes.
 """
 
 from __future__ import annotations
@@ -54,34 +56,21 @@ class FusionConfig:
 
     ``bandwidth`` is either the string "median" (per-query median distance to
     its k neighbors, adaptive and scale-free across site geometries) or a
-    fixed positive kernel width. ``obs_k`` is the kinematic neighborhood of
-    the observation; None uses the s-LID neighborhood size, making the
-    observation exactly the estimator's evidence. ``weight_space`` selects
-    physical-coordinate distances (default) or per-step kinematic distances
-    for the kernel weights.
+    fixed positive kernel width.
     """
 
     k: int = DEFAULT_K
-    obs_k: int | None = None
     bandwidth: float | str = "median"
     variance_floor: float = 1e-6
-    weight_space: str = "physical"
 
     def __post_init__(self):
         require_int("spatial neighborhood size k", self.k, "[1, inf)")
-        if self.obs_k is not None:
-            require_int("observation neighborhood size obs_k", self.obs_k, "[1, inf)")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 raise ConfigError(f"bandwidth must be 'median' or a positive number, got {self.bandwidth!r}")
         else:
             require("fixed bandwidth", self.bandwidth, "(0, inf)")
         require("variance_floor", self.variance_floor, "(0, inf)")
-        if self.weight_space not in ("physical", "kinematic"):
-            raise ConfigError(f"weight_space must be 'physical' or 'kinematic', got {self.weight_space!r}")
-
-    def effective_obs_k(self, lid_config) -> int:
-        return lid_config.s if self.obs_k is None else self.obs_k
 
 
 def gaussian_weights(query_coord, neighbor_coords, bandwidth: float) -> np.ndarray:
@@ -145,36 +134,18 @@ def fused_slid(prior: GammaParams, obs: GammaParams) -> float:
     return (prior.alpha + obs.alpha) / denom
 
 
-def _kernel_weights(dist: np.ndarray, bandwidth) -> np.ndarray:
-    """Weights over rows of neighbor distances; a "median" bandwidth is each
-    row's median distance (floored so coincident neighbors stay defined)."""
-    if bandwidth == "median":
-        bw = np.maximum(np.median(dist, axis=1), 1e-12)[:, None]
-    else:
-        bw = float(bandwidth)
-    return _weights_from_sq_distances(dist**2, bw)
-
-
 def neighbor_weights(coords: np.ndarray, config: FusionConfig):
-    """Each point's k spatial neighbors and the rule for their kernel weights.
-
-    Returns ``(nbr_idx, weights_at)``; ``weights_at(samples, rows)`` gives the
-    weights of the points in the slice ``rows`` given the step's (n, 2)
-    kinematic samples. Physical-space weights do not depend on the step, so
-    they are computed once here; kinematic-space weights are computed from
-    the samples on each call. Either way every row is computed on its own,
-    so any split of the rows gives the same bits.
-    """
+    """Each point's k spatial neighbors and their kernel weights, two (n, k)
+    arrays ``(nbr_idx, weights)`` made once per run. A "median" bandwidth is
+    each row's median neighbor distance (floored so coincident neighbors
+    stay defined); every row is computed on its own, so any split of the
+    rows gives the same bits."""
     nbr_dist, nbr_idx = knn(coords, config.k)
-    if config.weight_space == "physical":
-        fixed = _kernel_weights(nbr_dist, config.bandwidth)
-        return nbr_idx, lambda samples, rows: fixed[rows]
-
-    def kinematic(samples, rows):
-        diff = samples[nbr_idx[rows]] - samples[rows, None, :]
-        return _kernel_weights(np.sqrt((diff**2).sum(axis=2)), config.bandwidth)
-
-    return nbr_idx, kinematic
+    if config.bandwidth == "median":
+        bw = np.maximum(np.median(nbr_dist, axis=1), 1e-12)[:, None]
+    else:
+        bw = float(config.bandwidth)
+    return nbr_idx, _weights_from_sq_distances(nbr_dist**2, bw)
 
 
 def fuse_rows(
@@ -185,10 +156,10 @@ def fuse_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized fusion for a block of points.
 
-    ``prev_neighbor_slids`` and ``weights`` are (m, k); ``obs_distances`` is
-    (m, k_obs) sorted ascending per row (zero entries are dropped from the
-    observation). Returns (values, valid); rows whose observation collapses
-    entirely to zero distance are invalid.
+    ``prev_neighbor_slids`` and ``weights`` are (m, k); ``obs_distances``
+    holds each row's s-LID neighbor distances, sorted ascending (zero entries
+    are dropped from the observation). Returns (values, valid); rows whose
+    observation collapses entirely to zero distance are invalid.
     """
     s = np.ascontiguousarray(prev_neighbor_slids, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
@@ -235,8 +206,6 @@ def fuse_all(
         raise ConfigError("prev_slids must hold one value per point")
     require("prev_slids", prev, "(0, inf)", ValueError)
 
-    nbr_idx, weights_at = neighbor_weights(dataset.coords, config)
-    samples = dataset.samples_at(step)
-    obs, _ = knn(samples, config.effective_obs_k(lid_config))
-    weights = weights_at(samples, slice(None))
+    nbr_idx, weights = neighbor_weights(dataset.coords, config)
+    obs, _ = knn(dataset.samples_at(step), lid_config.s)
     return LidField.filled(step, *fuse_rows(prev[nbr_idx], weights, obs, config.variance_floor))

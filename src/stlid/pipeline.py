@@ -182,10 +182,9 @@ def iter_run(
     detection_config = _resolved_detection(dataset, detection_config)
     require_int("parallelism degree", parallel, "[1, inf)")
     n = dataset.num_points
-    nbr_idx, weights_at = neighbor_weights(dataset.coords, fusion_config)
+    nbr_idx, weights = neighbor_weights(dataset.coords, fusion_config)
     s = lid_config.s
-    obs_k = fusion_config.effective_obs_k(lid_config)
-    require("number of points (each needs max(s, obs_k) neighbours)", n, f"({max(s, obs_k)}, inf)")
+    require("number of points (each needs s neighbours)", n, f"({s}, inf)")
     disp = dataset.displacement
 
     last_col = _last_col(dataset, stop_step)
@@ -205,17 +204,15 @@ def iter_run(
         def kernel(rows):
             """Write the families of ``out`` at column ``col`` for the points in
             the slice ``rows``, from the step's values the loop below sets."""
-            dist, _ = knn(samples, max(s, obs_k), rows, tree)
+            dist, _ = knn(samples, s, rows, tree)
             s_values, s_valid = out["s"]
-            s_values[rows], s_valid[rows] = lid_rows(dist[:, :s], lid_config)
+            s_values[rows], s_valid[rows] = lid_rows(dist, lid_config)
             values, valid = out["fused"]
             if col == S_LID_FIRST_COL:  # bootstrap: without a prior the fused field is the raw one
                 values[rows], valid[rows] = s_values[rows], s_valid[rows]
             else:
                 prior = state.prev_slid[nbr_idx[rows]]
-                values[rows], valid[rows] = fuse_rows(
-                    prior, weights_at(samples, rows), dist[:, :obs_k], fusion_config.variance_floor
-                )
+                values[rows], valid[rows] = fuse_rows(prior, weights[rows], dist, fusion_config.variance_floor)
             if "t" in out:
                 values, valid = out["t"]
                 values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)

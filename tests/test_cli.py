@@ -818,10 +818,8 @@ NON_DEFAULT = {
     "lid.zero_distance_policy": "floor",
     "lid.epsilon_floor": "1e-09",
     "fusion.k": "3",
-    "fusion.obs_k": "12",
     "fusion.bandwidth": "0.7",
     "fusion.variance_floor": "1e-05",
-    "fusion.weight_space": "kinematic",
     "detection.n": "4",
     "detection.epsilon": "3.5",
     "detection.threshold": "0.7",
@@ -877,7 +875,7 @@ def test_print_config_on_every_run_command(generated, capsys, command):
 @pytest.mark.parametrize("sets", [
     [],
     [
-        "fusion.obs_k=12", "detection.epsilon=3.5", "baseline.dbscan_eps=0.2",
+        "fusion.k=3", "detection.epsilon=3.5", "baseline.dbscan_eps=0.2",
         "fusion.bandwidth=0.7", "baseline.edq_levels=0.6;0.7;0.8",
     ],
 ], ids=["defaults", "non-default"])
@@ -908,7 +906,6 @@ CONFIG_OUT_OF_RANGE = {
     "lid.s": ALL,
     "lid.epsilon_floor": ALL,
     "fusion.k": ALL,
-    "fusion.obs_k": ALL,
     "fusion.bandwidth": ALL,
     "fusion.variance_floor": ALL,
     "detection.n": ALL,
@@ -996,7 +993,7 @@ def test_an_out_of_range_setting_exits_3_before_any_output(
 
 # each config key whose type admits a string: a word it does not know is refused
 STRING_SETTINGS = (
-    "lid.zero_distance_policy", "fusion.bandwidth", "fusion.weight_space", "detection.normalization",
+    "lid.zero_distance_policy", "fusion.bandwidth", "detection.normalization",
 )
 
 
@@ -1082,6 +1079,40 @@ def test_a_byte_that_is_not_utf8_is_refused_with_its_line(example, tmp_path, cap
     path.write_bytes(b"".join(first) + b"0,1\xff,2\n")
     err = _refused(capsys, argv_of(path, example), [tmp_path / f"{n}.csv" for n in example], code)
     assert f"{path}:3: byte 0xff is not UTF-8" in err
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "unclosed-quote"])
+@pytest.mark.parametrize("reader", [r for r, (_, _, code) in NOT_UTF8_READERS.items() if code == 2])
+def test_a_cell_over_the_csv_field_limit_is_refused_with_its_line(
+    example, tmp_path, capsys, reader, quote
+):
+    # the reader's csv.Error used to escape main as a traceback
+    header, argv_of, _ = NOT_UTF8_READERS[reader]
+    path = tmp_path / "input"
+    path.write_text(",".join(header) + "\n\n0," + quote + "9" * 200_000 + ",2\n")
+    err = _refused(capsys, argv_of(path, example), [tmp_path / f"{n}.csv" for n in example], 2)
+    assert f"{path}:3: field larger than field limit" in err
+
+
+def test_a_truth_file_that_repeats_a_label_is_refused(example, tmp_path, capsys):
+    # leads are keyed by label: the second region used to overwrite the first
+    rows = example["truth"].read_text().splitlines()
+    truth = tmp_path / "truth.csv"
+    truth.write_text("\n".join([*rows, rows[1].replace(",100", ",90")]) + "\n")
+    err = _refused(capsys, ["validate", "truth", str(truth)], [], 2)
+    assert f"{truth}:3: duplicate region label 'failure'" in err
+    argv, outputs = _run_argv("detect", {**example, "truth": truth}, tmp_path)
+    assert f"{truth}:3:" in _refused(capsys, [*argv, "--print-config"], outputs, 2)
+
+
+@pytest.mark.parametrize("line", ["fusion.obs_k=None", "fusion.weight_space=physical"])
+def test_a_config_naming_a_retired_fusion_key_is_refused(example, tmp_path, capsys, line):
+    # the two keys docs/default.cfg listed before fusion lost its extra knobs
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text((DOCS / "default.cfg").read_text().replace("fusion.k=8\n", f"fusion.k=8\n{line}\n"))
+    argv, outputs = _run_argv("detect", example, tmp_path)
+    err = _refused(capsys, [*argv, "--print-config", f"--config={cfg}"], outputs)
+    assert f"unknown config key {line.split('=')[0]!r}" in err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -38,7 +38,6 @@ POINTS = np.random.default_rng(0).normal(size=(30, 2))
 INTEGER_CHECKS = {
     "s": lambda v, ds, truth: LidConfig(s=v),
     "k": lambda v, ds, truth: FusionConfig(k=v),
-    "obs_k": lambda v, ds, truth: FusionConfig(obs_k=v),
     "n": lambda v, ds, truth: DetectionConfig(n=v),
     "dbscan_min_pts": lambda v, ds, truth: BaselineConfig(dbscan_min_pts=v),
     "lof_k": lambda v, ds, truth: BaselineConfig(lof_k=v),

@@ -177,7 +177,7 @@ def test_fuse_all_k_too_large():
         fuse_all(ds, np.ones(6), 2, FusionConfig(k=6), LidConfig(s=3))
 
 
-def brute_fuse(ds, prev, step, k, obs_k, s, floor=1e-6):
+def brute_fuse(ds, prev, step, k, s, floor=1e-6):
     """Plain-loop reference for fuse_all with median bandwidth weights."""
     n = ds.num_points
     samples = ds.samples_at(step)
@@ -194,7 +194,7 @@ def brute_fuse(ds, prev, step, k, obs_k, s, floor=1e-6):
         var = max(float(np.dot(w, (prev[nbr] - mu) ** 2)), floor)
         ap, bp = mu * mu / var, mu / var
         kd = np.sqrt(((samples - samples[i]) ** 2).sum(axis=1))
-        kd = np.sort(np.delete(kd, i))[:obs_k]
+        kd = np.sort(np.delete(kd, i))[:s]
         kd = kd[kd > 0]
         bo = math.fsum(math.log(kd.max() / x) for x in kd)
         out[i] = (ap + len(kd)) / (bp + bo)
@@ -206,7 +206,7 @@ def test_fuse_all_matches_brute_force():
     ds = make_dataset(rng.normal(size=(20, 4)), coords=rng.normal(0, 3, size=(20, 2)))
     prev = rng.uniform(0.5, 4.0, size=20)
     got = fuse_all(ds, prev, 2, FusionConfig(k=5), LidConfig(s=6))
-    want = brute_fuse(ds, prev, 2, k=5, obs_k=6, s=6)
+    want = brute_fuse(ds, prev, 2, k=5, s=6)
     assert np.allclose(got.values, want, rtol=1e-9)
 
 
@@ -292,15 +292,13 @@ def test_fusion_config_validation():
         FusionConfig(bandwidth=-1.0)
     with pytest.raises(ConfigError):
         FusionConfig(bandwidth="adaptive")
-    with pytest.raises(ConfigError):
-        FusionConfig(weight_space="cartesian")
     # NaN passes a plain "<= 0" check
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="bandwidth"):
             FusionConfig(bandwidth=bad)
         with pytest.raises(ConfigError, match="variance_floor"):
             FusionConfig(variance_floor=bad)
-    FusionConfig(bandwidth=2.0, obs_k=3)
+    FusionConfig(bandwidth=2.0)
 
 
 def test_gamma_params_invariants():

@@ -34,20 +34,12 @@ from stlid.pipeline import (
 from conftest import SMALL_SPEC, make_dataset
 
 SMALL = dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4))
-# SMALL plus the fusion-weight and log-sum variants: kinematic-space weights,
-# fixed bandwidths, an observation neighborhood other than s, floored zeros
+# SMALL plus the fusion-weight and log-sum variants: a fixed bandwidth and
+# floored zeros
 CONFIGS = [
     SMALL,
-    dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4, weight_space="kinematic")),
-    dict(
-        lid_config=LidConfig(s=6),
-        fusion_config=FusionConfig(k=4, weight_space="kinematic", bandwidth=0.3),
-    ),
-    dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4, bandwidth=1.5, obs_k=9)),
-    dict(
-        lid_config=LidConfig(s=6, zero_distance_policy="floor"),
-        fusion_config=FusionConfig(k=4, obs_k=3),
-    ),
+    dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4, bandwidth=1.5)),
+    dict(lid_config=LidConfig(s=6, zero_distance_policy="floor"), fusion_config=FusionConfig(k=4)),
 ]
 
 

@@ -100,15 +100,15 @@ def shuffled_datasets(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(data=shuffled_datasets(), weight_space=st.sampled_from(["physical", "kinematic"]))
-def test_point_order_permutes_the_outputs(data, weight_space):
+@given(data=shuffled_datasets())
+def test_point_order_permutes_the_outputs(data):
     # every per-point family is computed row by row, so it only moves with its
     # point; st-LID z-scores sum over the points, whose order changes the
     # rounding
     ds, shuffled, perm = data
     cfg = dict(
         lid_config=LidConfig(s=4),
-        fusion_config=FusionConfig(k=3, weight_space=weight_space),
+        fusion_config=FusionConfig(k=3),
         detection_config=DetectionConfig(n=2),
     )
     base = run_detection(ds, **cfg)
