@@ -24,7 +24,7 @@ for d in (1, 2, 3):
     estimates = []
     for i in interior:
         dist = np.sort(np.linalg.norm(pts - pts[i], axis=1))[1:101]
-        estimates.append(mle_lid(dist, LidConfig(s=100)))
+        estimates.append(mle_lid(dist))
     print(f"d = {d}: median interior estimate = {np.median(estimates):.3f}")
 
 print("\n=== s-LID: one escaping point in a monitored grid ===")

@@ -219,6 +219,12 @@ class GroundTruth:
 
     regions: list[FailureRegion]
 
+    def __post_init__(self):
+        labels = [r.label for r in self.regions]
+        for label in labels:
+            if labels.count(label) > 1:  # lead times are keyed by label
+                raise ConsistencyError(f"duplicate region label {label!r}")
+
     def validate_against(self, dataset: MonitoringDataset) -> None:
         for r in self.regions:
             if not dataset.start_step <= r.tof <= dataset.last_step:
@@ -257,7 +263,8 @@ def _read_rows(path, expected_header):
             raise ParseError(
                 path, 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # the line the row ends on: a quoted cell may span lines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(expected_header):

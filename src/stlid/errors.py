@@ -46,7 +46,7 @@ class DegenerateNeighborhoodError(StlidError):
 
 
 class InsufficientNeighborsError(StlidError):
-    """Fewer than two strictly positive distances remain after the zero policy."""
+    """Fewer than two strictly positive distances remain once zeros are dropped."""
 
 
 @cache

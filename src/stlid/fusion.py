@@ -52,24 +52,16 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Spatial pooling configuration, checked when made.
-
-    ``bandwidth`` is either the string "median" (per-query median distance to
-    its k neighbors, adaptive and scale-free across site geometries) or a
-    fixed positive kernel width.
-    """
+    """Spatial pooling configuration, checked when made: each point's ``k``
+    physical neighbors, and the floor of the prior's variance. The kernel
+    width is each point's median distance to its neighbors, adaptive and
+    scale-free across site geometries."""
 
     k: int = DEFAULT_K
-    bandwidth: float | str = "median"
     variance_floor: float = 1e-6
 
     def __post_init__(self):
         require_int("spatial neighborhood size k", self.k, "[1, inf)")
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "median":
-                raise ConfigError(f"bandwidth must be 'median' or a positive number, got {self.bandwidth!r}")
-        else:
-            require("fixed bandwidth", self.bandwidth, "(0, inf)")
         require("variance_floor", self.variance_floor, "(0, inf)")
 
 
@@ -136,15 +128,12 @@ def fused_slid(prior: GammaParams, obs: GammaParams) -> float:
 
 def neighbor_weights(coords: np.ndarray, config: FusionConfig):
     """Each point's k spatial neighbors and their kernel weights, two (n, k)
-    arrays ``(nbr_idx, weights)`` made once per run. A "median" bandwidth is
-    each row's median neighbor distance (floored so coincident neighbors
-    stay defined); every row is computed on its own, so any split of the
-    rows gives the same bits."""
+    arrays ``(nbr_idx, weights)`` made once per run. Each row's kernel width
+    is its median neighbor distance (floored so coincident neighbors stay
+    defined); every row is computed on its own, so any split of the rows
+    gives the same bits."""
     nbr_dist, nbr_idx = knn(coords, config.k)
-    if config.bandwidth == "median":
-        bw = np.maximum(np.median(nbr_dist, axis=1), 1e-12)[:, None]
-    else:
-        bw = float(config.bandwidth)
+    bw = np.maximum(np.median(nbr_dist, axis=1), 1e-12)[:, None]
     return nbr_idx, _weights_from_sq_distances(nbr_dist**2, bw)
 
 

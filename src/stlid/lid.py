@@ -23,8 +23,8 @@ Two neighborhoods are used:
   grown. Each tile leaves only its rows' statistics (nonzero count, maximum,
   log-sum), and the estimator runs once over the whole call.
 
-Zero distances (exact ties with the query) make ln undefined; the configured
-policy either drops them or floors them at a small epsilon. Fully degenerate
+Zero distances (exact ties with the query) make ln undefined, so every
+estimator drops them: the MLE runs over the positive distances. Fully degenerate
 neighborhoods are flagged and, in field-level results, filled with the step's
 maximum finite value so that downstream fusion stays defined while detection
 can exclude them from argmax.
@@ -57,19 +57,12 @@ T_LID_FIRST_COL = 3
 
 @dataclass(frozen=True)
 class LidConfig:
-    """Neighborhood size and zero-distance handling for the estimators, checked when made."""
+    """Kinematic neighborhood size of the s-LID estimator, checked when made."""
 
     s: int = DEFAULT_S
-    zero_distance_policy: str = "drop"  # "drop" | "floor"
-    epsilon_floor: float = 1e-12
 
     def __post_init__(self):
         require_int("neighborhood size s", self.s, "[2, inf)")
-        if self.zero_distance_policy not in ("drop", "floor"):
-            raise ConfigError(
-                f"zero_distance_policy must be 'drop' or 'floor', got {self.zero_distance_policy!r}"
-            )
-        require("epsilon_floor", self.epsilon_floor, "(0, inf)")
 
 
 @dataclass
@@ -138,7 +131,7 @@ def _estimate(count: np.ndarray, logsum: np.ndarray) -> tuple[np.ndarray, np.nda
     return values, valid
 
 
-def lid_rows(distances: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.ndarray]:
+def lid_rows(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized estimator over rows of neighbor distances.
 
     Each row is one query's distances (any order; only the maximum and the
@@ -146,35 +139,26 @@ def lid_rows(distances: np.ndarray, config: LidConfig) -> tuple[np.ndarray, np.n
     reductions keep results bit-identical however the rows are chunked.
     ``distances`` is copied, never changed.
     """
-    d = np.array(distances, dtype=np.float64, order="C")
-    if config.zero_distance_policy == "floor":
-        np.maximum(d, config.epsilon_floor, out=d)
-    return _estimate(*_log_sums(d))
+    return _estimate(*_log_sums(np.array(distances, dtype=np.float64, order="C")))
 
 
-def mle_lid(distances, config: LidConfig | None = None) -> float:
+def mle_lid(distances) -> float:
     """LID of one query from its sorted ascending neighbor distances.
 
     Raises InsufficientNeighborsError when fewer than two strictly positive
-    distances survive the zero policy, and DegenerateNeighborhoodError when
-    all retained distances are equal (zero log-sum).
+    distances remain once zeros are dropped, and DegenerateNeighborhoodError
+    when all retained distances are equal (zero log-sum).
     """
-    config = config or LidConfig()
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 1 or d.size < 2:
         raise InsufficientNeighborsError("need at least 2 neighbor distances")
     require("distances", d, "[0, inf)", ValueError)
     if np.any(np.diff(d) < 0):
         raise ValueError("distances must be sorted ascending")
-    if config.zero_distance_policy == "drop":
-        d = d[d > 0.0]
-    else:
-        d = np.maximum(d, config.epsilon_floor)
+    d = d[d > 0.0]
     if d.size < 2:
-        raise InsufficientNeighborsError(
-            f"only {d.size} positive distance(s) remain after the zero policy"
-        )
-    values, valid = lid_rows(d[None, :], config)
+        raise InsufficientNeighborsError(f"only {d.size} positive distance(s) remain")
+    values, valid = lid_rows(d[None, :])
     if not valid[0]:
         raise DegenerateNeighborhoodError(
             "all retained neighbor distances are equal; log-sum is zero"
@@ -209,24 +193,23 @@ def s_lid_all(
     so step must be at least start_step + S_LID_FIRST_COL)."""
     config = config or LidConfig()
     dist, _ = knn(dataset.samples_at(step), config.s)
-    return LidField.filled(step, *lid_rows(dist, config))
+    return LidField.filled(step, *lid_rows(dist))
 
 
-def t_lid(velocity_history, config: LidConfig | None = None) -> float:
+def t_lid(velocity_history) -> float:
     """LID of the last velocity in ``velocity_history`` against all earlier ones:
-    ``mle_lid`` of the sorted distances to them, with its zero policy and errors.
+    ``mle_lid`` of the sorted distances to them, with its errors.
 
     The history must contain the query plus at least two records. A constant
     history leaves no positive distances and raises InsufficientNeighborsError.
     """
-    config = config or LidConfig()
     v = np.asarray(velocity_history, dtype=np.float64)
     if v.ndim != 1 or v.size < 3:
         raise InsufficientNeighborsError(
             "velocity history must hold the query plus at least 2 records"
         )
     require("velocity history", v, error=ValueError)
-    return mle_lid(np.sort(np.abs(v[-1] - v[:-1])), config)
+    return mle_lid(np.sort(np.abs(v[-1] - v[:-1])))
 
 
 # float64 cells of the scratch tile t_lid_rows streams the history through:
@@ -234,9 +217,7 @@ def t_lid(velocity_history, config: LidConfig | None = None) -> float:
 _TILE_CELLS = 1 << 17
 
 
-def t_lid_rows(
-    displacement_block: np.ndarray, queries: np.ndarray, config: LidConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def t_lid_rows(displacement_block: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized t-LID for a block of points.
 
     ``displacement_block`` holds each point's displacements up to the step
@@ -248,7 +229,7 @@ def t_lid_rows(
     The rows are streamed through one scratch tile of about ``_TILE_CELLS``
     cells. Each tile's velocities are formed in it by copying the later
     displacements in and subtracting the earlier ones in place; they are
-    then turned into distances and floored in place, and ``_row_stats``
+    then turned into distances in place, and ``_row_stats``
     writes each row's count, maximum and log-sum into arrays of the call's
     length. The estimator then runs once over those. So a call allocates
     O(tile) plus O(rows) and no velocity matrix, whatever the history
@@ -272,21 +253,16 @@ def t_lid_rows(
         np.subtract(d, block[:, :-1], out=d)
         np.subtract(d, queries[lo:hi, None], out=d)
         np.abs(d, out=d)
-        if config.zero_distance_policy == "floor":
-            np.maximum(d, config.epsilon_floor, out=d)
         _row_stats(d, nonzero[: hi - lo], count[lo:hi], dmax[lo:hi], logs[lo:hi])
     return _estimate(count, _log_sum(count, dmax, logs))
 
 
-def t_lid_field(
-    dataset: MonitoringDataset, step: int, config: LidConfig | None = None
-) -> LidField:
+def t_lid_field(dataset: MonitoringDataset, step: int) -> LidField:
     """t-LID of every point at ``step`` over its full velocity history.
 
     The query needs two earlier velocities, so the first valid step is
     start_step + T_LID_FIRST_COL.
     """
-    config = config or LidConfig()
     c = dataset.column(step)
     if c < T_LID_FIRST_COL:
         raise ConfigError(
@@ -294,4 +270,4 @@ def t_lid_field(
             f"first valid step is {dataset.start_step + T_LID_FIRST_COL}, got {step}"
         )
     queries = dataset.samples_at(step)[:, 1]
-    return LidField.filled(step, *t_lid_rows(dataset.displacement[:, :c], queries, config))
+    return LidField.filled(step, *t_lid_rows(dataset.displacement[:, :c], queries))

@@ -206,7 +206,7 @@ def iter_run(
             the slice ``rows``, from the step's values the loop below sets."""
             dist, _ = knn(samples, s, rows, tree)
             s_values, s_valid = out["s"]
-            s_values[rows], s_valid[rows] = lid_rows(dist, lid_config)
+            s_values[rows], s_valid[rows] = lid_rows(dist)
             values, valid = out["fused"]
             if col == S_LID_FIRST_COL:  # bootstrap: without a prior the fused field is the raw one
                 values[rows], valid[rows] = s_values[rows], s_valid[rows]
@@ -215,7 +215,7 @@ def iter_run(
                 values[rows], valid[rows] = fuse_rows(prior, weights[rows], dist, fusion_config.variance_floor)
             if "t" in out:
                 values, valid = out["t"]
-                values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1], lid_config)
+                values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1])
 
         with ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else nullcontext() as pool:
             map_chunks = map if pool is None else pool.map

@@ -17,7 +17,6 @@ from stlid import (
     DetectionState,
     FailureRegion,
     GammaParams,
-    LidConfig,
     StLidField,
     benchmark,
     dbscan_labels,
@@ -87,7 +86,7 @@ def test_criterion_1_estimator_recovers_ball_dimension():
         tree = cKDTree(pts)
         interior = np.flatnonzero(np.linalg.norm(pts, axis=1) < 0.6)
         dist, _ = tree.query(pts[interior], k=s + 1)
-        values, valid = lid_rows(dist[:, 1:], LidConfig(s=s))
+        values, valid = lid_rows(dist[:, 1:])
         assert valid.all()
         med = float(np.median(values))
         medians[d] = med

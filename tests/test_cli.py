@@ -341,8 +341,7 @@ def test_bad_config_key(generated, capsys):
 
 
 @pytest.mark.parametrize("setting", [
-    "detection.epsilon=nan", "detection.epsilon=inf", "lid.epsilon_floor=nan",
-    "fusion.bandwidth=nan", "fusion.variance_floor=nan",
+    "detection.epsilon=nan", "detection.epsilon=inf", "fusion.variance_floor=nan",
     # bad baseline values used to report the method as n.a., or (eps nan, 0)
     # to run another DBSCAN than the one asked for
     "baseline.dbscan_eps=-1", "baseline.dbscan_eps=nan", "baseline.dbscan_eps=0",
@@ -815,10 +814,7 @@ def test_default_settings_match_default_cfg():
 # one value per config key, none of them its default, as --print-config shows it
 NON_DEFAULT = {
     "lid.s": "7",
-    "lid.zero_distance_policy": "floor",
-    "lid.epsilon_floor": "1e-09",
     "fusion.k": "3",
-    "fusion.bandwidth": "0.7",
     "fusion.variance_floor": "1e-05",
     "detection.n": "4",
     "detection.epsilon": "3.5",
@@ -876,7 +872,7 @@ def test_print_config_on_every_run_command(generated, capsys, command):
     [],
     [
         "fusion.k=3", "detection.epsilon=3.5", "baseline.dbscan_eps=0.2",
-        "fusion.bandwidth=0.7", "baseline.edq_levels=0.6;0.7;0.8",
+        "fusion.variance_floor=1e-05", "baseline.edq_levels=0.6;0.7;0.8",
     ],
 ], ids=["defaults", "non-default"])
 def test_print_config_reloads_through_config(generated, tmp_path, capsys, sets):
@@ -904,9 +900,7 @@ ALL = ("nan", "inf", "-1", "0")
 # each numeric config key and which of ALL lie outside its range
 CONFIG_OUT_OF_RANGE = {
     "lid.s": ALL,
-    "lid.epsilon_floor": ALL,
     "fusion.k": ALL,
-    "fusion.bandwidth": ALL,
     "fusion.variance_floor": ALL,
     "detection.n": ALL,
     "detection.epsilon": ALL,
@@ -992,9 +986,7 @@ def test_an_out_of_range_setting_exits_3_before_any_output(
 
 
 # each config key whose type admits a string: a word it does not know is refused
-STRING_SETTINGS = (
-    "lid.zero_distance_policy", "fusion.bandwidth", "detection.normalization",
-)
+STRING_SETTINGS = ("detection.normalization",)
 
 
 def test_the_string_table_covers_every_string_key():
@@ -1113,6 +1105,24 @@ def test_a_config_naming_a_retired_fusion_key_is_refused(example, tmp_path, caps
     argv, outputs = _run_argv("detect", example, tmp_path)
     err = _refused(capsys, [*argv, "--print-config", f"--config={cfg}"], outputs)
     assert f"unknown config key {line.split('=')[0]!r}" in err
+
+
+@pytest.mark.parametrize("source", [
+    "default.cfg", "lid.zero_distance_policy=floor", "lid.epsilon_floor=1e-09", "fusion.bandwidth=1.5",
+])
+def test_a_retired_zero_rule_or_kernel_width_key_is_refused(example, tmp_path, capsys, source):
+    # zeros are always dropped and each kernel width is the median neighbour distance
+    argv, outputs = _run_argv("detect", example, tmp_path)
+    if source == "default.cfg":  # its text while it listed the three keys
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text((DOCS / "default.cfg").read_text().replace(
+            "lid.s=20\n", "lid.s=20\nlid.zero_distance_policy=drop\nlid.epsilon_floor=1e-12\n"
+        ).replace("fusion.k=8\n", "fusion.k=8\nfusion.bandwidth=median\n"))
+        argv, key = [*argv, f"--config={cfg}"], "lid.zero_distance_policy"
+    else:
+        argv, key = [*argv, "--set", source], source.split("=")[0]
+    err = _refused(capsys, [*argv, "--print-config"], outputs)
+    assert f"unknown config key {key!r}" in err
 
 
 @pytest.mark.parametrize("field, value", [

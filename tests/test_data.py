@@ -68,6 +68,18 @@ def test_load_malformed_row_reports_line(tmp_path):
         load_dataset(pts, ser)
 
 
+@pytest.mark.parametrize("rows", [
+    '0,"0\n",0\n1,a,0',  # a quoted cell spans lines 2 and 3
+    "0,0,0\n\n1,a,0",
+], ids=["multi-line-cell", "blank-line"])
+def test_a_bad_cell_names_the_line_it_is_on(tmp_path, rows):
+    # a quoted cell that spans lines shifts the line of every row after it
+    pts = tmp_path / "ml.csv"
+    pts.write_text("id,x,y\n" + rows + "\n")
+    with pytest.raises(ParseError, match=r"ml\.csv:4: bad x coordinate"):
+        load_points(pts)
+
+
 def test_load_bad_header(tmp_path):
     pts = tmp_path / "p.csv"
     pts.write_text("idx,x,y\n1,0,0\n")
@@ -204,6 +216,13 @@ def test_ground_truth_tof_range():
     truth = GroundTruth([FailureRegion("late", 0, 0, 1, 1, 99)])
     with pytest.raises(ConsistencyError):
         truth.validate_against(ds)
+
+
+def test_ground_truth_refuses_a_repeated_label():
+    # leads are keyed by label, so the second region would overwrite the first
+    regions = [FailureRegion("failure", 0, 0, 1, 1, 50), FailureRegion("failure", 2, 2, 3, 3, 40)]
+    with pytest.raises(ConsistencyError, match="duplicate region label 'failure'"):
+        GroundTruth(regions)
 
 
 def test_region_contains():

@@ -154,7 +154,7 @@ def test_fused_large_window_tracks_raw_estimate():
     query = pts[2500]
     dist = np.sort(np.abs(pts - query))[1:501]
     obs = observation_params(dist)
-    raw = mle_lid(dist, LidConfig(s=500))
+    raw = mle_lid(dist)
     fused = fused_slid(GammaParams(4.0, 2.0), obs)
     assert abs(fused - raw) / raw < 0.05
     # identity: the observation is exactly the estimator's evidence
@@ -178,7 +178,7 @@ def test_fuse_all_k_too_large():
 
 
 def brute_fuse(ds, prev, step, k, s, floor=1e-6):
-    """Plain-loop reference for fuse_all with median bandwidth weights."""
+    """Plain-loop reference for fuse_all with median kernel-width weights."""
     n = ds.num_points
     samples = ds.samples_at(step)
     out = np.empty(n)
@@ -221,7 +221,7 @@ def test_fuse_all_constant_prior_convexity():
     for i in range(20):
         kd = np.sqrt(((samples - samples[i]) ** 2).sum(axis=1))
         kd = np.sort(np.delete(kd, i))[:6]
-        obs_est = mle_lid(kd, LidConfig(s=6))
+        obs_est = mle_lid(kd)
         lo, hi = min(c, obs_est), max(c, obs_est)
         assert lo - 1e-9 <= fused.values[i] <= hi + 1e-9
 
@@ -288,17 +288,10 @@ def test_fuse_rows_leaves_its_distances_unchanged():
 def test_fusion_config_validation():
     with pytest.raises(ConfigError):
         FusionConfig(k=0)
-    with pytest.raises(ConfigError):
-        FusionConfig(bandwidth=-1.0)
-    with pytest.raises(ConfigError):
-        FusionConfig(bandwidth="adaptive")
     # NaN passes a plain "<= 0" check
     for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="bandwidth"):
-            FusionConfig(bandwidth=bad)
         with pytest.raises(ConfigError, match="variance_floor"):
             FusionConfig(variance_floor=bad)
-    FusionConfig(bandwidth=2.0)
 
 
 def test_gamma_params_invariants():

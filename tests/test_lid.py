@@ -40,14 +40,8 @@ def test_mle_all_equal_is_degenerate():
 
 
 def test_mle_drop_policy_removes_zeros():
-    v = mle_lid([0.0, 1.0, 2.0], LidConfig(s=2, zero_distance_policy="drop"))
+    v = mle_lid([0.0, 1.0, 2.0])
     assert v == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
-
-
-def test_mle_floor_policy_keeps_zeros():
-    cfg = LidConfig(s=2, zero_distance_policy="floor", epsilon_floor=0.5)
-    v = mle_lid([0.0, 1.0, 2.0], cfg)
-    assert v == pytest.approx(reference_lid([0.5, 1.0, 2.0]), rel=1e-12)
 
 
 def test_mle_insufficient_after_drop():
@@ -83,7 +77,7 @@ def test_uniform_segment_recovery():
     pts = np.sort(rng.uniform(0.0, 1.0, size=5000))
     query = pts[2500]
     dist = np.sort(np.abs(pts - query))[1:101]  # 100 nearest others
-    est = mle_lid(dist, LidConfig(s=100))
+    est = mle_lid(dist)
     assert est == pytest.approx(reference_lid(dist), rel=1e-12)
     assert 0.8 <= est <= 1.25
 
@@ -100,7 +94,7 @@ def test_ball_dimension_recovery_medians():
         ests = []
         for i in np.flatnonzero(interior)[:300]:
             dist = np.sort(np.linalg.norm(pts - pts[i], axis=1))[1 : s + 1]
-            ests.append(mle_lid(dist, LidConfig(s=s)))
+            ests.append(mle_lid(dist))
         med = float(np.median(ests))
         assert 0.7 * d <= med <= 1.3 * d, f"d={d}: median {med}"
 
@@ -113,11 +107,10 @@ def test_ball_dimension_recovery_medians():
 def test_lid_rows_chunk_stability():
     rng = np.random.default_rng(5)
     m = rng.uniform(0.1, 4.0, size=(64, 17))
-    cfg = LidConfig(s=17)
-    whole_v, whole_ok = lid_rows(m, cfg)
+    whole_v, whole_ok = lid_rows(m)
     for split in (1, 3, 7, 64):
         parts = np.array_split(np.arange(64), split)
-        got = np.concatenate([lid_rows(m[p], cfg)[0] for p in parts])
+        got = np.concatenate([lid_rows(m[p])[0] for p in parts])
         assert np.array_equal(
             np.nan_to_num(got, nan=-1), np.nan_to_num(whole_v, nan=-1)
         )
@@ -126,23 +119,22 @@ def test_lid_rows_chunk_stability():
 def test_lid_rows_matches_scalar():
     rng = np.random.default_rng(6)
     m = np.sort(rng.uniform(0.1, 4.0, size=(20, 9)), axis=1)
-    values, ok = lid_rows(m, LidConfig(s=9))
+    values, ok = lid_rows(m)
     assert ok.all()
     for row, v in zip(m, values):
-        assert v == pytest.approx(mle_lid(row, LidConfig(s=9)), rel=1e-12)
+        assert v == pytest.approx(mle_lid(row), rel=1e-12)
 
 
 def test_lid_rows_leaves_its_argument_unchanged():
     d = np.array([[0.0, 0.5, 2.0], [0.0, 0.0, 0.0], [1.0, 3.0, 0.25]])
     before = d.copy()
-    for policy in ("drop", "floor"):
-        lid_rows(d, LidConfig(s=3, zero_distance_policy=policy))
-        assert d.tobytes() == before.tobytes(), policy
+    lid_rows(d)
+    assert d.tobytes() == before.tobytes()
 
 
 def test_lid_rows_overflowed_distances_are_invalid_without_warning():
     d = np.array([[1.0, np.inf, np.inf], [np.inf, np.inf, np.inf], [0.5, 1.0, 2.0]])
-    values, valid = lid_rows(d, LidConfig(s=3))  # RuntimeWarnings are errors in tier-1
+    values, valid = lid_rows(d)  # RuntimeWarnings are errors in tier-1
     assert valid.tolist() == [False, False, True]
     assert np.isnan(values[:2]).all()
 
@@ -152,12 +144,10 @@ def test_lid_rows_overflowed_distances_are_invalid_without_warning():
 # ---------------------------------------------------------------------------
 
 
-def masked_t_lid_rows(history_block, queries, config):
+def masked_t_lid_rows(history_block, queries):
     """The whole-block t-LID formula with the masked log-sum written out,
     independent of the tiled in-place kernel."""
     d = np.abs(np.ascontiguousarray(history_block, dtype=np.float64) - queries[:, None])
-    if config.zero_distance_policy == "floor":
-        d = np.maximum(d, config.epsilon_floor)
     pos = d > 0.0
     count = pos.sum(axis=1)
     dmax = d.max(axis=1)
@@ -172,12 +162,10 @@ def masked_t_lid_rows(history_block, queries, config):
 TILE = 24  # cells per tile in the tests below, so every call spans many tiles
 
 
-@pytest.mark.parametrize("policy", ["drop", "floor"])
 @pytest.mark.parametrize("h", [2, 3, 7, TILE - 1, TILE, TILE + 1, 3 * TILE])
-def test_t_lid_rows_tiles_match_the_whole_block_formula(monkeypatch, policy, h):
+def test_t_lid_rows_tiles_match_the_whole_block_formula(monkeypatch, h):
     monkeypatch.setattr(lid, "_TILE_CELLS", TILE)
     per_tile = max(1, TILE // h)
-    cfg = LidConfig(zero_distance_policy=policy)
     rng = np.random.default_rng(h)
     for m in (1, per_tile - 1, per_tile, per_tile + 1, 5 * per_tile + 1):
         if m < 1:
@@ -193,20 +181,18 @@ def test_t_lid_rows_tiles_match_the_whole_block_formula(monkeypatch, policy, h):
         queries[1::4] = 0.0
         assert not block.flags.c_contiguous or m == 1
         before = wide.copy()
-        values, valid = t_lid_rows(block, queries, cfg)
-        want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries, cfg)
+        values, valid = t_lid_rows(block, queries)
+        want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries)
         assert values.tobytes() == want_values.tobytes(), (m, h)
         assert valid.tobytes() == want_valid.tobytes(), (m, h)
         assert wide.tobytes() == before.tobytes()
     assert not valid[1::4].any()
 
 
-@pytest.mark.parametrize("policy", ["drop", "floor"])
-def test_t_lid_rows_fills_a_zero_only_the_last_row_of_a_tile_holds(monkeypatch, policy):
+def test_t_lid_rows_fills_a_zero_only_the_last_row_of_a_tile_holds(monkeypatch):
     monkeypatch.setattr(lid, "_TILE_CELLS", TILE)
     h = 6
     per_tile = TILE // h
-    cfg = LidConfig(zero_distance_policy=policy)
     rng = np.random.default_rng(21)
     wide = rng.normal(size=(2 * per_tile + 2, h + 3))  # the last tile is partial
     block = wide[:, : h + 1]
@@ -216,8 +202,8 @@ def test_t_lid_rows_fills_a_zero_only_the_last_row_of_a_tile_holds(monkeypatch, 
         queries[row] = block[row, j + 1] - block[row, j]  # one velocity equals the query
     distances = np.abs(np.diff(block, axis=1) - queries[:, None])
     assert (np.flatnonzero((distances == 0.0).any(axis=1)) == tied).all()
-    values, valid = t_lid_rows(block, queries, cfg)
-    want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries, cfg)
+    values, valid = t_lid_rows(block, queries)
+    want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries)
     assert values.tobytes() == want_values.tobytes()
     assert valid.tobytes() == want_valid.tobytes()
     assert valid.all()
@@ -250,12 +236,10 @@ def test_log_sums_matches_the_masked_count_nonzero_formula(monkeypatch):
 
     prior = rng.uniform(0.5, 3.0, size=(9, 4))
     weights = np.full((9, 4), 0.25)
-    got = [lid_rows(d, LidConfig(s=6, zero_distance_policy=p)) for p in ("drop", "floor")]
-    got.append(fuse_rows(prior, weights, d, 1e-6))
+    got = [lid_rows(d), fuse_rows(prior, weights, d, 1e-6)]
     monkeypatch.setattr(lid, "_log_sums", masked_log_sums)
     monkeypatch.setattr(fusion, "_log_sums", masked_log_sums)
-    want = [lid_rows(d, LidConfig(s=6, zero_distance_policy=p)) for p in ("drop", "floor")]
-    want.append(fuse_rows(prior, weights, d, 1e-6))
+    want = [lid_rows(d), fuse_rows(prior, weights, d, 1e-6)]
     for (values, valid), (want_values, want_valid) in zip(got, want):
         assert values.tobytes() == want_values.tobytes()
         assert valid.tobytes() == want_valid.tobytes()
@@ -357,9 +341,6 @@ def test_s_lid_config_errors():
         s_lid_all(ds, 1, LidConfig(s=5))
     with pytest.raises(ConfigError):
         LidConfig(s=1)
-    for bad in (0.0, -1e-12, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="epsilon_floor"):
-            LidConfig(epsilon_floor=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,10 @@ from stlid.pipeline import (
 from conftest import SMALL_SPEC, make_dataset
 
 SMALL = dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4))
-# SMALL plus the fusion-weight and log-sum variants: a fixed bandwidth and
-# floored zeros
+# SMALL plus a wider fusion neighbourhood with a coarser variance floor
 CONFIGS = [
     SMALL,
-    dict(lid_config=LidConfig(s=6), fusion_config=FusionConfig(k=4, bandwidth=1.5)),
-    dict(lid_config=LidConfig(s=6, zero_distance_policy="floor"), fusion_config=FusionConfig(k=4)),
+    dict(lid_config=LidConfig(s=5), fusion_config=FusionConfig(k=6, variance_floor=1e-3)),
 ]
 
 
@@ -159,7 +157,7 @@ def test_every_field_fills_its_invalid_points_with_the_largest_valid_value(grid_
     rec = list(iter_run(degenerate, **SMALL, stop_step=4))[-1]
     standalone = (
         s_lid_all(degenerate, 4, SMALL["lid_config"]),
-        t_lid_field(degenerate, 4, SMALL["lid_config"]),
+        t_lid_field(degenerate, 4),
         fuse_all(degenerate, rec.s.values, 4, SMALL["fusion_config"], SMALL["lid_config"]),
     )
     for fld in (rec.s, rec.fused, rec.t, *standalone):
@@ -175,7 +173,7 @@ def test_fields_match_standalone_functions(grid_noise_dataset):
         lid_cfg, fus_cfg = cfg["lid_config"], cfg["fusion_config"]
         s4 = s_lid_all(ds, 4, lid_cfg)
         assert np.allclose(recs[4].s.values, s4.values, rtol=1e-12), cfg
-        t4 = t_lid_field(ds, 4, lid_cfg)
+        t4 = t_lid_field(ds, 4)
         assert np.allclose(recs[4].t.values, t4.values, rtol=1e-12), cfg
         fused4 = fuse_all(ds, recs[3].s.values, 4, fus_cfg, lid_cfg)
         assert np.allclose(recs[4].fused.values, fused4.values, rtol=1e-12), cfg

@@ -32,10 +32,10 @@ def tied_datasets(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(ds=tied_datasets(), policy=st.sampled_from(["drop", "floor"]))
-def test_run_bit_identical_across_parallel_degrees(ds, policy):
+@given(ds=tied_datasets())
+def test_run_bit_identical_across_parallel_degrees(ds):
     cfg = dict(
-        lid_config=LidConfig(s=4, zero_distance_policy=policy),
+        lid_config=LidConfig(s=4),
         fusion_config=FusionConfig(k=3),
         detection_config=DetectionConfig(n=2),
     )
