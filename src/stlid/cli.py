@@ -108,7 +108,7 @@ def _cast(tp, raw: str):
         try:
             if kind is tuple:
                 return tuple(float(x) for x in re.split("[,;]", raw))
-            if kind in (int, float, str):
+            if kind in (int, float):
                 return kind(raw)
         except ValueError:
             pass

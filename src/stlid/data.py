@@ -213,13 +213,15 @@ class FailureRegion:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
     """Collection of failure regions; times of failure are external step indices."""
 
-    regions: list[FailureRegion]
+    regions: tuple[FailureRegion, ...]
 
     def __post_init__(self):
+        # stored as a tuple, so no region can be added after this check
+        object.__setattr__(self, "regions", tuple(self.regions))
         labels = [r.label for r in self.regions]
         for label in labels:
             if labels.count(label) > 1:  # lead times are keyed by label

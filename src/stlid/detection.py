@@ -1,15 +1,14 @@
 """Score fusion and the persistence-based failure alarm.
 
-The fused s-LID and t-LID scores are squashed through a sigmoid and
-multiplied, so a point scores high only when it is outlying in both the
-spatial and the temporal sense. Raw LID values are strictly positive, which
-keeps every sigmoid above 0.5 and the product above 0.25; the default
-therefore z-scores each family across the points of the step first, making
-the fixed 0.5 alarm threshold meaningful; ``raw`` mode applies the sigmoids
-directly. Neither mode carries state from one step to the next.
+The fused s-LID and t-LID scores are each z-scored across the points of the
+step, squashed through a sigmoid and multiplied, so a point scores high only
+when it is outlying in both the spatial and the temporal sense. Raw LID
+values are strictly positive and would keep every product above 0.25; the
+z-score makes the fixed ``THRESHOLD`` of 0.5 meaningful. The rule has no
+setting and carries no state from one step to the next.
 
 An alarm fires when the field's argmax stays inside a small epsilon-ball and
-at or above the threshold for n consecutive steps. The ball center slides to
+at or above ``THRESHOLD`` for n consecutive steps. The ball center slides to
 the newest argmax so that fluctuation between adjacent points is tolerated
 while slow drift cannot accumulate beyond epsilon. Ties at the argmax break
 toward the lowest point id; runs are therefore reproducible bit for bit.
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, require, require_int
 from .lid import LidField, knn
 
-NORMALIZATION_MODES = ("raw", "zscore")
+THRESHOLD = 0.5  # the alarm level of the st-LID probability
 
 
 def sigmoid(x):
@@ -56,18 +55,11 @@ class DetectionConfig:
 
     n: int = 10
     epsilon: float | None = None
-    threshold: float = 0.5
-    normalization: str = "zscore"
 
     def __post_init__(self):
         require_int("persistence length n", self.n, "[1, inf)")
         if self.epsilon is not None:
             require("epsilon", self.epsilon, "(0, inf)")
-        require("threshold", self.threshold, "(0, 1)")
-        if self.normalization not in NORMALIZATION_MODES:
-            raise ConfigError(
-                f"normalization must be one of {NORMALIZATION_MODES}, got {self.normalization!r}"
-            )
 
 
 def default_epsilon(coords: np.ndarray) -> float:
@@ -100,15 +92,14 @@ def st_lid_field(
     valid=None,
 ) -> StLidField:
     """Combine one step's fused s-LID and t-LID scores into per-point
-    probabilities."""
-    config = config or DetectionConfig()
+    probabilities: the product of the sigmoids of their z-scores. ``config``
+    is not read, since the rule has no setting; it is kept for callers that
+    pass one."""
     s = np.asarray(fused_slids, dtype=np.float64)
     t = np.asarray(t_lids, dtype=np.float64)
     if s.shape != t.shape:
         raise ValueError(f"score families differ in length: {s.shape} vs {t.shape}")
-    if config.normalization == "zscore":
-        s, t = zscore(s), zscore(t)
-    values = sigmoid(s) * sigmoid(t)
+    values = sigmoid(zscore(s)) * sigmoid(zscore(t))
     if valid is None:
         valid = np.ones(s.shape, dtype=bool)
     return StLidField(step=step, values=values, valid=valid)
@@ -116,8 +107,8 @@ def st_lid_field(
 
 @dataclass(frozen=True)
 class DetectionEvent:
-    """An alarm: the argmax held inside the epsilon-ball at or above the
-    threshold for n consecutive steps."""
+    """An alarm: the argmax held inside the epsilon-ball at or above
+    ``THRESHOLD`` for n consecutive steps."""
 
     detection_step: int
     point_id: int
@@ -185,7 +176,7 @@ def update_detection(
     arg = int(np.flatnonzero(tied)[np.argmin(point_ids[tied])])
     pid = int(point_ids[arg])
     x_hat = (float(coords[arg, 0]), float(coords[arg, 1]))
-    above = vmax >= config.threshold
+    above = vmax >= THRESHOLD
     center = state.candidate_coord
 
     if (

@@ -3,9 +3,10 @@
 Each point's previous-step s-LID values over its k nearest physical-space
 neighbors are pooled into a Gamma prior: Gaussian-kernel weights (closer
 neighbors count more) give a weighted mean and variance, which map to shape
-``alpha_p = mu^2 / var`` and rate ``beta_p = mu / var``. The current step
-contributes an observation in the same conjugate family from the query's
-``s`` kinematic neighbor distances, the s-LID estimator's own neighbors::
+``alpha_p = mu^2 / var`` and rate ``beta_p = mu / var``, the variance
+floored at the constant ``VARIANCE_FLOOR``. The current step contributes an
+observation in the same conjugate family from the query's ``s`` kinematic
+neighbor distances, the s-LID estimator's own neighbors::
 
     alpha_o = m,   beta_o = sum(ln(d_s / d_i))  >= 0
 
@@ -29,6 +30,7 @@ from .errors import ConfigError, require, require_int
 from .lid import S_LID_FIRST_COL, LidConfig, LidField, _log_sums, knn, s_lid_all
 
 DEFAULT_K = 8
+VARIANCE_FLOOR = 1e-6  # the least prior variance
 
 
 @dataclass(frozen=True)
@@ -53,16 +55,13 @@ class GammaParams:
 @dataclass(frozen=True)
 class FusionConfig:
     """Spatial pooling configuration, checked when made: each point's ``k``
-    physical neighbors, and the floor of the prior's variance. The kernel
-    width is each point's median distance to its neighbors, adaptive and
-    scale-free across site geometries."""
+    physical neighbors. The kernel width is each point's median distance to
+    its neighbors, adaptive and scale-free across site geometries."""
 
     k: int = DEFAULT_K
-    variance_floor: float = 1e-6
 
     def __post_init__(self):
         require_int("spatial neighborhood size k", self.k, "[1, inf)")
-        require("variance_floor", self.variance_floor, "(0, inf)")
 
 
 def gaussian_weights(query_coord, neighbor_coords, bandwidth: float) -> np.ndarray:
@@ -88,12 +87,10 @@ def _weights_from_sq_distances(d2: np.ndarray, bandwidth) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def prior_from_neighbors(
-    neighbor_slids, weights, variance_floor: float = 1e-6
-) -> GammaParams:
+def prior_from_neighbors(neighbor_slids, weights) -> GammaParams:
     """Gamma prior from the weighted mean and variance of neighbor s-LIDs.
 
-    The variance is floored at ``variance_floor`` so identical neighbors give
+    The variance is floored at ``VARIANCE_FLOOR`` so identical neighbors give
     a sharply concentrated (but finite) prior at their common value.
     """
     s = np.asarray(neighbor_slids, dtype=np.float64)
@@ -103,7 +100,7 @@ def prior_from_neighbors(
     require("neighbor s-LIDs", s, "(0, inf)", ValueError)
     mu = float(np.dot(w, s))
     var = float(np.dot(w, (s - mu) ** 2))
-    var = max(var, variance_floor)
+    var = max(var, VARIANCE_FLOOR)
     return GammaParams(alpha=mu * mu / var, beta=mu / var)
 
 
@@ -141,7 +138,6 @@ def fuse_rows(
     prev_neighbor_slids: np.ndarray,
     weights: np.ndarray,
     obs_distances: np.ndarray,
-    variance_floor: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized fusion for a block of points.
 
@@ -154,7 +150,7 @@ def fuse_rows(
     w = np.ascontiguousarray(weights, dtype=np.float64)
     mu = (w * s).sum(axis=1)
     var = (w * (s - mu[:, None]) ** 2).sum(axis=1)
-    var = np.maximum(var, variance_floor)
+    var = np.maximum(var, VARIANCE_FLOOR)
     alpha_p = mu * mu / var
     beta_p = mu / var
 
@@ -197,4 +193,4 @@ def fuse_all(
 
     nbr_idx, weights = neighbor_weights(dataset.coords, config)
     obs, _ = knn(dataset.samples_at(step), lid_config.s)
-    return LidField.filled(step, *fuse_rows(prev[nbr_idx], weights, obs, config.variance_floor))
+    return LidField.filled(step, *fuse_rows(prev[nbr_idx], weights, obs))

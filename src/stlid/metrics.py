@@ -30,7 +30,7 @@ from .baselines import (
     slid_result,
 )
 from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, fmt_float
-from .detection import DetectionConfig, default_epsilon
+from .detection import THRESHOLD, DetectionConfig, default_epsilon
 from .errors import ConfigError, DataError, StlidError, require, require_int
 from .fusion import FusionConfig
 from .lid import S_LID_FIRST_COL, LidConfig
@@ -173,12 +173,12 @@ def method_result(
     raise ConfigError(f"unknown method {name!r}; valid: {', '.join(METHOD_NAMES)}")
 
 
-def _streamed(names, dataset, tofs, threshold, **run_args):
+def _streamed(names, dataset, tofs, **run_args):
     """One ``iter_run`` stream to the last time of failure, read for the
     detector methods ``names``: each one's (result, None) or (None, error) at
     each time of failure, its top set at each step (None where undefined),
     and each step's seconds. The st-LID high set is its valid points at or
-    above ``threshold``, in index order."""
+    above the alarm's ``THRESHOLD``, in index order."""
     results = {m: {t: (None, ConfigError(f"the run holds no {m} field at step {t}"))
                    for t in tofs} for m in names}
     tops, seconds = {m: {} for m in names}, {}
@@ -193,7 +193,7 @@ def _streamed(names, dataset, tofs, threshold, **run_args):
                 if name == "slid":
                     res = slid_result(fld.values, rec.step)
                 else:
-                    high = fld.valid & (fld.values >= threshold)
+                    high = fld.valid & (fld.values >= THRESHOLD)
                     res = BaselineResult("stlid", rec.step, fld.values, high, np.flatnonzero(high))
                 # the detector keeps its full detection set, raw s-LID its top 10
                 # (a copy, so that no view keeps the step's whole ranking)
@@ -238,8 +238,7 @@ def benchmark(
     results, tops, seconds = {}, {}, {}
     if "slid" in methods or "stlid" in methods:
         results, tops, seconds = _streamed(
-            [m for m in ("slid", "stlid") if m in methods], dataset,
-            {r.tof for r in truth.regions}, (detection_config or DetectionConfig()).threshold,
+            [m for m in ("slid", "stlid") if m in methods], dataset, {r.tof for r in truth.regions},
             lid_config=lid_config, fusion_config=fusion_config,
             detection_config=detection_config, parallel=parallel,
         )

@@ -212,7 +212,7 @@ def iter_run(
                 values[rows], valid[rows] = s_values[rows], s_valid[rows]
             else:
                 prior = state.prev_slid[nbr_idx[rows]]
-                values[rows], valid[rows] = fuse_rows(prior, weights[rows], dist, fusion_config.variance_floor)
+                values[rows], valid[rows] = fuse_rows(prior, weights[rows], dist)
             if "t" in out:
                 values, valid = out["t"]
                 values[rows], valid[rows] = t_lid_rows(disp[rows, :col], samples[rows, 1])
@@ -238,7 +238,6 @@ def iter_run(
                     st = st_lid_field(
                         fused_field.values,
                         t_field.values,
-                        detection_config,
                         step=step,
                         valid=fused_field.valid & t_field.valid,
                     )
@@ -374,14 +373,15 @@ def save_checkpoint(path, state: PipelineState) -> None:
 
 def load_checkpoint(path) -> PipelineState:
     """Read a state written by ``save_checkpoint``; ConfigError when the
-    file is no ``.npz`` archive, lacks a field of that layout or holds a
-    state ``_check_state`` refuses, OSError when it cannot be opened. Other
-    keys, such as the per-step tracker history, the candidate id and the
-    t-LID count, mean and M2 that earlier versions wrote, are ignored. The
-    file is opened as a zip archive only: ``np.load`` would try any other
-    file as a pickle and advise unpickling it."""
+    file is no ``.npz`` archive, is a damaged one, lacks a field of that
+    layout or holds a state ``_check_state`` refuses, OSError when it cannot
+    be opened. Other keys, such as the per-step tracker history, the
+    candidate id and the t-LID count, mean and M2 that earlier versions
+    wrote, are ignored. The file is opened as a zip archive only: ``np.load``
+    would try any other file as a pickle and advise unpickling it."""
+    fh = open(path, "rb")  # outside the try: a file that cannot be opened stays an OSError
     try:
-        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as npz:
+        with fh, np.lib.npyio.NpzFile(fh) as npz:
             meta = json.loads(bytes(npz["meta"]).decode())
             prev_slid = npz["prev_slid"] if "prev_slid" in npz else None
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
@@ -392,7 +392,10 @@ def load_checkpoint(path) -> PipelineState:
         state = PipelineState(next_col=meta["next_col"], prev_slid=prev_slid, det_state=det,
                               events=events)
         return _check_state(state)
-    except (ConfigError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    # a damaged archive makes the zip reader raise any of the last five, an
+    # OSError among them for a seek outside the file
+    except (ConfigError, KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError,
+            NotImplementedError, RuntimeError, OSError) as exc:
         raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None
 
 

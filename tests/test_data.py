@@ -3,6 +3,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,19 @@ def test_ground_truth_refuses_a_repeated_label():
     regions = [FailureRegion("failure", 0, 0, 1, 1, 50), FailureRegion("failure", 2, 2, 3, 3, 40)]
     with pytest.raises(ConsistencyError, match="duplicate region label 'failure'"):
         GroundTruth(regions)
+
+
+def test_ground_truth_keeps_its_regions_as_checked():
+    # a region added after the check used to key its lead under a label
+    # already taken, overwriting the first region's
+    regions = [FailureRegion("failure", 0, 0, 1, 1, 50)]
+    g = GroundTruth(regions)
+    regions.append(FailureRegion("failure", 2, 2, 3, 3, 40))
+    assert g.regions == (FailureRegion("failure", 0, 0, 1, 1, 50),)
+    with pytest.raises(AttributeError):
+        g.regions.append(FailureRegion("failure", 2, 2, 3, 3, 40))
+    with pytest.raises(FrozenInstanceError):
+        g.regions = regions
 
 
 def test_region_contains():

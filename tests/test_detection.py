@@ -15,7 +15,7 @@ from stlid import (
     st_lid_field,
     update_detection,
 )
-from stlid.detection import zscore
+from stlid.detection import THRESHOLD, zscore
 from stlid.errors import ConfigError
 
 
@@ -70,50 +70,31 @@ def test_zscore_affine_invariance():
 
 
 def test_st_field_zero_scores_give_quarter():
-    fld = st_lid_field(np.full(5, 2.0), np.full(5, 3.0), DetectionConfig())
+    fld = st_lid_field(np.full(5, 2.0), np.full(5, 3.0))
     # all-equal families z-score to zero: sigma(0)^2 = 0.25 everywhere
     assert np.allclose(fld.values, 0.25, atol=1e-15)
 
 
-def test_st_field_raw_mode_hand_values():
-    cfg = DetectionConfig(normalization="raw")
-    fld = st_lid_field(np.array([3.0]), np.array([3.0]), cfg)
-    assert fld.values[0] == pytest.approx(sigmoid(3.0) ** 2, rel=1e-12)
-    fld2 = st_lid_field(np.array([5.0]), np.array([-5.0]), cfg)
-    assert fld2.values[0] == pytest.approx(sigmoid(5.0) * sigmoid(-5.0), rel=1e-12)
-
-
 def test_st_field_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        st_lid_field(np.ones(3), np.ones(4), DetectionConfig())
+        st_lid_field(np.ones(3), np.ones(4))
 
 
 def test_st_field_bounds_and_product_cap():
     rng = np.random.default_rng(1)
     s, t = rng.uniform(0.1, 9, 100), rng.uniform(0.1, 9, 100)
-    fld = st_lid_field(s, t, DetectionConfig())
+    fld = st_lid_field(s, t)
     assert np.all((fld.values > 0) & (fld.values < 1))
     zs, zt = sigmoid(zscore(s)), sigmoid(zscore(t))
+    assert np.array_equal(fld.values, zs * zt)  # the one rule, bit for bit
     assert np.all(fld.values <= np.minimum(zs, zt) + 1e-15)
-
-
-def test_st_field_raw_monotone_in_own_score():
-    cfg = DetectionConfig(normalization="raw")
-    s = np.array([1.0, 2.0, 3.0])
-    t = np.array([1.0, 1.0, 1.0])
-    base = st_lid_field(s, t, cfg).values
-    s2 = s.copy()
-    s2[1] += 0.5
-    bumped = st_lid_field(s2, t, cfg).values
-    assert bumped[1] > base[1]
-    assert bumped[0] == base[0] and bumped[2] == base[2]
 
 
 def test_st_field_zscore_affine_invariance():
     rng = np.random.default_rng(2)
     s, t = rng.uniform(1, 5, 40), rng.uniform(0.2, 3, 40)
-    a = st_lid_field(s, t, DetectionConfig()).values
-    b = st_lid_field(3.0 * s + 1.0, t, DetectionConfig()).values
+    a = st_lid_field(s, t).values
+    b = st_lid_field(3.0 * s + 1.0, t).values
     assert np.allclose(a, b, atol=1e-9)
 
 
@@ -126,18 +107,13 @@ def test_detection_config_validation():
     with pytest.raises(ConfigError):
         DetectionConfig(n=0)
     with pytest.raises(ConfigError):
-        DetectionConfig(threshold=1.0)
-    with pytest.raises(ConfigError):
         DetectionConfig(epsilon=-1.0)
     for bad in (0.0, math.nan, math.inf):  # no distance lies within a NaN ball
         with pytest.raises(ConfigError, match="epsilon"):
             DetectionConfig(epsilon=bad)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="threshold"):
-            DetectionConfig(threshold=bad)
-    for bad in ("minmax", "zscore-history"):  # st-LID carries no per-point history
-        with pytest.raises(ConfigError, match="normalization"):
-            DetectionConfig(normalization=bad)
+    for retired in ("threshold", "normalization"):  # the st-LID rule has no setting
+        with pytest.raises(TypeError, match=retired):
+            DetectionConfig(**{retired: 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +252,7 @@ def test_sliding_anchor_tolerates_slow_drift():
 def test_event_value_at_threshold():
     cfg = DetectionConfig(n=1, epsilon=0.5)
     _, ev = update_detection(DetectionState(), field([0.5, 0.1, 0.1, 0.1]), COORDS, cfg)
-    assert ev is not None and ev.value >= cfg.threshold
+    assert ev is not None and ev.value >= THRESHOLD
 
 
 def test_replay_invariant():
@@ -299,7 +275,7 @@ def test_replay_invariant():
     assert events, "the recurring hot spot must fire at least once"
     for ev in events:
         window = [records[s] for s in range(ev.detection_step - cfg.n + 1, ev.detection_step + 1)]
-        assert all(w[3] >= cfg.threshold for w in window)
+        assert all(w[3] >= THRESHOLD for w in window)
         for a, b in zip(window, window[1:]):
             gap = math.hypot(b[2][0] - a[2][0], b[2][1] - a[2][1])
             assert gap < cfg.epsilon
@@ -371,7 +347,7 @@ def test_successive_failures_in_distinct_areas_fire_once_each(case):
             vals = rng.uniform(0.0, 0.45, size=len(coords))
             if k is not None:
                 hot = area * per_area + hot_points[k]
-                vals[hot] = rng.uniform(cfg.threshold, 1.0)
+                vals[hot] = rng.uniform(THRESHOLD, 1.0)
                 if k == n - 1:
                     expected.append((step, hot))
             decision, ev = update_detection(state, field(vals, step=step), coords, cfg)
@@ -384,7 +360,7 @@ def test_successive_failures_in_distinct_areas_fire_once_each(case):
     for ev, (_, hot) in zip(events, expected):
         assert ev.location == tuple(coords[hot])
         window = [decisions[s] for s in range(ev.detection_step - n + 1, ev.detection_step + 1)]
-        assert all(d.value >= cfg.threshold for d in window)
+        assert all(d.value >= THRESHOLD for d in window)
         for a, b in zip(window, window[1:]):
             gap = math.hypot(b.location[0] - a.location[0], b.location[1] - a.location[1])
             assert gap < cfg.epsilon

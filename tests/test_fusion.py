@@ -77,7 +77,7 @@ def test_prior_hand_values():
 
 
 def test_prior_identical_neighbors_floored():
-    p = prior_from_neighbors([2.0, 2.0, 2.0], [0.2, 0.3, 0.5], variance_floor=1e-6)
+    p = prior_from_neighbors([2.0, 2.0, 2.0], [0.2, 0.3, 0.5])
     assert p.alpha == pytest.approx(4e6, rel=1e-9)
     assert p.beta == pytest.approx(2e6, rel=1e-9)
     assert p.mean == pytest.approx(2.0, rel=1e-12)
@@ -269,9 +269,9 @@ def test_fuse_rows_chunk_stability():
     w = rng.uniform(0.1, 1, size=(40, 6))
     w /= w.sum(axis=1, keepdims=True)
     obs = np.sort(rng.uniform(0.1, 2, size=(40, 8)), axis=1)
-    whole, _ = fuse_rows(prev, w, obs, 1e-6)
+    whole, _ = fuse_rows(prev, w, obs)
     parts = np.concatenate(
-        [fuse_rows(prev[a:b], w[a:b], obs[a:b], 1e-6)[0] for a, b in ((0, 13), (13, 29), (29, 40))]
+        [fuse_rows(prev[a:b], w[a:b], obs[a:b])[0] for a, b in ((0, 13), (13, 29), (29, 40))]
     )
     assert np.array_equal(whole, parts)
 
@@ -281,17 +281,15 @@ def test_fuse_rows_leaves_its_distances_unchanged():
     w = np.full((2, 2), 0.5)
     obs = np.array([[0.0, 0.5, 2.0], [0.0, 0.0, 0.0]])
     before = obs.copy()
-    fuse_rows(prev, w, obs, 1e-6)
+    fuse_rows(prev, w, obs)
     assert obs.tobytes() == before.tobytes()
 
 
 def test_fusion_config_validation():
     with pytest.raises(ConfigError):
         FusionConfig(k=0)
-    # NaN passes a plain "<= 0" check
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="variance_floor"):
-            FusionConfig(variance_floor=bad)
+    with pytest.raises(TypeError, match="variance_floor"):  # a constant, no setting
+        FusionConfig(variance_floor=1e-6)
 
 
 def test_gamma_params_invariants():

@@ -236,10 +236,10 @@ def test_log_sums_matches_the_masked_count_nonzero_formula(monkeypatch):
 
     prior = rng.uniform(0.5, 3.0, size=(9, 4))
     weights = np.full((9, 4), 0.25)
-    got = [lid_rows(d), fuse_rows(prior, weights, d, 1e-6)]
+    got = [lid_rows(d), fuse_rows(prior, weights, d)]
     monkeypatch.setattr(lid, "_log_sums", masked_log_sums)
     monkeypatch.setattr(fusion, "_log_sums", masked_log_sums)
-    want = [lid_rows(d), fuse_rows(prior, weights, d, 1e-6)]
+    want = [lid_rows(d), fuse_rows(prior, weights, d)]
     for (values, valid), (want_values, want_valid) in zip(got, want):
         assert values.tobytes() == want_values.tobytes()
         assert valid.tobytes() == want_valid.tobytes()

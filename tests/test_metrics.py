@@ -13,7 +13,6 @@ from stlid import (
     BaselineConfig,
     BaselineResult,
     CreepScenarioSpec,
-    DetectionConfig,
     EvaluationReport,
     FailureRegion,
     GroundTruth,
@@ -27,6 +26,7 @@ from stlid import (
     run_detection,
 )
 from stlid.baselines import slid_result
+from stlid.detection import THRESHOLD
 from stlid.errors import ConfigError, DataError, StlidError
 from stlid.lid import S_LID_FIRST_COL, T_LID_FIRST_COL
 from stlid.metrics import (
@@ -273,7 +273,7 @@ def test_report_has_no_recall_field():
 
 
 # settings under which the detector leads the 12 x 10 scenario's failure
-DIFF_RUN = dict(lid_config=LidConfig(s=10), detection_config=DetectionConfig(threshold=0.45))
+DIFF_RUN = dict(lid_config=LidConfig(s=10))
 
 
 def _reference_reports(ds, truth, max_backscan):
@@ -293,7 +293,7 @@ def _reference_reports(ds, truth, max_backscan):
             raise ConfigError(f"the run holds no {name} field at step {step}")
         if name == "slid":
             return slid_result(values[pos[0]], step)
-        high = valid[pos[0]] & (values[pos[0]] >= DIFF_RUN["detection_config"].threshold)
+        high = valid[pos[0]] & (values[pos[0]] >= THRESHOLD)
         return BaselineResult("stlid", step, values[pos[0]], high, np.flatnonzero(high))
 
     reference = {}

@@ -52,13 +52,12 @@ def test_run_bit_identical_across_parallel_degrees(ds):
 @given(
     ds=tied_datasets(),
     split=st.floats(0.0, 1.0),
-    normalization=st.sampled_from(["zscore", "raw"]),
 )
-def test_resumed_run_equals_uninterrupted(ds, split, normalization):
+def test_resumed_run_equals_uninterrupted(ds, split):
     cfg = dict(
         lid_config=LidConfig(s=4),
         fusion_config=FusionConfig(k=3),
-        detection_config=DetectionConfig(n=2, normalization=normalization),
+        detection_config=DetectionConfig(n=2),
     )
     straight = run_detection(ds, **cfg)
     # stop after any step from the first velocity step to the second-to-last
@@ -165,14 +164,14 @@ def degenerate_datasets(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=degenerate_datasets(), normalization=st.sampled_from(["zscore", "raw"]))
-def test_degenerate_inputs_are_flagged_and_never_nan(data, normalization):
+@given(data=degenerate_datasets())
+def test_degenerate_inputs_are_flagged_and_never_nan(data):
     kind, ds, s_deg, t_deg = data
     res = run_detection(
         ds,
         lid_config=LidConfig(s=4),
         fusion_config=FusionConfig(k=3),
-        detection_config=DetectionConfig(n=2, normalization=normalization),
+        detection_config=DetectionConfig(n=2),
     )
     assert not np.isnan(res.st_hist).any(), kind
     assert np.all((res.st_hist >= 0.0) & (res.st_hist <= 1.0)), kind
@@ -181,12 +180,11 @@ def test_degenerate_inputs_are_flagged_and_never_nan(data, normalization):
     assert not res.st_valid_hist[:, s_deg | t_deg].any(), kind
 
 
-@pytest.mark.parametrize("normalization", ["zscore", "raw"])
-def test_too_small_or_collapsed_grids_raise_stlid_errors(normalization):
+def test_too_small_or_collapsed_grids_raise_stlid_errors():
     cfg = dict(
         lid_config=LidConfig(s=4),
         fusion_config=FusionConfig(k=3),
-        detection_config=DetectionConfig(n=2, normalization=normalization),
+        detection_config=DetectionConfig(n=2),
     )
     rng = np.random.default_rng(11)
     square = make_dataset(rng.normal(size=(4, 8)), coords=[(0, 0), (1, 0), (0, 1), (1, 1)])

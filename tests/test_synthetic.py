@@ -28,7 +28,7 @@ def base_spec(**kw):
 def test_noise_free_no_region_is_constant():
     spec = base_spec(region=None, time_of_failure=None, onset_step=None, drift_max=0.0)
     ds, truth = generate_creep_scenario(spec)
-    assert truth.regions == []
+    assert truth.regions == ()
     assert np.all(ds.displacement == ds.displacement[:, :1])
 
 
