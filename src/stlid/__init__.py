@@ -41,7 +41,6 @@ from .lid import (
     t_lid_field,
 )
 from .metrics import (
-    BaselineConfig,
     EvaluationReport,
     benchmark,
     format_lead,

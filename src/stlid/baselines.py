@@ -36,7 +36,11 @@ def _ranked(indices: np.ndarray, key: np.ndarray) -> np.ndarray:
     return indices[order]
 
 
-def kmeans2(values, max_iter: int = 100, tol: float = 1e-9, step: int = 0) -> BaselineResult:
+KMEANS_ITERATIONS = 100  # Lloyd iterations at most
+KMEANS_TOL = 1e-9  # centroid movement that counts as converged
+
+
+def kmeans2(values, step: int = 0) -> BaselineResult:
     """1-D two-means on displacement values, high risk = larger-centroid cluster.
 
     Seeds at the min and max values, then Lloyd iterations to convergence.
@@ -49,12 +53,12 @@ def kmeans2(values, max_iter: int = 100, tol: float = 1e-9, step: int = 0) -> Ba
     lo, hi = float(x.min()), float(x.max())
     trace = []
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_ITERATIONS):
         labels = (np.abs(x - hi) < np.abs(x - lo)).astype(int)  # ties go to lo
         trace.append(float(((x - np.where(labels == 1, hi, lo)) ** 2).sum()))
         new_lo = x[labels == 0].mean() if np.any(labels == 0) else lo
         new_hi = x[labels == 1].mean() if np.any(labels == 1) else hi
-        if abs(new_lo - lo) < tol and abs(new_hi - hi) < tol:
+        if abs(new_lo - lo) < KMEANS_TOL and abs(new_hi - hi) < KMEANS_TOL:
             lo, hi = new_lo, new_hi
             break
         lo, hi = new_lo, new_hi
@@ -107,7 +111,7 @@ def dbscan_labels(samples, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def dbscan(samples, eps: float, min_pts: int, step: int = 0) -> BaselineResult:
+def dbscan(samples, eps: float, min_pts: int = 4, step: int = 0) -> BaselineResult:
     """DBSCAN baseline: high risk = noise plus the cluster with the highest
     mean displacement."""
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -164,7 +168,7 @@ def lof_scores(samples, k: int) -> np.ndarray:
                      for i, nb in enumerate(neighbors)])
 
 
-def lof(samples, k: int, cutoff: float = 1.5, step: int = 0) -> BaselineResult:
+def lof(samples, k: int = 20, cutoff: float = 1.5, step: int = 0) -> BaselineResult:
     """LOF baseline: likelihood = rank-normalized score, high risk = score >= cutoff."""
     require("cutoff", cutoff)
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))

@@ -39,7 +39,7 @@ from .detection import DetectionConfig
 from .errors import ConfigError, DataError, StlidError, require, require_int
 from .fusion import FusionConfig
 from .lid import T_LID_FIRST_COL, LidConfig
-from .metrics import METHOD_NAMES, BaselineConfig, benchmark, report_csv, report_table
+from .metrics import METHOD_NAMES, benchmark, report_csv, report_table
 from .synthetic import CreepScenarioSpec, generate_creep_scenario
 
 EXIT_OK = 0
@@ -62,7 +62,6 @@ class RunSettings:
     lid: LidConfig = field(default_factory=LidConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    baseline: BaselineConfig = field(default_factory=BaselineConfig)
     parallel: int = 1
     step_interval_minutes: float = 2.5
 
@@ -154,13 +153,7 @@ def build_settings(file_values: dict | None, overrides: list[str] | None) -> Run
 
 
 def format_settings(settings: RunSettings) -> str:
-    lines = []
-    for key in _setting_types():
-        val = reduce(getattr, key.split("."), settings)
-        if isinstance(val, tuple):
-            val = ";".join(str(v) for v in val)
-        lines.append(f"{key}={val}")
-    return "\n".join(lines)
+    return "\n".join(f"{key}={reduce(getattr, key.split('.'), settings)}" for key in _setting_types())
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +301,13 @@ def cmd_benchmark(args) -> int:
         require_int("max_backscan", args.max_backscan, "[0, inf)")  # as metrics.benchmark names it
     settings = _settings(args)
     methods = tuple(m.strip() for m in args.methods.split(",")) if args.methods else METHOD_NAMES
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHOD_NAMES:
             raise _UsageError(
                 f"unknown method {m!r}; valid methods: {', '.join(METHOD_NAMES)}"
             )
+        if m in methods[:i]:
+            raise _UsageError(f"method {m!r} is named twice")
     if not args.truth:
         raise ConfigError("benchmark needs --truth")
     dataset, truth = _load_inputs(args, settings)
@@ -320,7 +315,6 @@ def cmd_benchmark(args) -> int:
         dataset,
         truth,
         methods=methods,
-        baseline_config=settings.baseline,
         max_backscan=args.max_backscan,
         **settings.run_args(),
     )

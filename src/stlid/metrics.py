@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
-    DEFAULT_EDQ_LEVELS,
     BaselineResult,
     dbscan,
     edq_select,
@@ -31,7 +30,7 @@ from .baselines import (
 )
 from .data import REPORT_HEADER, FailureRegion, GroundTruth, MonitoringDataset, fmt_float
 from .detection import THRESHOLD, DetectionConfig, default_epsilon
-from .errors import ConfigError, DataError, StlidError, require, require_int
+from .errors import ConfigError, DataError, StlidError, require_int
 from .fusion import FusionConfig
 from .lid import S_LID_FIRST_COL, LidConfig
 from .pipeline import iter_run
@@ -122,54 +121,20 @@ class EvaluationReport:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Knobs for the comparison methods used by the benchmark, checked when made."""
-
-    dbscan_eps: float | None = None  # None: 2x median kinematic NN spacing per step
-    dbscan_min_pts: int = 4
-    lof_k: int = 20
-    lof_cutoff: float = 1.5
-    edq_levels: tuple = DEFAULT_EDQ_LEVELS
-
-    def __post_init__(self):
-        if self.dbscan_eps is not None:
-            require("dbscan_eps", self.dbscan_eps, "(0, inf)")
-        require_int("dbscan_min_pts", self.dbscan_min_pts, "[1, inf)")
-        require_int("lof_k", self.lof_k, "[1, inf)")
-        require("lof_cutoff", self.lof_cutoff)
-        try:
-            levels = np.asarray(self.edq_levels, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ConfigError(f"edq_levels must be numbers, got {self.edq_levels!r}") from None
-        if levels.ndim != 1 or not levels.size:
-            raise ConfigError("edq_levels must hold at least one level, as a flat sequence")
-        require("edq_levels", levels, "[0, 1]")
-        # stored as a tuple, so no caller can change the levels after this check
-        object.__setattr__(self, "edq_levels", tuple(levels.tolist()))
-
-
-def method_result(
-    name: str,
-    dataset: MonitoringDataset,
-    step: int,
-    baseline_config: BaselineConfig | None = None,
-) -> BaselineResult:
-    """Baseline ``name``'s (kmeans, dbscan, lof or edq) result at ``step``;
-    StlidError where it is undefined. ``benchmark`` streams slid and stlid."""
-    blc = baseline_config or BaselineConfig()
+def method_result(name: str, dataset: MonitoringDataset, step: int) -> BaselineResult:
+    """Baseline ``name``'s (kmeans, dbscan, lof or edq) result at ``step``, each
+    at its function's default settings and DBSCAN at the step's eps (twice the
+    median kinematic NN spacing); StlidError where it is undefined.
+    ``benchmark`` streams slid and stlid."""
     if name == "kmeans":
         return kmeans2(dataset.displacement[:, dataset.column(step)], step=step)
     if name == "dbscan":
         samples = dataset.samples_at(step)
-        eps = blc.dbscan_eps
-        if eps is None:
-            eps = max(default_epsilon(samples), 1e-9)
-        return dbscan(samples, eps, blc.dbscan_min_pts, step=step)
+        return dbscan(samples, max(default_epsilon(samples), 1e-9), step=step)
     if name == "lof":
-        return lof(dataset.samples_at(step), blc.lof_k, blc.lof_cutoff, step=step)
+        return lof(dataset.samples_at(step), step=step)
     if name == "edq":
-        return edq_select(dataset, blc.edq_levels, end_step=step)
+        return edq_select(dataset, end_step=step)
     raise ConfigError(f"unknown method {name!r}; valid: {', '.join(METHOD_NAMES)}")
 
 
@@ -214,7 +179,6 @@ def benchmark(
     lid_config: LidConfig | None = None,
     fusion_config: FusionConfig | None = None,
     detection_config: DetectionConfig | None = None,
-    baseline_config: BaselineConfig | None = None,
     parallel: int = 1,
     max_backscan: int | None = None,
 ) -> list[EvaluationReport]:
@@ -229,10 +193,11 @@ def benchmark(
     if not truth.regions:
         raise DataError("the truth holds no failure region")
     truth.validate_against(dataset)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHOD_NAMES:
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHOD_NAMES)}")
-    baseline_config = baseline_config or BaselineConfig()
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} is named twice")
     if max_backscan is not None:
         require_int("max_backscan", max_backscan, "[0, inf)")
     results, tops, seconds = {}, {}, {}
@@ -251,7 +216,7 @@ def benchmark(
             # (result, None), or (None, the error) where the method is undefined at the step
             if step not in memo:
                 try:
-                    memo[step] = method_result(name, dataset, step, baseline_config), None
+                    memo[step] = method_result(name, dataset, step), None
                 except StlidError as exc:
                     memo[step] = None, exc
             return memo[step]

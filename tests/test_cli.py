@@ -1,5 +1,6 @@
 import builtins
 import errno
+import gc
 import json
 import os
 import tracemalloc
@@ -15,7 +16,6 @@ import stlid.lid
 import stlid.metrics
 import stlid.pipeline
 from stlid import (
-    BaselineConfig,
     DetectionConfig,
     FusionConfig,
     LidConfig,
@@ -178,6 +178,7 @@ def test_detect_scores_holds_no_history_sized_array(tmp_path, monkeypatch, paral
         scores = tmp_path / f"scores{t}.csv"
         argv = ["detect", "--points", "-", "--series", "-", "--parallel", str(parallel),
                 "--scores", str(scores)]
+        gc.collect()  # as test_metrics: both traces start from empty free lists
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -340,11 +341,6 @@ def test_bad_config_key(generated, capsys):
 
 @pytest.mark.parametrize("setting", [
     "detection.epsilon=nan", "detection.epsilon=inf",
-    # bad baseline values used to report the method as n.a., or (eps nan, 0)
-    # to run another DBSCAN than the one asked for
-    "baseline.dbscan_eps=-1", "baseline.dbscan_eps=nan", "baseline.dbscan_eps=0",
-    "baseline.dbscan_min_pts=0", "baseline.lof_k=0", "baseline.lof_cutoff=nan",
-    "baseline.edq_levels=2",
 ])
 def test_non_finite_config_value_exits_3(generated, capsys, setting):
     # a NaN epsilon-ball holds no point, so it used to run to "no events"
@@ -547,7 +543,7 @@ def test_benchmark_cli(generated, tmp_path, capsys):
         "--points", str(generated["points"]),
         "--series", str(generated["series"]),
         "--truth", str(generated["truth"]),
-        "--set", "lid.s=8", "--set", "fusion.k=4", "--set", "baseline.lof_k=8",
+        "--set", "lid.s=8", "--set", "fusion.k=4",
         "--max-backscan", "30",
         "--table", str(table),
         "--csv", str(csv_out),
@@ -815,21 +811,13 @@ NON_DEFAULT = {
     "fusion.k": "3",
     "detection.n": "4",
     "detection.epsilon": "3.5",
-    "baseline.dbscan_eps": "0.2",
-    "baseline.dbscan_min_pts": "5",
-    "baseline.lof_k": "7",
-    "baseline.lof_cutoff": "2.0",
-    "baseline.edq_levels": "0.6;0.7;0.8",
     "parallel": "2",
     "step_interval_minutes": "1.0",
 }
 
 
 def test_every_config_field_is_a_settable_key():
-    sections = {
-        "lid": LidConfig, "fusion": FusionConfig,
-        "detection": DetectionConfig, "baseline": BaselineConfig,
-    }
+    sections = {"lid": LidConfig, "fusion": FusionConfig, "detection": DetectionConfig}
     keys = [f"{name}.{f.name}" for name, cls in sections.items() for f in fields(cls)]
     assert list(NON_DEFAULT) == keys + ["parallel", "step_interval_minutes"]
     defaults = format_settings(build_settings(None, None)).splitlines()
@@ -865,10 +853,7 @@ def test_print_config_on_every_run_command(generated, capsys, command):
 
 @pytest.mark.parametrize("sets", [
     [],
-    [
-        "fusion.k=3", "detection.epsilon=3.5", "baseline.dbscan_eps=0.2",
-        "detection.n=4", "baseline.edq_levels=0.6;0.7;0.8",
-    ],
+    ["lid.s=7", "fusion.k=3", "detection.epsilon=3.5", "detection.n=4"],
 ], ids=["defaults", "non-default"])
 def test_print_config_reloads_through_config(generated, tmp_path, capsys, sets):
     dump = _print_config(generated, capsys, *(a for s in sets for a in ("--set", s)))
@@ -898,11 +883,6 @@ CONFIG_OUT_OF_RANGE = {
     "fusion.k": ALL,
     "detection.n": ALL,
     "detection.epsilon": ALL,
-    "baseline.dbscan_eps": ALL,
-    "baseline.dbscan_min_pts": ALL,
-    "baseline.lof_k": ALL,
-    "baseline.lof_cutoff": ("nan", "inf"),
-    "baseline.edq_levels": ("nan", "inf", "-1"),
     "parallel": ALL,
     "step_interval_minutes": ALL,
 }
@@ -1115,6 +1095,40 @@ def test_a_retired_st_lid_rule_key_is_refused(example, tmp_path, capsys, command
         cfg = tmp_path / "old.cfg"
         cfg.write_text(old)
         argv, key = [*argv, f"--config={cfg}"], "fusion.variance_floor"
+    else:
+        argv, key = [*argv, "--set", source], source.split("=")[0]
+    err = _refused(capsys, [*argv, "--print-config"], outputs)
+    assert f"unknown config key {key!r}" in err
+
+
+def test_benchmark_refuses_a_repeated_method_before_any_output(example, tmp_path, capsys):
+    # it used to print each row twice and write every method-score row twice
+    argv, outputs = _run_argv("benchmark", example, tmp_path)
+    outputs.append(tmp_path / "ms.csv")
+    argv += ["--methods=kmeans,kmeans", f"--method-scores={outputs[-1]}", "--print-config"]
+    assert "method 'kmeans' is named twice" in _refused(capsys, argv, outputs, code=1)
+
+
+@pytest.mark.parametrize("command", ["detect", "monitor", "benchmark"])
+@pytest.mark.parametrize("source", [
+    "default.cfg", "baseline.dbscan_eps=None", "baseline.dbscan_min_pts=4", "baseline.lof_k=20",
+    "baseline.lof_cutoff=1.5", "baseline.edq_levels=0.5",
+])
+def test_a_retired_baseline_key_is_refused(example, tmp_path, capsys, command, source):
+    # each comparison method runs at its function's defaults, DBSCAN at each
+    # step's eps, so none of the five is a setting
+    argv, outputs = _run_argv(command, example, tmp_path)
+    if source == "default.cfg":  # its text while it listed the five keys
+        text = (DOCS / "default.cfg").read_text()
+        old = text.replace("detection.epsilon=None\n", "detection.epsilon=None\n"
+                           "# None: 2x the median kinematic nearest-neighbour spacing at each step\n"
+                           "baseline.dbscan_eps=None\nbaseline.dbscan_min_pts=4\nbaseline.lof_k=20\n"
+                           "baseline.lof_cutoff=1.5\n"
+                           "baseline.edq_levels=0.5;0.55;0.6;0.65;0.7;0.75;0.8;0.85;0.9;0.95\n")
+        assert old.count("\n") == text.count("\n") + 6
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(old)
+        argv, key = [*argv, f"--config={cfg}"], "baseline.dbscan_eps"
     else:
         argv, key = [*argv, "--set", source], source.split("=")[0]
     err = _refused(capsys, [*argv, "--print-config"], outputs)

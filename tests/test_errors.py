@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stlid import (
-    BaselineConfig,
     DetectionConfig,
     DetectionState,
     FusionConfig,
@@ -15,10 +14,12 @@ from stlid import (
     MonitoringDataset,
     StLidField,
     benchmark,
+    dbscan,
     dbscan_labels,
     fuse_all,
     iter_run,
     kmeans2,
+    lof,
     lof_scores,
     mle_lid,
     update_detection,
@@ -39,8 +40,8 @@ INTEGER_CHECKS = {
     "s": lambda v, ds, truth: LidConfig(s=v),
     "k": lambda v, ds, truth: FusionConfig(k=v),
     "n": lambda v, ds, truth: DetectionConfig(n=v),
-    "dbscan_min_pts": lambda v, ds, truth: BaselineConfig(dbscan_min_pts=v),
-    "lof_k": lambda v, ds, truth: BaselineConfig(lof_k=v),
+    "dbscan_min_pts": lambda v, ds, truth: dbscan(POINTS, 1.0, v),
+    "lof_k": lambda v, ds, truth: lof(POINTS, v),
     "parallel setting": lambda v, ds, truth: RunSettings(parallel=v),
     "iter_run parallel": lambda v, ds, truth: iter_run(ds, parallel=v),
     "max_backscan": lambda v, ds, truth: benchmark(ds, truth, methods=("kmeans",), max_backscan=v),
@@ -76,7 +77,6 @@ RUN_CONFIGS = {
     "LidConfig": (LidConfig(), "s", 1, "neighborhood size s"),
     "FusionConfig": (FusionConfig(), "k", 0, "spatial neighborhood size k"),
     "DetectionConfig": (DetectionConfig(), "n", 0, "persistence length n"),
-    "BaselineConfig": (BaselineConfig(), "lof_k", 0, "lof_k"),
     "RunSettings": (RunSettings(), "parallel", 0, "parallel"),
 }
 
@@ -88,21 +88,6 @@ def test_a_run_config_is_frozen_and_checked_when_made(name):
         setattr(config, field, bad)
     with pytest.raises(ConfigError, match=message):
         replace(config, **{field: bad})
-
-
-def test_edq_levels_are_kept_as_a_tuple_of_floats_the_caller_cannot_change():
-    levels = [0.5]
-    config = BaselineConfig(edq_levels=levels)
-    levels.append(7.0)  # the config checked and kept its own copy
-    assert config.edq_levels == (0.5,) and type(config.edq_levels[0]) is float
-
-
-def test_edq_levels_may_be_an_array():
-    # numpy's "truth value of an array is ambiguous" ValueError used to escape
-    assert BaselineConfig(edq_levels=np.array([0.5, 0.6])).edq_levels == (0.5, 0.6)
-    for bad in (np.array([0.5, 1.5]), np.array([[0.5]]), np.array([]), ["high"]):
-        with pytest.raises(ConfigError, match="edq_levels"):
-            BaselineConfig(edq_levels=bad)
 
 
 def _header_only_points(tmp_path):

@@ -5,10 +5,10 @@ import types
 import stlid
 
 EXPORTS = [
-    "AlarmDecision", "BaselineConfig", "BaselineResult", "CreepScenarioSpec",
-    "DetectionConfig", "DetectionEvent", "DetectionState", "EvaluationReport",
-    "FailureRegion", "FusionConfig", "GammaParams", "GroundTruth", "LidConfig",
-    "LidField", "MonitoredPoint", "MonitoringDataset", "RunResult", "StLidField",
+    "AlarmDecision", "BaselineResult", "CreepScenarioSpec", "DetectionConfig",
+    "DetectionEvent", "DetectionState", "EvaluationReport", "FailureRegion",
+    "FusionConfig", "GammaParams", "GroundTruth", "LidConfig", "LidField",
+    "MonitoredPoint", "MonitoringDataset", "RunResult", "StLidField",
     "benchmark", "dbscan", "dbscan_labels", "default_epsilon", "edq_select",
     "format_lead", "fuse_all", "fused_slid", "gaussian_weights",
     "generate_creep_scenario", "iter_run", "kmeans2", "lead_time", "load_dataset",

@@ -1,3 +1,4 @@
+import gc
 import json
 import threading
 import tracemalloc
@@ -88,6 +89,7 @@ def test_a_run_holds_no_history_sized_array(parallel, monkeypatch):
     for t in (steps, 2 * steps):
         rng = np.random.default_rng(7)
         ds = make_dataset(np.cumsum(rng.normal(0, 0.1, size=(n, t)), axis=1), coords=coords)
+        gc.collect()  # as test_metrics: both traces start from empty free lists
         tracemalloc.start()
         try:
             run_detection(ds, parallel=parallel, store="none")
