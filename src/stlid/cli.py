@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import time
 import types
 import typing
 from contextlib import nullcontext
@@ -260,7 +259,6 @@ def cmd_detect(args) -> int:
 
 def cmd_monitor(args) -> int:
     require_int("--checkpoint-every", args.checkpoint_every, "[1, inf)")
-    require("--realtime-factor", args.realtime_factor, "[0, inf)")
     if args.resume and not args.checkpoint:
         raise ConfigError("--resume needs --checkpoint")
     settings = _settings(args)
@@ -272,7 +270,6 @@ def cmd_monitor(args) -> int:
     if args.resume and state.next_col < dataset.num_steps:  # a step is left
         print(f"resuming at step {dataset.start_step + state.next_col}")
 
-    sleep_s = dataset.step_interval_minutes * 60.0 * args.realtime_factor
     n_since_ckpt = 0
     for rec in records:
         decision = rec.decision
@@ -288,8 +285,6 @@ def cmd_monitor(args) -> int:
             if n_since_ckpt >= args.checkpoint_every:
                 n_since_ckpt = 0
                 pipeline.save_checkpoint(args.checkpoint, state)
-        if sleep_s:
-            time.sleep(sleep_s)
     if args.events:
         pipeline.write_events_csv(args.events, state.events)
     print(f"done: {len(state.events)} event(s)")
@@ -394,8 +389,6 @@ def build_parser() -> _Parser:
 
     m = sub.add_parser("monitor", help="streaming replay with per-step output")
     _add_common(m)
-    m.add_argument("--realtime-factor", type=float, default=0.0,
-                   help="sleep this fraction of the real step interval per step (0 = fast)")
     m.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     m.add_argument("--checkpoint-every", type=int, default=50)
     m.add_argument("--resume", action="store_true", help="resume from --checkpoint")

@@ -72,13 +72,13 @@ def format_rows(step: int, ids, *columns) -> str:
 
 
 @contextmanager
-def replacing(path, mode="w", newline=None):
+def replacing(path, newline=None):
     """Open a file that replaces ``path`` once the block ends without error;
     on any error or interrupt it is removed, and ``path`` is left as it was.
     Every file a command writes goes through here."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, mode, newline=newline) as fh:
+        with open(tmp, "w", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -3,7 +3,7 @@
 The CLI maps these onto exit codes: data-shaped problems (parsing,
 consistency, non-finite values) exit with 2, configuration problems with 3.
 Every number that comes from outside (a setting, a spec field, a flag, a
-checkpoint array) is checked where it enters by ``require``, and every
+checkpoint number) is checked where it enters by ``require``, and every
 integer among them by ``require_int``.
 """
 

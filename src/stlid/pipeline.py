@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -67,13 +66,15 @@ class StepRecord:
 
 @dataclass
 class PipelineState:
-    """Resumable between-step state, advanced in place by ``iter_run``;
-    everything else is derived from the immutable dataset."""
+    """Resumable between-step state, advanced in place by ``iter_run``, which
+    also sets ``num_points`` and recomputes the ``prev_slid`` no checkpoint
+    holds; everything else is derived from the immutable dataset."""
 
     next_col: int = S_LID_FIRST_COL
     prev_slid: np.ndarray | None = None
     det_state: DetectionState = field(default_factory=DetectionState)
     events: list = field(default_factory=list)
+    num_points: int | None = None
 
 
 @dataclass
@@ -128,10 +129,10 @@ def _resolved_detection(dataset, config):
 def _check_state(state: PipelineState) -> PipelineState:
     """``state``, loaded or passed, if a run can resume it; else ConfigError.
     Its fields hold the JSON types ``save_checkpoint`` writes (a bool is no
-    int, a coordinate a pair of numbers, ``det_state`` a DetectionState or
-    None for a fresh tracker, ``events`` a list of DetectionEvents), and
-    ``prev_slid`` is a positive 1-D float64 array, set past the first velocity
-    column."""
+    int, ``num_points`` an int or None, a coordinate a pair of numbers,
+    ``det_state`` a DetectionState or None for a fresh tracker, ``events`` a
+    list of DetectionEvents), and a passed ``prev_slid`` is a positive 1-D
+    float64 array."""
     def pair(v):
         return type(v) is tuple and len(v) == 2 and all(type(a) in (int, float) for a in v)
 
@@ -140,6 +141,7 @@ def _check_state(state: PipelineState) -> PipelineState:
         raise ConfigError("state det_state is no DetectionState or its events no list: "
                           f"{type(det).__name__}, {type(state.events).__name__}")
     good = [type(state.next_col) is type(det.hits) is int, type(det.fired) is bool,
+            state.num_points is None or type(state.num_points) is int,
             det.candidate_coord is None or pair(det.candidate_coord)]
     good += [type(e) is DetectionEvent and type(e.detection_step) is type(e.point_id) is int
              and pair(e.location) and type(e.value) in (int, float) for e in state.events]
@@ -151,8 +153,6 @@ def _check_state(state: PipelineState) -> PipelineState:
             raise ConfigError(f"state prev_slid is no 1-D float64 array: {type(arr).__name__} "
                               f"{np.shape(arr)} {getattr(arr, 'dtype', '')}")
         require("state prev_slid", arr, "(0, inf)")
-    elif state.next_col > S_LID_FIRST_COL:
-        raise ConfigError(f"state resumes at column {state.next_col} but holds no prev_slid")
     return state
 
 
@@ -174,8 +174,9 @@ def iter_run(
     bit-identical for every degree. ``stop_step`` ends the run after that
     external step. ``state``, checked by ``_check_state``, is updated in
     place after every step, so saving it at any point makes the run
-    resumable from the next step. It must also fit the run: ``prev_slid``
-    holds one value per point, and ``next_col`` lies within the dataset.
+    resumable from the next step. It must also fit the run: ``num_points``
+    and ``prev_slid`` match the dataset, and ``next_col`` lies within it. A
+    missing ``prev_slid`` is computed at the call.
     """
     lid_config = lid_config or LidConfig()
     fusion_config = fusion_config or FusionConfig()
@@ -191,11 +192,17 @@ def iter_run(
 
     state = _check_state(PipelineState() if state is None else state)
     require("state next_col", state.next_col, f"[{S_LID_FIRST_COL}, {dataset.num_steps}]")
-    if state.prev_slid is not None and len(state.prev_slid) != n:
-        raise ConfigError(f"state prev_slid holds {len(state.prev_slid)} values; "
-                          f"the dataset has {n} points")
+    for got in (state.num_points, None if state.prev_slid is None else len(state.prev_slid)):
+        if got not in (None, n):
+            raise ConfigError(f"state is of a run over {got} points, the dataset has {n}")
+    state.num_points = n
     if state.det_state is None:
         state.det_state = DetectionState()
+    if state.prev_slid is None and state.next_col > S_LID_FIRST_COL:
+        # the step kernel's raw s-LID field of the previous column, bit for bit
+        step = dataset.start_step + state.next_col - 1
+        dist, _ = knn(dataset.samples_at(step), s)
+        state.prev_slid = LidField.filled(step, *lid_rows(dist)).values
 
     bounds = np.linspace(0, n, parallel + 1).astype(int)
     chunks = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -357,46 +364,46 @@ def run_detection(
 
 
 def save_checkpoint(path, state: PipelineState) -> None:
-    """Write ``state`` to ``path``: its ``prev_slid`` once set, plus a JSON
-    record of ``next_col``, the tracker fields and the events."""
+    """Write ``state`` to ``path`` as one JSON record: ``next_col``,
+    ``num_points``, the tracker fields and the events, but no ``prev_slid``."""
     meta = {
         "next_col": state.next_col,
+        "num_points": state.num_points,
         **vars(state.det_state),
         "events": [vars(e) for e in state.events],
     }
-    arrays = {} if state.prev_slid is None else {"prev_slid": state.prev_slid}
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    # np.savez given a name appends ".npz" when it lacks one, so write through an open file
-    with replacing(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    with replacing(path) as fh:
+        json.dump(meta, fh)
+
+
+def _finite(text, kind=float):
+    """A JSON number or constant as ``kind``; ConfigError unless it is finite as a float."""
+    require("number", float(text))  # NaN, Infinity and an int too large for a float fail
+    return kind(text)
 
 
 def load_checkpoint(path) -> PipelineState:
-    """Read a state written by ``save_checkpoint``; ConfigError when the
-    file is no ``.npz`` archive, is a damaged one, lacks a field of that
-    layout or holds a state ``_check_state`` refuses, OSError when it cannot
-    be opened. Other keys, such as the per-step tracker history, the
-    candidate id and the t-LID count, mean and M2 that earlier versions
-    wrote, are ignored. The file is opened as a zip archive only: ``np.load``
-    would try any other file as a pickle and advise unpickling it."""
-    fh = open(path, "rb")  # outside the try: a file that cannot be opened stays an OSError
+    """Read a state written by ``save_checkpoint``, with no ``prev_slid``;
+    ConfigError when the file is no UTF-8 JSON record of that layout (an
+    ``.npz`` archive of earlier versions among them), lacks one of its
+    fields, holds a number that is not finite or a state ``_check_state``
+    refuses; OSError when it cannot be opened. Other keys are ignored."""
+    with open(path, "rb") as fh:  # outside the try: a file that cannot be opened stays an OSError
+        raw = fh.read()
     try:
-        with fh, np.lib.npyio.NpzFile(fh) as npz:
-            meta = json.loads(bytes(npz["meta"]).decode())
-            prev_slid = npz["prev_slid"] if "prev_slid" in npz else None
+        meta = json.loads(raw.decode(), parse_constant=_finite, parse_float=_finite,
+                          parse_int=lambda text: _finite(text, int))
         det = DetectionState(**{name: meta[name] for name in DetectionState.__dataclass_fields__})
         # JSON turned the coordinate tuples into lists
         xy = det.candidate_coord
         det.candidate_coord = None if xy is None else tuple(xy)
         events = [DetectionEvent(**{**e, "location": tuple(e["location"])}) for e in meta["events"]]
-        state = PipelineState(next_col=meta["next_col"], prev_slid=prev_slid, det_state=det,
-                              events=events)
-        return _check_state(state)
-    # a damaged archive makes the zip reader raise any of the last five, an
-    # OSError among them for a seek outside the file
-    except (ConfigError, KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError,
-            NotImplementedError, RuntimeError, OSError) as exc:
-        raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout: {exc!r}") from None
+        return _check_state(PipelineState(next_col=meta["next_col"], det_state=det, events=events,
+                                          num_points=meta["num_points"]))
+    # a record nested too deep makes the decoder raise RecursionError
+    except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout ({type(exc).__name__}: "
+                          f"{exc}); rerun without --resume to start afresh") from None
 
 
 def write_events_csv(path, events) -> None:

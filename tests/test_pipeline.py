@@ -279,14 +279,15 @@ def test_checkpoint_roundtrip_detection_state(grid_noise_dataset, tmp_path):
     state = PipelineState(next_col=1, prev_slid=None, det_state=None, events=[])
     for _ in iter_run(ds, **SMALL, stop_step=12, state=state):
         pass
-    # a name without the .npz suffix is written and read as given
+    # a name without a suffix is written and read as given
     save_checkpoint(tmp_path / "state.ckpt", state)
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
     back = load_checkpoint(tmp_path / "state.ckpt")
     assert back.next_col == state.next_col
+    assert back.num_points == state.num_points == ds.num_points
     assert back.det_state == state.det_state
     assert back.events == state.events
-    assert np.array_equal(back.prev_slid, state.prev_slid)
+    assert back.prev_slid is None  # the resumed run recomputes the prior
 
 
 def test_a_numpy_integer_start_step_checkpoints_and_resumes(grid_noise_dataset, tmp_path):
@@ -311,46 +312,34 @@ def test_checkpoint_meta_holds_only_the_bounded_state(grid_noise_dataset, tmp_pa
     state = PipelineState()
     for _ in iter_run(grid_noise_dataset, **SMALL, stop_step=30, state=state):
         pass
-    save_checkpoint(tmp_path / "ck.npz", state)
-    with np.load(tmp_path / "ck.npz") as npz:
-        meta = json.loads(bytes(npz["meta"]).decode())
+    save_checkpoint(tmp_path / "ck.json", state)
+    meta = json.loads((tmp_path / "ck.json").read_text())
     assert set(meta) == {
-        "next_col", "candidate_coord", "hits", "fired", "events",
+        "next_col", "num_points", "candidate_coord", "hits", "fired", "events",
     }
 
 
-def test_checkpoint_of_the_earlier_layout_resumes_to_the_uninterrupted_run(
-    grid_noise_dataset, tmp_path
-):
-    # earlier versions also wrote the argmax id to the meta record, and each
-    # point's t-LID count, mean and M2, which a stateless st-LID does not read
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_state_without_prev_slid_resumes_to_the_uninterrupted_run(grid_noise_dataset, parallel):
+    # a checkpoint holds no prior: the resumed run recomputes the previous
+    # column's raw s-LID field at its call, bit for bit
     ds = grid_noise_dataset
     fast = DetectionConfig(n=2)
-    straight = run_detection(ds, detection_config=fast, **SMALL)
+    straight = run_detection(ds, detection_config=fast, parallel=parallel, **SMALL)
     assert straight.events  # the resumed tracker and event list are exercised
     state = PipelineState()
-    for _ in iter_run(ds, **SMALL, detection_config=fast, stop_step=20, state=state):
+    for _ in iter_run(ds, **SMALL, detection_config=fast, parallel=parallel, stop_step=20,
+                      state=state):
         pass
-    meta = {
-        "next_col": state.next_col,
-        **vars(state.det_state),
-        "candidate_id": 7,
-        "events": [vars(e) for e in state.events],
-    }
-    with open(tmp_path / "old.npz", "wb") as fh:
-        np.savez(
-            fh,
-            prev_slid=state.prev_slid,
-            t_count=np.full(ds.num_points, float(state.next_col - lid.T_LID_FIRST_COL)),
-            t_mean=np.full(ds.num_points, 1.5),
-            t_m2=np.full(ds.num_points, -1.0),  # no M2 is negative: the key is not read
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        )
-    resumed = load_checkpoint(tmp_path / "old.npz")
-    first_row = resumed.next_col - lid.T_LID_FIRST_COL  # st-LID history row of the resumed step
-    rest = list(iter_run(ds, **SMALL, detection_config=fast, state=resumed))
-    assert np.array_equal(np.vstack([r.st.values for r in rest]), straight.st_hist[first_row:])
-    assert np.array_equal(np.vstack([r.st.valid for r in rest]), straight.st_valid_hist[first_row:])
+    carried, col = state.prev_slid, state.next_col
+    resumed = replace(state, prev_slid=None)
+    records = iter_run(ds, **SMALL, detection_config=fast, parallel=parallel, state=resumed)
+    assert np.array_equal(resumed.prev_slid, carried)
+    rest = list(records)
+    fused_row, st_row = col - lid.S_LID_FIRST_COL, col - lid.T_LID_FIRST_COL
+    assert np.array_equal(np.vstack([r.fused.values for r in rest]), straight.fused_hist[fused_row:])
+    assert np.array_equal(np.vstack([r.st.values for r in rest]), straight.st_hist[st_row:])
+    assert np.array_equal(np.vstack([r.st.valid for r in rest]), straight.st_valid_hist[st_row:])
     assert resumed.events == straight.events
     assert resumed.det_state == straight.final_state
 
@@ -367,17 +356,6 @@ def test_resume_rejects_state_of_another_dataset(grid_noise_dataset):
             iter_run(other, **SMALL, state=state)
     # the state is untouched by the rejected runs and still resumes its own dataset
     assert state.next_col == 21
-    assert next(iter_run(ds, **SMALL, state=state)).step == 21
-
-
-def test_resume_rejects_state_without_its_carried_fields(grid_noise_dataset):
-    ds = grid_noise_dataset
-    state = PipelineState()
-    for _ in iter_run(ds, **SMALL, stop_step=20, state=state):
-        pass
-    with pytest.raises(ConfigError, match="holds no prev_slid"):
-        iter_run(ds, **SMALL, state=replace(state, prev_slid=None))
-    # the rejected run left the state as it was
     assert next(iter_run(ds, **SMALL, state=state)).step == 21
 
 
@@ -416,40 +394,44 @@ def test_iter_run_refuses_a_state_whose_containers_have_another_type(grid_noise_
 
 
 def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
-    def npz(name, **arrays):
-        with open(tmp_path / name, "wb") as fh:
-            np.savez(fh, **arrays)
-        return tmp_path / name
+    def written(name, record):
+        """A checkpoint file of ``record``: bytes as they are, else its JSON."""
+        path = tmp_path / name
+        path.write_bytes(record if type(record) is bytes else json.dumps(record).encode())
+        return path
 
-    def as_meta(record):
-        return np.frombuffer(json.dumps(record).encode(), np.uint8)
-
-    prev_slid = np.ones(grid_noise_dataset.num_points)
-    meta = np.frombuffer(json.dumps({"next_col": 5, "has_prev": False}).encode(), np.uint8)
-    text = tmp_path / "text.ckpt"
-    text.write_text("next_col=5\n")
-    empty = tmp_path / "empty.ckpt"
-    empty.write_bytes(b"")
+    n = grid_noise_dataset.num_points
+    text = written("text.ckpt", b"next_col=5\n")
+    empty = written("empty.ckpt", b"")
     array = tmp_path / "array.ckpt"
     with open(array, "wb") as fh:
-        np.save(fh, prev_slid)
-    truncated = tmp_path / "truncated.ckpt"
-    truncated.write_bytes(npz("whole.ckpt", meta=meta).read_bytes()[:40])
-    unreadable = [
-        npz("old.ckpt", meta=meta),
-        text,
-        empty,
-        array,
-        truncated,
-        npz("no_meta.ckpt", prev_slid=np.zeros(3)),
-        npz("bad_json.ckpt", meta=np.frombuffer(b"{next_col", np.uint8)),
-    ]
+        np.save(fh, np.ones(n))
+    old = tmp_path / "old.ckpt"  # the archive earlier versions wrote
+    with open(old, "wb") as fh:
+        np.savez(fh, prev_slid=np.ones(n),
+                 meta=np.frombuffer(json.dumps({"next_col": 5}).encode(), np.uint8))
     good = {
-        "next_col": 5, "candidate_coord": [1.0, 2.0], "hits": 1, "fired": False,
+        "next_col": 5, "num_points": n, "candidate_coord": [1.0, 2.0], "hits": 1, "fired": False,
         "events": [{"detection_step": 3, "point_id": 7, "location": [1.0, 2.0], "value": 0.9}],
     }
+    good_json = json.dumps(good).encode()
+    unreadable = [
+        old, text, empty, array,
+        written("truncated.ckpt", good_json[:40]),
+        written("bad_json.ckpt", b"{next_col"),
+        written("not_utf8.ckpt", good_json.replace(b"0.9", b"0.9\xff")),
+        # NaN, Infinity and -Infinity are no JSON; 1e999 and a 401-digit
+        # integer overflow a float, which the events file would fail to write
+        *(written(f"{word[:9]}.ckpt", good_json.replace(b"0.9", word.encode()))
+          for word in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400)),
+        # the decoder raises RecursionError, a RuntimeError
+        written("nested.ckpt", b"[" * 200000 + b"]" * 200000),
+    ]
+    unreadable += [written(f"no_{key}.ckpt", {k: v for k, v in good.items() if k != key})
+                   for key in good]
     wrong = {  # a field of another type, each in a file of its own
         "next_col": ["5", 5.0, True, None],
+        "num_points": [str(n), float(n), True],
         "hits": ["2", 2.0, False],
         "fired": [0, "false", None],
         "candidate_coord": ["1,2", [1.0], [1.0, 2.0, 3.0], [1.0, "2"], [True, 2.0]],
@@ -466,16 +448,16 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
         for name, values in wrong_event.items() for v in values
     ]
     metas += [{**good, "events": "none"}, {**good, "events": [[3, 7]]}, [good]]
-    for i, m in enumerate(metas):
-        unreadable.append(npz(f"typed{i}.ckpt", meta=as_meta(m), prev_slid=prev_slid))
-    # the state rule of iter_run: past its first column a state holds the previous s-LID field
-    unreadable.append(npz("no_prev_slid.ckpt", meta=as_meta(good)))
+    unreadable += [written(f"typed{i}.ckpt", m) for i, m in enumerate(metas)]
     for path in unreadable:
         with pytest.raises(ConfigError, match=f"{path.name} is not in this layout") as exc:
             load_checkpoint(path)
         assert "pickle" not in str(exc.value)  # numpy's text advises unpickling a foreign file
-    back = load_checkpoint(npz("good.ckpt", meta=as_meta(good), prev_slid=prev_slid))
+        assert "rerun without --resume" in str(exc.value)
+    # a record holds no prior; the resumed run computes it
+    back = load_checkpoint(written("good.ckpt", good))
     assert (back.next_col, back.det_state.candidate_coord, back.det_state.hits) == (5, (1.0, 2.0), 1)
+    assert (back.num_points, back.prev_slid) == (n, None)
     assert back.events[0].location == (1.0, 2.0)
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.ckpt")
@@ -494,8 +476,8 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
 
     for name, values in wrong.items():
         for v in map(passed, values):
-            if name == "next_col":
-                refused(replace(back, next_col=v))
+            if name in ("next_col", "num_points"):
+                refused(replace(back, **{name: v}))
             else:
                 refused(replace(back, det_state=replace(back.det_state, **{name: v})))
     for name, values in wrong_event.items():
@@ -506,8 +488,8 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
 
 
 def test_a_checkpoint_with_any_one_byte_changed_loads_or_is_refused(tmp_path):
-    # the zip reader's EOFError, NotImplementedError, RuntimeError and OSError
-    # (a seek outside the file, naming none) used to escape as they were
+    # every one-byte change of the JSON record loads a state the checks accept,
+    # or is refused as not in this layout
     coords = [(float(i % 6), float(i // 6)) for i in range(30)]
     ds = make_dataset(np.random.default_rng(42).normal(0, 0.1, size=(30, 30)), coords=coords)
     state = PipelineState()
