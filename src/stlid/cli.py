@@ -24,8 +24,6 @@ from .baselines import write_baseline_scores_csv
 from .data import (
     SCORES_HEADER,
     _write_dataset,
-    check_events,
-    check_scores,
     format_rows,
     load_dataset,
     load_ground_truth,
@@ -258,7 +256,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    require_int("--checkpoint-every", args.checkpoint_every, "[1, inf)")
     if args.resume and not args.checkpoint:
         raise ConfigError("--resume needs --checkpoint")
     settings = _settings(args)
@@ -270,7 +267,6 @@ def cmd_monitor(args) -> int:
     if args.resume and state.next_col < dataset.num_steps:  # a step is left
         print(f"resuming at step {dataset.start_step + state.next_col}")
 
-    n_since_ckpt = 0
     for rec in records:
         decision = rec.decision
         if decision is None:
@@ -280,11 +276,8 @@ def cmd_monitor(args) -> int:
             print(f"step={rec.step} argmax={decision.point_id} st={st} hits={decision.hits}")
         if rec.event is not None:
             print(_event_line(rec.event))
-        if args.checkpoint:
-            n_since_ckpt += 1
-            if n_since_ckpt >= args.checkpoint_every:
-                n_since_ckpt = 0
-                pipeline.save_checkpoint(args.checkpoint, state)
+        if args.checkpoint:  # after every step, so a resume repeats no step and no alarm
+            pipeline.save_checkpoint(args.checkpoint, state)
     if args.events:
         pipeline.write_events_csv(args.events, state.events)
     print(f"done: {len(state.events)} event(s)")
@@ -321,11 +314,7 @@ def cmd_benchmark(args) -> int:
         raise undefined[0]
     if args.print_config:  # only now: the run itself can refuse the dataset or the settings
         print(format_settings(settings))
-    table = report_table(reports)
-    print(table)
-    if args.table:
-        with replacing(args.table) as fh:
-            fh.write(table + "\n")
+    print(report_table(reports))
     if args.csv:
         with replacing(args.csv) as fh:
             fh.write(report_csv(reports))
@@ -344,10 +333,6 @@ def cmd_validate(args) -> int:
         load_dataset(path, args.series)
     elif kind == "truth":
         load_ground_truth(path)
-    elif kind == "scores":
-        check_scores(path)
-    elif kind == "events":
-        check_events(path)
     print(f"{kind} file {path}: OK")
     return EXIT_OK
 
@@ -389,8 +374,7 @@ def build_parser() -> _Parser:
 
     m = sub.add_parser("monitor", help="streaming replay with per-step output")
     _add_common(m)
-    m.add_argument("--checkpoint", help="checkpoint file for resumable runs")
-    m.add_argument("--checkpoint-every", type=int, default=50)
+    m.add_argument("--checkpoint", help="checkpoint file, saved after every step")
     m.add_argument("--resume", action="store_true", help="resume from --checkpoint")
     m.add_argument("--events", help="write event log CSV")
     m.set_defaults(func=cmd_monitor)
@@ -399,14 +383,13 @@ def build_parser() -> _Parser:
     _add_common(b)
     b.add_argument("--methods", help=f"comma list from: {', '.join(METHOD_NAMES)}")
     b.add_argument("--max-backscan", type=int, help="cap the lead-time scan depth")
-    b.add_argument("--table", help="write the text table here")
     b.add_argument("--csv", help="write the CSV report here")
     b.add_argument("--method-scores",
                    help="dump per-point method scores at the failure step to this CSV")
     b.set_defaults(func=cmd_benchmark)
 
-    v = sub.add_parser("validate", help="check a file against its documented schema")
-    v.add_argument("kind", choices=["points", "dataset", "truth", "scores", "events"])
+    v = sub.add_parser("validate", help="check an input file against its documented schema")
+    v.add_argument("kind", choices=["points", "dataset", "truth"])
     v.add_argument("path")
     v.add_argument("--series", help="series CSV when validating a dataset")
     v.set_defaults(func=cmd_validate)

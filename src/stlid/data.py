@@ -16,9 +16,11 @@ save/load round-trips are bit-exact):
 * ground-truth CSV: header ``label,xmin,ymin,xmax,ymax,tof``, one row per
   region; labels are unique
 
-The detector's score dump and event log are checked here too. Each header
-lives in one ``*_HEADER`` constant that the reader, the writer and the check
-share, and every per-point dump is written by ``format_rows``.
+The headers of the files the package only writes (the detector's score
+dump and event log, the comparison methods' scores and the benchmark report)
+live here too. Each header is one ``*_HEADER`` constant that its writer, and
+for an input file its reader, shares; every per-point dump is written by
+``format_rows``.
 """
 
 from __future__ import annotations
@@ -462,28 +464,3 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
         for r in truth.regions:
             bounds = (r.xmin, r.ymin, r.xmax, r.ymax)
             w.writerow([r.label, *map(fmt_float, bounds), r.tof])
-
-
-def check_scores(path) -> None:
-    """Check a score dump: integer step and point id, finite scores, st-LID
-    in [0, 1] and validity flags of 0 or 1."""
-    for line_no, row in _read_rows(path, SCORES_HEADER):
-        _parse_int(path, line_no, row[0], "t")
-        _parse_int(path, line_no, row[1], "point_id")
-        scores = [_parse_float(path, line_no, row[k], SCORES_HEADER[k]) for k in range(2, 6)]
-        if not 0.0 <= scores[3] <= 1.0:
-            raise DataError(f"{path}:{line_no}: st_lid outside [0, 1]")
-        for name, text in zip(SCORES_HEADER[6:], row[6:]):
-            if _parse_int(path, line_no, text, name) not in (0, 1):
-                raise ParseError(path, line_no, f"{name} must be 0 or 1, got {text!r}")
-
-
-def check_events(path) -> None:
-    """Check an event log: integer step and point id, finite coordinates and
-    st-LID in [0, 1]."""
-    for line_no, row in _read_rows(path, EVENTS_HEADER):
-        _parse_int(path, line_no, row[0], "detection_step")
-        _parse_int(path, line_no, row[1], "point_id")
-        _, _, st = (_parse_float(path, line_no, row[k], EVENTS_HEADER[k]) for k in range(2, 5))
-        if not 0.0 <= st <= 1.0:
-            raise DataError(f"{path}:{line_no}: st_lid outside [0, 1]")

@@ -365,7 +365,11 @@ def run_detection(
 
 def save_checkpoint(path, state: PipelineState) -> None:
     """Write ``state`` to ``path`` as one JSON record: ``next_col``,
-    ``num_points``, the tracker fields and the events, but no ``prev_slid``."""
+    ``num_points``, the tracker fields and the events, but no ``prev_slid``.
+    ConfigError for a state ``iter_run`` never ran, whose ``num_points`` is
+    None: a record ``load_checkpoint`` refuses."""
+    if state.num_points is None:
+        raise ConfigError("state has never been run: there is no step to resume from")
     meta = {
         "next_col": state.next_col,
         "num_points": state.num_points,
@@ -386,8 +390,9 @@ def load_checkpoint(path) -> PipelineState:
     """Read a state written by ``save_checkpoint``, with no ``prev_slid``;
     ConfigError when the file is no UTF-8 JSON record of that layout (an
     ``.npz`` archive of earlier versions among them), lacks one of its
-    fields, holds a number that is not finite or a state ``_check_state``
-    refuses; OSError when it cannot be opened. Other keys are ignored."""
+    fields, holds a number that is not finite, a ``num_points`` that is no
+    int (null among them) or a state ``_check_state`` refuses; OSError when
+    it cannot be opened. Other keys are ignored."""
     with open(path, "rb") as fh:  # outside the try: a file that cannot be opened stays an OSError
         raw = fh.read()
     try:
@@ -398,8 +403,9 @@ def load_checkpoint(path) -> PipelineState:
         xy = det.candidate_coord
         det.candidate_coord = None if xy is None else tuple(xy)
         events = [DetectionEvent(**{**e, "location": tuple(e["location"])}) for e in meta["events"]]
+        n = require_int("num_points", meta["num_points"])
         return _check_state(PipelineState(next_col=meta["next_col"], det_state=det, events=events,
-                                          num_points=meta["num_points"]))
+                                          num_points=n))
     # a record nested too deep makes the decoder raise RecursionError
     except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"checkpoint {os.fspath(path)} is not in this layout ({type(exc).__name__}: "

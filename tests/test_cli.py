@@ -1,6 +1,8 @@
 import builtins
+import contextlib
 import errno
 import gc
+import io
 import json
 import os
 import tracemalloc
@@ -28,7 +30,7 @@ from stlid import (
 )
 from stlid.cli import build_settings, format_settings, main, parse_kv_file
 from stlid.data import (
-    EVENTS_HEADER, POINTS_HEADER, SCORES_HEADER, SERIES_HEADER, TRUTH_HEADER, fmt_float,
+    POINTS_HEADER, SCORES_HEADER, SERIES_HEADER, TRUTH_HEADER, fmt_float,
 )
 from stlid.errors import DataError
 
@@ -270,7 +272,6 @@ def test_score_dump_equals_the_rows_of_the_stored_histories(
     # line by line, so that a failure names its first line, not a diff of the whole file
     assert len(got) == len(want), (len(got), len(want))
     assert not [(g, w) for g, w in zip(got, want) if g != w][:1]
-    assert main(["validate", "scores", str(scores)]) == 0
 
 
 def test_detect_parallel_bit_identical(generated, tmp_path):
@@ -371,29 +372,36 @@ def test_config_file_plus_override(generated, tmp_path, capsys):
     assert "lid.s=6" in out and "detection.n=7" in out
 
 
+def _cut_series(series, last_step, path):
+    """``path``: the series CSV ``series`` up to and including ``last_step``,
+    as the file stood before the later steps were appended."""
+    header, *rows = series.read_text().splitlines(True)
+    kept = (row for row in rows if int(row.split(",")[1]) <= last_step)
+    path.write_text("".join([header, *kept]))
+    return path
+
+
 def test_monitor_streams_and_checkpoints(generated, tmp_path, capsys):
     ck = tmp_path / "state.ckpt"  # no suffix: resumed from exactly this name
-    ev = tmp_path / "events.csv"
+    cut = _cut_series(generated["series"], 80, tmp_path / "cut.csv")
     args = [
         "monitor",
         "--points", str(generated["points"]),
-        "--series", str(generated["series"]),
         "--set", "lid.s=8", "--set", "fusion.k=4", "--set", "detection.n=5",
         "--checkpoint", str(ck),
-        "--checkpoint-every", "10",
-        "--events", str(ev),
     ]
-    assert main(args) == 0
+    assert main([*args, "--series", str(cut)]) == 0
     out = capsys.readouterr().out
     assert "step=" in out and "argmax=" in out
-    assert ck.exists()
-    full_log = ev.read_bytes()
+    assert json.loads(ck.read_text())["next_col"] == 81
 
-    # resume from the checkpoint: the final event log matches the full run
-    ev2 = tmp_path / "events2.csv"
-    args_resume = args[:-2] + ["--events", str(ev2), "--resume"]
-    assert main(args_resume) == 0
-    assert ev2.read_bytes() == full_log
+    # resume from the checkpoint once the later steps have arrived: the final
+    # event log matches the uninterrupted run's
+    ev, ev2 = tmp_path / "events.csv", tmp_path / "events2.csv"
+    whole = ["--series", str(generated["series"])]
+    assert main([*args[:-2], *whole, "--events", str(ev)]) == 0
+    assert main([*args, *whole, "--events", str(ev2), "--resume"]) == 0
+    assert ev2.read_bytes() == ev.read_bytes()
 
 
 def test_monitor_resume_against_another_dataset_exits_3(generated, tmp_path, capsys):
@@ -401,10 +409,9 @@ def test_monitor_resume_against_another_dataset_exits_3(generated, tmp_path, cap
     args = [
         "monitor",
         "--points", str(generated["points"]),
-        "--series", str(generated["series"]),
+        "--series", str(_cut_series(generated["series"], 80, tmp_path / "cut.csv")),
         "--set", "lid.s=8", "--set", "fusion.k=4",
         "--checkpoint", str(ck),
-        "--checkpoint-every", "40",
     ]
     assert main(args) == 0
     # the same spec on a smaller grid, then on a shorter series
@@ -442,17 +449,16 @@ def test_monitor_resume_from_checkpoint_with_a_field_of_another_type_exits_3(
     args = [
         "monitor",
         "--points", str(generated["points"]),
-        "--series", str(generated["series"]),
         "--set", "lid.s=8", "--set", "fusion.k=4",
         "--checkpoint", str(ck),
-        "--checkpoint-every", "20",
     ]
-    assert main(args) == 0
+    cut = _cut_series(generated["series"], 100, tmp_path / "cut.csv")
+    assert main([*args, "--series", str(cut)]) == 0
     meta = json.loads(ck.read_text())
     meta[field] = value
     ck.write_text(json.dumps(meta))
     capsys.readouterr()
-    assert main([*args, "--resume"]) == 3
+    assert main([*args, "--series", str(generated["series"]), "--resume"]) == 3
     out, err = capsys.readouterr()
     assert f"checkpoint {ck} is not in this layout" in err
     assert "resuming" not in out
@@ -504,11 +510,9 @@ def test_score_dump_flags_sentinel_rows(tmp_path, capsys):
     rows = [line.split(",") for line in scores.read_text().splitlines()[1:]]
     assert len(rows) == 36 * 5
     assert all(row[6:] == ["0", "0", "0", "0"] for row in rows)
-    assert main(["validate", "scores", str(scores)]) == 0
 
 
 def test_benchmark_cli(generated, tmp_path, capsys):
-    table = tmp_path / "table.txt"
     csv_out = tmp_path / "report.csv"
     methods_csv = tmp_path / "methods.csv"
     rc = main([
@@ -518,12 +522,11 @@ def test_benchmark_cli(generated, tmp_path, capsys):
         "--truth", str(generated["truth"]),
         "--set", "lid.s=8", "--set", "fusion.k=4",
         "--max-backscan", "30",
-        "--table", str(table),
         "--csv", str(csv_out),
         "--method-scores", str(methods_csv),
     ])
     assert rc == 0
-    text = table.read_text()
+    text = capsys.readouterr().out
     for name in ("kmeans", "dbscan", "lof", "edq", "slid", "stlid"):
         assert name in text
     assert csv_out.read_text().count("\n") == 1 + 6
@@ -602,9 +605,9 @@ def test_a_benchmark_against_a_truth_with_no_region_exits_2_before_any_output(tm
     assert main(["generate", str(spec), *(f"--{k}={v}" for k, v in files.items())]) == 0
     assert files["truth"].read_text() == "label,xmin,ymin,xmax,ymax,tof\n"
     capsys.readouterr()
-    outputs = [tmp_path / name for name in ("table.txt", "report.csv", "methods.csv")]
+    outputs = [tmp_path / name for name in ("report.csv", "methods.csv")]
     argv = ["benchmark", *(f"--{k}={v}" for k, v in files.items()), "--print-config",
-            *(f"--{flag}={path}" for flag, path in zip(("table", "csv", "method-scores"), outputs))]
+            *(f"--{flag}={path}" for flag, path in zip(("csv", "method-scores"), outputs))]
     for methods in ("kmeans", "slid,stlid"):
         err = _refused(capsys, [*argv, f"--methods={methods}"], outputs, code=2)
         assert "the truth holds no failure region" in err
@@ -638,10 +641,10 @@ def test_benchmark_method_scores_of_undefined_method_writes_nothing(tmp_path, ca
     pts, ser, tr = (tmp_path / name for name in ("p.csv", "s.csv", "t.csv"))
     save_dataset(ds, pts, ser)
     tr.write_text("label,xmin,ymin,xmax,ymax,tof\nfailure,0,0,2,2,6\n")
-    outputs = [tmp_path / name for name in ("table.txt", "report.csv", "methods.csv")]
+    outputs = [tmp_path / name for name in ("report.csv", "methods.csv")]
     argv = ["benchmark", "--points", str(pts), "--series", str(ser), "--truth", str(tr),
             "--methods", "kmeans,lof", "--print-config",
-            *(f"--{flag}={path}" for flag, path in zip(("table", "csv", "method-scores"), outputs))]
+            *(f"--{flag}={path}" for flag, path in zip(("csv", "method-scores"), outputs))]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and not any(p.exists() for p in outputs)
@@ -678,27 +681,15 @@ def test_validate_kinds(generated, tmp_path, capsys):
         "validate", "dataset", str(generated["points"]), "--series", str(generated["series"]),
     ]) == 0
 
-    scores = tmp_path / "scores.csv"
-    rc = main([
-        "detect",
-        "--points", str(generated["points"]),
-        "--series", str(generated["series"]),
-        "--set", "lid.s=8", "--set", "fusion.k=4",
-        "--scores", str(scores),
-    ])
-    assert rc == 0
-    assert main(["validate", "scores", str(scores)]) == 0
-
     bad = tmp_path / "bad.csv"
-    bad.write_text("t,point_id,s_lid\n1,2,3\n")
-    assert main(["validate", "scores", str(bad)]) == 2
+    bad.write_text("id,x\n1,2\n")
+    assert main(["validate", "points", str(bad)]) == 2
 
     # a bad cell exits 2 and names the file, the line and the column
-    header = scores.read_text().splitlines()[0]
     cases = [
-        ("scores", header + "\n3,x,1,1,1,0.5,1,1,1,1\n", "point_id"),
-        ("scores", header + "\n3,1,1,1,1,0.5,1,2,1,1\n", "fused_valid"),
-        ("events", "detection_step,point_id,x,y,st_lid\n3,1,abc,1,0.5\n", "bad x"),
+        ("points", "id,x,y\nx,1,1\n", "bad id"),
+        ("points", "id,x,y\n3,1,abc\n", "bad y coordinate"),
+        ("truth", "label,xmin,ymin,xmax,ymax,tof\nfailure,0,0,1,1,1.5\n", "bad tof"),
     ]
     for kind, text, column in cases:
         bad.write_text(text)
@@ -723,34 +714,6 @@ def test_validate_refuses_a_file_with_a_data_error(tmp_path, capsys, kind, point
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and words in err, err
-
-
-def test_validate_accepts_what_detect_writes_and_refuses_st_lid_outside_0_1(
-    generated, tmp_path, capsys
-):
-    scores, events = tmp_path / "scores.csv", tmp_path / "events.csv"
-    assert main([
-        "detect", "--points", str(generated["points"]), "--series", str(generated["series"]),
-        "--set", "lid.s=8", "--set", "fusion.k=4", "--set", "detection.n=3",
-        "--scores", str(scores), "--events", str(events),
-    ]) == 0
-    assert len(events.read_text().splitlines()) == 3  # two event rows
-    capsys.readouterr()
-    for kind, path in (("scores", scores), ("events", events)):
-        assert main(["validate", kind, str(path)]) == 0
-        assert capsys.readouterr().out == f"{kind} file {path}: OK\n"
-
-    # the second data row of each file, its st_lid cell set to 1.5
-    for kind, path, col in (("scores", scores, 5), ("events", events, 4)):
-        lines = path.read_text().splitlines()[:3]
-        cells = lines[-1].split(",")
-        cells[col] = "1.5"
-        lines[-1] = ",".join(cells)
-        bad = tmp_path / f"bad_{kind}.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        assert main(["validate", kind, str(bad)]) == 2, kind
-        out, err = capsys.readouterr()
-        assert out == "" and f"{bad}:{len(lines)}: st_lid outside [0, 1]" in err, err
 
 
 def test_usage_error_exit_code(capsys):
@@ -894,7 +857,7 @@ def test_the_tables_cover_every_number():
 OUTPUT_FLAGS = {
     "detect": ("--scores", "--events"),
     "monitor": ("--checkpoint", "--events"),
-    "benchmark": ("--table", "--csv"),
+    "benchmark": ("--csv", "--method-scores"),
 }
 
 
@@ -966,12 +929,29 @@ def test_a_malformed_command_or_file_exits_3_before_any_output(example, tmp_path
     assert words in _refused(capsys, argv, outputs)
 
 
+@pytest.mark.parametrize("command, retired", [
+    ("validate", "scores"), ("validate", "events"), ("benchmark", "--table"),
+    ("monitor", "--checkpoint-every"),
+], ids=["validate-scores", "validate-events", "benchmark---table", "monitor---checkpoint-every"])
+def test_a_retired_kind_or_flag_exits_1_before_any_output(
+    example, tmp_path, capsys, command, retired
+):
+    # nothing reads a score dump or an event log back, benchmark prints its
+    # table, and monitor saves its checkpoint after every step
+    if command == "validate":
+        argv, outputs = ["validate", retired, str(example["points"])], []
+    else:
+        argv, outputs = _run_argv(command, example, tmp_path)
+        table = tmp_path / "table.txt"
+        argv += ["--print-config", f"--table={table}" if retired == "--table" else f"{retired}=1"]
+        outputs.append(table)
+    assert retired in _refused(capsys, argv, outputs, code=1)
+
+
 # each reader of an input file: (header or None, the argv that reads ``path``, exit code)
 NOT_UTF8_READERS = {
     "points": (POINTS_HEADER, lambda path, ex: ["validate", "points", str(path)], 2),
     "truth": (TRUTH_HEADER, lambda path, ex: ["validate", "truth", str(path)], 2),
-    "scores": (SCORES_HEADER, lambda path, ex: ["validate", "scores", str(path)], 2),
-    "events": (EVENTS_HEADER, lambda path, ex: ["validate", "events", str(path)], 2),
     # the exact header takes the vectorized parse, which falls back to the row reader
     "series": (SERIES_HEADER, lambda path, ex: [
         "validate", "dataset", str(ex["points"]), f"--series={path}"], 2),
@@ -1127,8 +1107,6 @@ def test_an_out_of_range_spec_field_exits_3_before_any_output(tmp_path, capsys, 
     ("detect", "--at-step", "nan", 1), ("detect", "--at-step", "inf", 1),
     ("detect", "--at-step", "120", 3),  # the example's last step is 119
     ("monitor", "--parallel", "0", 3),
-    ("monitor", "--checkpoint-every", "0", 3), ("monitor", "--checkpoint-every", "-5", 3),
-    ("monitor", "--checkpoint-every", "nan", 1), ("monitor", "--checkpoint-every", "inf", 1),
     ("benchmark", "--parallel", "0", 3),
     ("benchmark", "--max-backscan", "-1", 3),
     ("benchmark", "--max-backscan", "nan", 1), ("benchmark", "--max-backscan", "inf", 1),
@@ -1179,7 +1157,7 @@ class _FullDisk:
     ("generate", "--points"), ("generate", "--series"), ("generate", "--truth"),
     ("detect", "--scores"), ("detect", "--events"),
     ("monitor", "--checkpoint"), ("monitor", "--events"),
-    ("benchmark", "--table"), ("benchmark", "--csv"), ("benchmark", "--method-scores"),
+    ("benchmark", "--csv"), ("benchmark", "--method-scores"),
 ])
 def test_a_write_that_fails_midway_leaves_the_earlier_file(
     example, tmp_path, monkeypatch, capsys, command, flag
@@ -1241,10 +1219,10 @@ def _monitor_resume_argv(example, tmp_path, checkpoint):
 
 
 def _written_checkpoint(example, tmp_path, capsys):
-    """The example's checkpoint after step 100 of 119, and its JSON record."""
+    """The checkpoint of the example's series up to step 100 of 119, and its JSON record."""
     ck = tmp_path / "state.ckpt"
-    argv = ["monitor", *(f"--{name}={path}" for name, path in example.items()),
-            f"--checkpoint={ck}", "--checkpoint-every=20"]
+    cut = {**example, "series": _cut_series(example["series"], 100, tmp_path / "cut.csv")}
+    argv = ["monitor", *(f"--{name}={path}" for name, path in cut.items()), f"--checkpoint={ck}"]
     assert main(argv) == 0
     capsys.readouterr()
     return ck, json.loads(ck.read_text())
@@ -1308,11 +1286,72 @@ def test_a_resume_from_a_checkpoint_of_the_earlier_npz_layout_exits_3(example, t
 def test_a_resume_from_a_finished_checkpoint_prints_only_its_events(example, tmp_path, capsys):
     ck = tmp_path / "state.ckpt"
     argv = ["monitor", *(f"--{name}={path}" for name, path in example.items()),
-            f"--checkpoint={ck}", "--checkpoint-every=1"]
+            f"--checkpoint={ck}"]
     assert main(argv) == 0
     done = capsys.readouterr().out.splitlines()[-1]
     assert main([*argv, "--resume"]) == 0
     assert capsys.readouterr().out.splitlines() == [done]
+
+
+@pytest.fixture(scope="module")
+def example_cut_at_645(tmp_path_factory):
+    """The example scenario's files and its series up to step 645, monitored
+    with a checkpoint: (paths, the checkpoint, the monitor's stdout lines)."""
+    root = tmp_path_factory.mktemp("cut")
+    paths = {name: root / f"{name}.csv" for name in ("points", "series")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", str(DOCS / "example_scenario.cfg"),
+                     *(f"--{name}={path}" for name, path in paths.items())]) == 0
+    paths["cut"] = _cut_series(paths["series"], 645, root / "cut.csv")
+    ck = root / "state.ckpt"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["monitor", f"--points={paths['points']}", f"--series={paths['cut']}",
+                     f"--checkpoint={ck}"]) == 0
+    return paths, ck, out.getvalue().splitlines()
+
+
+def test_a_resume_after_new_steps_repeats_no_step_and_no_alarm(
+    example_cut_at_645, tmp_path, capsys
+):
+    # the checkpoint used to be saved every 50 steps only: it held step 600,
+    # and the resume ran steps 601-645 again and printed their event twice
+    paths, ck, first = example_cut_at_645
+    assert [line for line in first if line.startswith("EVENT")] == [
+        "EVENT step=640 point=312 x=15 y=12 st=0.9578"]
+    assert first[-2].startswith("step=645 ") and first[-1] == "done: 1 event(s)"
+    assert json.loads(ck.read_text())["next_col"] == 646  # one past the last step printed
+    resumed_ck = tmp_path / "state.ckpt"
+    resumed_ck.write_bytes(ck.read_bytes())
+    ev, ev_whole = tmp_path / "ev.csv", tmp_path / "ev_whole.csv"
+    argv = ["monitor", f"--points={paths['points']}", f"--series={paths['series']}"]
+    assert main([*argv, f"--checkpoint={resumed_ck}", "--resume", f"--events={ev}"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "resuming at step 646" and out[1].startswith("step=646 ")
+    assert not [line for line in out if line.startswith("EVENT")]
+    assert out[-1] == "done: 1 event(s)"  # the carried event
+    assert json.loads(resumed_ck.read_text())["next_col"] == 800
+    # the event log equals the uninterrupted run's
+    assert main([*argv, f"--events={ev_whole}"]) == 0
+    assert ev.read_bytes() == ev_whole.read_bytes()
+
+
+def test_a_checkpoint_whose_num_points_is_null_exits_3(example_cut_at_645, tmp_path, capsys):
+    # null used to skip the size check: the 500-point record resumed on a
+    # 400-point grid with exit 0 and carried its event over
+    meta = json.loads(example_cut_at_645[1].read_text())
+    spec = tmp_path / "spec.cfg"
+    spec.write_text((DOCS / "example_scenario.cfg").read_text().replace("grid_ny=20", "grid_ny=16"))
+    grid = {name: tmp_path / f"{name}.csv" for name in ("points", "series")}
+    assert main(["generate", str(spec), *(f"--{name}={path}" for name, path in grid.items())]) == 0
+    capsys.readouterr()
+    ck = tmp_path / "state.ckpt"
+    argv, outputs = _monitor_resume_argv(grid, tmp_path, ck)
+    ck.write_text(json.dumps(meta))  # as written
+    err = _refused(capsys, argv, outputs)
+    assert "state is of a run over 500 points, the dataset has 400" in err
+    ck.write_text(json.dumps({**meta, "num_points": None}))
+    err = _refused(capsys, argv, outputs)
+    assert f"checkpoint {ck} is not in this layout" in err and "num_points" in err
 
 
 @pytest.fixture(scope="module")

@@ -308,6 +308,13 @@ def test_a_numpy_integer_start_step_checkpoints_and_resumes(grid_noise_dataset, 
     assert resumed.det_state == straight.final_state
 
 
+def test_a_state_never_run_is_not_saved(tmp_path):
+    # its num_points is None, which load_checkpoint refuses
+    with pytest.raises(ConfigError, match="never been run"):
+        save_checkpoint(tmp_path / "ck.json", PipelineState())
+    assert not list(tmp_path.iterdir())
+
+
 def test_checkpoint_meta_holds_only_the_bounded_state(grid_noise_dataset, tmp_path):
     state = PipelineState()
     for _ in iter_run(grid_noise_dataset, **SMALL, stop_step=30, state=state):
@@ -429,6 +436,8 @@ def test_load_checkpoint_rejects_missing_fields(grid_noise_dataset, tmp_path):
     ]
     unreadable += [written(f"no_{key}.ckpt", {k: v for k, v in good.items() if k != key})
                    for key in good]
+    # null would stand for a state never run, which checks against no grid
+    unreadable.append(written("null_num_points.ckpt", {**good, "num_points": None}))
     wrong = {  # a field of another type, each in a file of its own
         "next_col": ["5", 5.0, True, None],
         "num_points": [str(n), float(n), True],
