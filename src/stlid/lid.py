@@ -17,11 +17,12 @@ Two neighborhoods are used:
 * t-LID: neighbors of a point's current velocity among its own past
   velocities; all history records are candidates and the largest retained
   distance is the denominator. The vectorized kernel streams the points'
-  displacement rows through one fixed 1 MB tile: it copies the later
+  displacement rows through one fixed 512 KB tile: it copies the later
   displacements into the tile and subtracts the earlier ones in place, so a
   call allocates O(tile) and no velocity matrix, however long the run has
   grown. Each tile leaves only its rows' statistics (nonzero count, maximum,
-  log-sum), and the estimator runs once over the whole call.
+  log-sum), and the estimator runs once over the whole call. The zeros are
+  counted only on a tile whose log-sums show that it holds one.
 
 Zero distances (exact ties with the query) make ln undefined, so every
 estimator drops them: the MLE runs over the positive distances. Fully degenerate
@@ -89,18 +90,24 @@ class LidField:
         return cls(step, values, valid)
 
 
-def _row_stats(d: np.ndarray, nz: np.ndarray, count, dmax, logs) -> None:
+def _row_stats(d: np.ndarray, count, dmax, logs) -> None:
     """Per row of ``d``, into ``count``, ``dmax`` and ``logs``: the count of
-    nonzero distances (the byte sum of the mask ``nz``), the maximum, and the
-    sum of ln after the zeros are filled with 1 through the same mask, so each
-    adds ``ln 1 = +0.0``. ``d`` (C-contiguous float64) and ``nz`` (bool, of
-    its shape) are scratch arrays the caller owns."""
-    np.not_equal(d, 0.0, out=nz)
-    np.sum(nz.view(np.uint8), axis=1, out=count)
+    nonzero distances, the maximum, and the sum of ln over the nonzero ones.
+    ``ln`` is taken in place; only a zero gives ``-inf``, so while every
+    log-sum is finite each count is the row length. Otherwise the block is
+    repaired: the entries other than ``-inf`` are counted (a mask's byte
+    sum), the ``-inf`` ones set to ``+0.0`` as ``ln 1`` would be, and the
+    rows summed again; a NaN or inf log-sum stays. ``d`` (C-contiguous
+    float64) is a scratch array the caller owns."""
     np.max(d, axis=1, out=dmax)
-    if count.sum() < d.size:
-        np.copyto(d, 1.0, where=np.logical_not(nz, out=nz))
-    np.sum(np.log(d, out=d), axis=1, out=logs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0; -inf + inf
+        np.sum(np.log(d, out=d), axis=1, out=logs)
+    count.fill(d.shape[1])
+    if not np.isfinite(logs).all():
+        kept = np.not_equal(d, -np.inf)
+        np.sum(kept.view(np.uint8), axis=1, out=count)
+        np.copyto(d, 0.0, where=np.logical_not(kept, out=kept))
+        np.sum(d, axis=1, out=logs)
 
 
 def _log_sum(count: np.ndarray, dmax: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -113,12 +120,12 @@ def _log_sum(count: np.ndarray, dmax: np.ndarray, logs: np.ndarray) -> np.ndarra
 
 def _log_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``d``: the count of positive distances and, over them, the
-    ``_log_sum``; ``_row_stats`` takes the whole array as one tile, with a
-    mask of its own. Works in place on ``d``, a C-contiguous float64 scratch
-    array the caller owns."""
+    ``_log_sum``; ``_row_stats`` takes the whole array as one block, which
+    it repairs at once if any row holds a zero. Works in place on ``d``, a
+    C-contiguous float64 scratch array the caller owns."""
     m = d.shape[0]
     count, dmax, logs = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m)
-    _row_stats(d, np.empty(d.shape, dtype=bool), count, dmax, logs)
+    _row_stats(d, count, dmax, logs)
     return count, _log_sum(count, dmax, logs)
 
 
@@ -213,8 +220,8 @@ def t_lid(velocity_history) -> float:
 
 
 # float64 cells of the scratch tile t_lid_rows streams the history through:
-# 1 MB, small enough that a tile stays in cache across its passes
-_TILE_CELLS = 1 << 17
+# 512 KB, small enough that a tile stays in cache across its passes
+_TILE_CELLS = 1 << 16
 
 
 def t_lid_rows(displacement_block: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,11 +236,12 @@ def t_lid_rows(displacement_block: np.ndarray, queries: np.ndarray) -> tuple[np.
     The rows are streamed through one scratch tile of about ``_TILE_CELLS``
     cells. Each tile's velocities are formed in it by copying the later
     displacements in and subtracting the earlier ones in place; they are
-    then turned into distances in place, and ``_row_stats``
-    writes each row's count, maximum and log-sum into arrays of the call's
-    length. The estimator then runs once over those. So a call allocates
-    O(tile) plus O(rows) and no velocity matrix, whatever the history
-    length. The result is bit-identical to estimating all rows of
+    then turned into distances in place, and ``_row_stats`` writes each
+    row's count, maximum and log-sum into arrays of the call's length,
+    counting zeros only on a tile that holds one. The estimator then runs
+    once over those. So a call allocates O(tile) plus O(rows) and no
+    velocity matrix, whatever the history length. The result is
+    bit-identical to estimating all rows of
     ``np.diff(displacement_block, axis=1)`` at once.
 
     Pass displacements, not velocities: a velocity history has a valid
@@ -243,7 +251,6 @@ def t_lid_rows(displacement_block: np.ndarray, queries: np.ndarray) -> tuple[np.
     h -= 1
     per_tile = max(1, _TILE_CELLS // max(h, 1))
     tile = np.empty((min(per_tile, m), h))
-    nonzero = np.empty(tile.shape, dtype=bool)
     count, dmax, logs = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m)
     for lo in range(0, m, per_tile):
         hi = min(lo + per_tile, m)
@@ -253,7 +260,7 @@ def t_lid_rows(displacement_block: np.ndarray, queries: np.ndarray) -> tuple[np.
         np.subtract(d, block[:, :-1], out=d)
         np.subtract(d, queries[lo:hi, None], out=d)
         np.abs(d, out=d)
-        _row_stats(d, nonzero[: hi - lo], count[lo:hi], dmax[lo:hi], logs[lo:hi])
+        _row_stats(d, count[lo:hi], dmax[lo:hi], logs[lo:hi])
     return _estimate(count, _log_sum(count, dmax, logs))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,76 @@ def test_t_lid_rows_fills_a_zero_only_the_last_row_of_a_tile_holds(monkeypatch):
     assert values.tobytes() == want_values.tobytes()
     assert valid.tobytes() == want_valid.tobytes()
     assert valid.all()
+
+
+def tied_block(rng, m, h, tied_rows):
+    """Displacements (a column slice of a wider matrix) and queries of ``m``
+    points with ``h`` past velocities; each row in ``tied_rows`` has one to
+    ``h`` velocities equal to its query, every other row none."""
+    wide = rng.normal(size=(m, h + 3))
+    block = wide[:, : h + 1]
+    queries = wide[:, h + 2] - wide[:, h + 1]
+    for i, row in enumerate(tied_rows):
+        ties = 1 + i % h  # the last tied row of a full cycle is all zero
+        queries[row] = 0.375  # a multiple of 1/8, so the differences are exact
+        block[row, : ties + 1] = 0.375 * np.arange(ties + 1)
+    distances = np.abs(np.diff(block, axis=1) - queries[:, None])
+    assert (np.flatnonzero((distances == 0.0).any(axis=1)) == sorted(tied_rows)).all()
+    return block, queries
+
+
+def test_t_lid_rows_repairs_a_tile_whose_every_row_holds_a_zero(monkeypatch):
+    monkeypatch.setattr(lid, "_TILE_CELLS", TILE)
+    h = 4
+    m = 3 * (TILE // h) + 2  # three full tiles and a partial one
+    block, queries = tied_block(np.random.default_rng(33), m, h, range(m))
+    values, valid = t_lid_rows(block, queries)
+    want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries)
+    assert values.tobytes() == want_values.tobytes()
+    assert valid.tobytes() == want_valid.tobytes()
+    assert 0 < valid.sum() < m  # rows left with fewer than two distances are invalid
+
+
+def test_t_lid_rows_repairs_only_the_tiles_that_hold_a_zero(monkeypatch):
+    # tiles alternate repaired and clean, so a count or log-sum a repair
+    # left behind, or a repair skipped after the first tile, would show
+    monkeypatch.setattr(lid, "_TILE_CELLS", TILE)
+    h = 3
+    per_tile = TILE // h
+    m = 4 * per_tile + 3
+    tied = [r for r in range(m) if (r // per_tile) % 2 == 0 and r % 3 != 1]
+    block, queries = tied_block(np.random.default_rng(34), m, h, tied)
+    values, valid = t_lid_rows(block, queries)
+    want_values, want_valid = masked_t_lid_rows(np.diff(block, axis=1), queries)
+    assert values.tobytes() == want_values.tobytes()
+    assert valid.tobytes() == want_valid.tobytes()
+    clean = np.setdiff1d(np.arange(m), tied)
+    assert valid[clean].all()
+
+
+def test_a_zero_beside_an_overflowed_distance_is_invalid_without_warning():
+    # ln gives -inf + inf on such a row: its first log-sum is NaN; the repair
+    # counts the inf and leaves an inf log-sum, and the estimate is invalid
+    row = np.array([[0.0, 0.5, np.inf, 0.0, 2.0]])
+    count, dmax, logs = np.empty(1, dtype=np.intp), np.empty(1), np.empty(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lid._row_stats(row.copy(), count, dmax, logs)
+        distances = np.vstack([row, np.random.default_rng(35).uniform(0.1, 4.0, (3, 5))])
+        got_rows = lid_rows(distances)
+        # displacements 0, 1, 2, 4, inf, 4: velocities 1, 1, 2, inf, -inf
+        # against the query 1 give two zeros beside two overflowed distances
+        block = np.vstack([[0.0, 1.0, 2.0, 4.0, np.inf, 4.0], np.arange(6.0) ** 1.5])
+        queries = np.array([1.0, 0.25])
+        got_t = t_lid_rows(block, queries)
+    assert (count.tolist(), dmax.tolist(), logs.tolist()) == ([3], [np.inf], [np.inf])
+    with np.errstate(invalid="ignore"):  # inf - inf in the references' log-sums
+        want_rows = lid._estimate(*masked_log_sums(distances.copy()))
+        want_t = masked_t_lid_rows(np.diff(block, axis=1), queries)
+    for (values, valid), (want_values, want_valid) in ((got_rows, want_rows), (got_t, want_t)):
+        assert values.tobytes() == want_values.tobytes()
+        assert valid.tobytes() == want_valid.tobytes()
+        assert np.isnan(values[0]) and not valid[0] and valid[1:].all()
 
 
 def masked_log_sums(d):

@@ -78,6 +78,43 @@ def test_tile_and_chunk_boundaries_interleave(grid_noise_dataset, monkeypatch):
         assert run.events == whole.events, p
 
 
+def test_a_run_on_rounded_displacements_repairs_its_tied_rows_alike(tmp_path, monkeypatch):
+    # displacements to 0.1 tie most points' query velocity with a past one,
+    # and their kinematic samples with each other, so most t-LID rows and
+    # many s-LID and fusion rows take the kernel's zero repair
+    rng = np.random.default_rng(8)
+    coords = [(float(i % 16), float(i // 16)) for i in range(256)]
+    ds = make_dataset(np.round(rng.normal(0, 0.1, size=(256, 40)), 1), coords=coords)
+    vel = np.diff(ds.displacement, axis=1)
+    tied = [(vel[:, :c - 1] == vel[:, c - 1:c]).any(axis=1).mean() for c in range(3, 40)]
+    assert np.mean(tied) > 0.75, tied
+    whole = run_detection(ds, **SMALL)
+    last = ds.last_step
+    # the fields of the last step, each from its own standalone function
+    assert whole.s_hist[-1].tobytes() == s_lid_all(ds, last, SMALL["lid_config"]).values.tobytes()
+    assert whole.t_hist[-1].tobytes() == t_lid_field(ds, last).values.tobytes()
+    fused = fuse_all(ds, whole.s_hist[-2], last, SMALL["fusion_config"], SMALL["lid_config"])
+    assert whole.fused_hist[-1].tobytes() == fused.values.tobytes()
+    # tiles of a few rows, some repaired and some clean, at every degree
+    monkeypatch.setattr(lid, "_TILE_CELLS", 100)
+    names = ("s_hist", "fused_hist", "t_hist", "t_valid_hist", "st_hist", "st_valid_hist")
+    for p in (1, 2, 3):
+        run = run_detection(ds, parallel=p, **SMALL)
+        for name in names:
+            assert getattr(run, name).tobytes() == getattr(whole, name).tobytes(), (p, name)
+        assert run.events == whole.events, p
+    # and a run stopped at step 20, checkpointed and resumed
+    state = PipelineState()
+    head = [rec.st for rec in iter_run(ds, **SMALL, stop_step=20, state=state)
+            if rec.st is not None]
+    save_checkpoint(tmp_path / "tied.ckpt", state)
+    resumed = load_checkpoint(tmp_path / "tied.ckpt")
+    tail = [rec.st for rec in iter_run(ds, **SMALL, parallel=2, state=resumed)]
+    assert np.vstack([f.values for f in head + tail]).tobytes() == whole.st_hist.tobytes()
+    assert np.vstack([f.valid for f in head + tail]).tobytes() == whole.st_valid_hist.tobytes()
+    assert resumed.events == whole.events
+
+
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_a_run_holds_no_history_sized_array(parallel, monkeypatch):
     # 32 KB tiles, full at both lengths, so only a history-sized array
